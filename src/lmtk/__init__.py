@@ -29,6 +29,7 @@ from .rewriting import (
     RewriteStep,
     Rule,
     Trs,
+    apply_rule,
     eps_normal_form,
     is_eps_irreducible,
     is_innermost_redex,
@@ -36,7 +37,6 @@ from .rewriting import (
     nf,
     normalize,
     odp,
-    rename_apart,
     rewrite_at,
     subterm_collapse_search,
 )

@@ -28,6 +28,7 @@ from .overlaps import (
     Equation,
     critical_pairs,
     nosup,
+    overlap_sites,
     paramodulation_candidates,
     rhs_closure,
 )
@@ -44,6 +45,7 @@ from .rewriting import (
 )
 from .terms import (
     App,
+    ROOT,
     Term,
     Var,
     enumerate_terms,
@@ -420,12 +422,13 @@ def consequence_checks(trs: Trs, depth: int = 3,
                              detail if ok or not detail
                              else f"{INTERNAL_INCONSISTENCY}: {detail}"))
 
-    # (a) no two distinct rules have unifiable left sides
-    bad = []
-    for r1, r2 in itertools.combinations(trs.rules, 2):
-        r2r = r2.renamed_apart(r1.variables())
-        if mgu(r1.lhs, r2r.lhs) is not None:
-            bad.append(f"{r1.label}/{r2.label}")
+    # (a) no two distinct rules have unifiable left sides: the root
+    # critical pairs, outer rule before inner in rule order
+    bad = [f"{outer.label}/{inner.label}"
+           for i, outer in enumerate(trs.rules)
+           for inner, inner_r, p, sub in overlap_sites(
+               outer.lhs, outer.variables(), trs.rules[i + 1:])
+           if p == ROOT and mgu(sub, inner_r.lhs) is not None]
     add("lhs pairwise non-unifiable", not bad, ", ".join(bad))
 
     # (b) no rhs unifies with a distinct rule's lhs

@@ -216,9 +216,11 @@ def cmd_collapse(args) -> int:
     payload = {"collapsing": False, "depth": res.max_depth,
                "terms_checked": res.terms_checked,
                "exhausted": res.exhausted}
+    cap = ("" if res.exhausted
+           else f", enumeration capped at {res.terms_checked} terms")
     _emit(args, payload,
           [f"no collapse up to depth {res.max_depth} "
-           f"({res.terms_checked} terms checked)"])
+           f"({res.terms_checked} terms checked{cap})"])
     return EXIT_PASS
 
 

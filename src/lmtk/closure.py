@@ -18,11 +18,12 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .overlaps import rule_key
+from .overlaps import overlap_sites, rule_key
 from .rewriting import (
     DEFAULT_FUEL,
     Rule,
     Trs,
+    apply_rule,
     enumerate_ground_irreducible,
     is_eps_irreducible,
     is_innermost_redex,
@@ -33,14 +34,12 @@ from .terms import (
     Position,
     Term,
     match_many,
-    match_term,
     mgu,
     positions,
     render_position,
     render_term,
-    substitute,
-    subterm_at,
     replace_at,
+    substitute,
 )
 
 
@@ -63,14 +62,7 @@ def fc_step(r1: Rule, r2: Rule, p: Position) -> Optional[FcCandidate]:
         raise InvalidPositionError(
             f"{render_position(p)} is not a non-variable position of "
             f"{render_term(r1.rhs)}")
-    r2r = r2.renamed_apart(r1.variables())
-    sigma = mgu(subterm_at(r1.rhs, p), r2r.lhs)
-    if sigma is None:
-        return None
-    lhs = substitute(r1.lhs, sigma)
-    rhs = substitute(replace_at(r1.rhs, p, r2r.rhs), sigma)
-    label = f"{r1.label}~{r2.label}@{render_position(p)}"
-    return FcCandidate(Rule(lhs, rhs, label), r1.label, r2.label, p)
+    return next((c for c in compositions([r1], [r2]) if c.position == p), None)
 
 
 def subsumes(general: Rule, candidate: Rule) -> bool:
@@ -90,11 +82,14 @@ def compositions(sources: Sequence[Rule], base: Sequence[Rule]) -> list[FcCandid
     """All defined compositions source ~> base rule, in deterministic order."""
     out = []
     for r1 in sources:
-        for r2 in base:
-            for p in sorted(positions(r1.rhs, nonvar_only=True)):
-                cand = fc_step(r1, r2, p)
-                if cand is not None:
-                    out.append(cand)
+        for r2, r2r, p, sub in overlap_sites(r1.rhs, r1.variables(), base):
+            sigma = mgu(sub, r2r.lhs)
+            if sigma is None:
+                continue
+            lhs = substitute(r1.lhs, sigma)
+            rhs = substitute(replace_at(r1.rhs, p, r2r.rhs), sigma)
+            label = f"{r1.label}~{r2.label}@{render_position(p)}"
+            out.append(FcCandidate(Rule(lhs, rhs, label), r1.label, r2.label, p))
     return out
 
 
@@ -174,12 +169,9 @@ class OneStepReport:
 
 def _one_step_reaches(trs: Trs, t: Term, target: Term) -> bool:
     for p in sorted(positions(t)):
-        sub = subterm_at(t, p)
         for rule in trs.rules:
-            m = match_term(rule.lhs, sub)
-            if m is None:
-                continue
-            if replace_at(t, p, substitute(rule.rhs, m)) == target:
+            hit = apply_rule(rule, t, p)
+            if hit is not None and hit[0] == target:
                 return True
     return False
 

@@ -422,8 +422,9 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
 
     def admit(term: Term, tainted: bool, ded: Deduction, d: int,
               rewrote: bool) -> None:
-        nonlocal found
+        nonlocal found, complete
         if term_size(term) > max_term_size or d > max_rounds:
+            complete = False
             return
         slot = known.setdefault(term, {})
         if tainted in slot:
@@ -460,10 +461,7 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
               d, t != raw)
         return t
 
-    while heap and not found:
-        if apps >= max_apps:
-            complete = False
-            break
+    while heap and not found and apps < max_apps:
         _, _, _, t, tainted = heapq.heappop(heap)
         for sym in unary:
             if found or apps >= max_apps:
@@ -494,17 +492,19 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
                     break
                 for rest in itertools.product(processed, repeat=sym.arity - 1):
                     budget -= 1
+                    complete = complete and budget >= 0
                     if budget < 0 or found or apps >= max_apps:
                         break
                     args = rest[:slot] + (t,) + rest[slot:]
                     if 1 + sum(term_size(a) for a in args) > max_term_size:
+                        complete = False
                         continue
                     taints = tuple(
                         tainted if i == slot
                         else (False if False in known[a] else True)
                         for i, a in enumerate(args))
                     consider(sym, args, taints)
-    if heap and not found:
+    if not found and (heap or apps >= max_apps):
         complete = False
 
     if not found:

@@ -11,7 +11,7 @@ as the same equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .rewriting import Rule, Trs
 from .terms import (
@@ -95,6 +95,23 @@ def rule_key(rule: Rule) -> tuple[str, str]:
     return (render_term(lhs), render_term(rhs))
 
 
+def overlap_sites(host: Term, avoid: set[str], rules: Sequence[Rule],
+                  trivial: Optional[str] = None
+                  ) -> Iterator[tuple[Rule, Rule, Position, Term]]:
+    """Per rule in order: the rule, its copy renamed apart from `avoid`,
+    and each sorted non-variable position of `host` with its subterm,
+    except the root site of the rule labelled `trivial`. Callers unify
+    subterm and renamed lhs themselves: the `mgu` argument order decides
+    whose variable names survive."""
+    sites = [(p, subterm_at(host, p))
+             for p in sorted(positions(host, nonvar_only=True))]
+    for rule in rules:
+        renamed = rule.renamed_apart(avoid)
+        for p, sub in sites:
+            if not (p == ROOT and rule.label == trivial):
+                yield rule, renamed, p, sub
+
+
 def critical_pairs(trs: Trs) -> list[CriticalPair]:
     """All critical pairs between (renamed-apart) rule pairs, at
     non-variable positions of the overlapped lhs. A rule's overlap with
@@ -102,39 +119,36 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
     overlaps between distinct rules are kept."""
     out: list[CriticalPair] = []
     for outer in trs.rules:
-        for inner in trs.rules:
-            inner_r = inner.renamed_apart(outer.variables())
-            for p in sorted(positions(outer.lhs, nonvar_only=True)):
-                if p == ROOT and inner.label == outer.label:
-                    continue
-                sigma = mgu(subterm_at(outer.lhs, p), inner_r.lhs)
-                if sigma is None:
-                    continue
-                left = substitute(replace_at(outer.lhs, p, inner_r.rhs), sigma)
-                right = substitute(outer.rhs, sigma)
-                out.append(CriticalPair(left, right, outer.label, inner.label, p))
+        for inner, inner_r, p, sub in overlap_sites(
+                outer.lhs, outer.variables(), trs.rules, trivial=outer.label):
+            sigma = mgu(sub, inner_r.lhs)
+            if sigma is None:
+                continue
+            left = substitute(replace_at(outer.lhs, p, inner_r.rhs), sigma)
+            right = substitute(outer.rhs, sigma)
+            out.append(CriticalPair(left, right, outer.label, inner.label, p))
     return out
 
 
 def nosup(trs: Trs) -> list[Term]:
-    """Superposition terms from unifying one lhs into a proper non-variable
-    position of another lhs (self-pairs via a renamed copy included)."""
+    """Superposition terms sigma(l1) from unifying one lhs into a proper
+    non-variable position of another lhs l1 (self-pairs via a renamed copy
+    included)."""
     seen: set[str] = set()
     out: list[Term] = []
     for outer in trs.rules:
-        for inner in trs.rules:
-            inner_r = inner.renamed_apart(outer.variables())
-            for p in sorted(positions(outer.lhs, nonvar_only=True)):
-                if p == ROOT:
-                    continue
-                sigma = mgu(subterm_at(outer.lhs, p), inner_r.lhs)
-                if sigma is None:
-                    continue
-                t = substitute(replace_at(outer.lhs, p, inner_r.lhs), sigma)
-                key = render_term(canonical_term_pair(t, t)[0])
-                if key not in seen:
-                    seen.add(key)
-                    out.append(t)
+        for _, inner_r, p, sub in overlap_sites(outer.lhs, outer.variables(),
+                                                trs.rules):
+            if p == ROOT:
+                continue
+            sigma = mgu(sub, inner_r.lhs)
+            if sigma is None:
+                continue
+            t = substitute(outer.lhs, sigma)
+            key = render_term(canonical_term_pair(t, t)[0])
+            if key not in seen:
+                seen.add(key)
+                out.append(t)
     return out
 
 
@@ -199,25 +213,21 @@ def paramodulation_candidates(trs: Trs) -> list[ParamodCandidate]:
     root of its own lhs (that inference degenerates to the rule itself)."""
     out: list[ParamodCandidate] = []
     for src in trs.rules:
-        for side_name in ("lhs", "rhs"):
-            u = getattr(src, side_name)
-            v = src.rhs if side_name == "lhs" else src.lhs
-            for rule in trs.rules:
-                rule_r = rule.renamed_apart(src.variables())
-                for p in sorted(positions(u, nonvar_only=True)):
-                    if p == ROOT and side_name == "lhs" and rule.label == src.label:
-                        continue
-                    sigma = mgu(rule_r.lhs, subterm_at(u, p))
-                    if sigma is None:
-                        continue
-                    new_side = substitute(replace_at(u, p, rule_r.rhs), sigma)
-                    other = substitute(v, sigma)
-                    conclusion = Equation(
-                        new_side, other,
-                        origin=f"paramod({rule.label}->{src.label}.{side_name})")
-                    out.append(ParamodCandidate(
-                        conclusion, src.label, side_name, rule.label, p,
-                        tuple(sorted(sigma.items()))))
+        for side_name, u, v, trivial in (("lhs", src.lhs, src.rhs, src.label),
+                                         ("rhs", src.rhs, src.lhs, None)):
+            for rule, rule_r, p, sub in overlap_sites(
+                    u, src.variables(), trs.rules, trivial):
+                sigma = mgu(rule_r.lhs, sub)
+                if sigma is None:
+                    continue
+                new_side = substitute(replace_at(u, p, rule_r.rhs), sigma)
+                other = substitute(v, sigma)
+                conclusion = Equation(
+                    new_side, other,
+                    origin=f"paramod({rule.label}->{src.label}.{side_name})")
+                out.append(ParamodCandidate(
+                    conclusion, src.label, side_name, rule.label, p,
+                    tuple(sorted(sigma.items()))))
     return out
 
 

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 
 from .terms import (
     App,
-    InvalidPositionError,
     Position,
     ROOT,
     Subst,
@@ -67,13 +66,8 @@ class Rule:
         return variables_of(self.lhs) | variables_of(self.rhs)
 
     def renamed_apart(self, avoid: set[str]) -> "Rule":
-        lhs, rhs, _ = rename_pair_apart(self.lhs, self.rhs, avoid)
+        lhs, rhs = rename_pair_apart(self.lhs, self.rhs, avoid)
         return Rule(lhs, rhs, self.label)
-
-
-def rename_apart(rule: Rule, avoid: set[str]) -> Rule:
-    """Variable-renamed variant of `rule` sharing no variable with `avoid`."""
-    return rule.renamed_apart(avoid)
 
 
 @dataclass(frozen=True)
@@ -104,17 +98,19 @@ class Trs:
             out.setdefault(r.lhs.sym.name, []).append(r)
         return {k: tuple(v) for k, v in out.items()}
 
+    @cached_property
+    def _symbols_by_name(self) -> dict[str, Symbol]:
+        return {s.name: s for s in self.symbols}
+
+    @cached_property
+    def _rules_by_label(self) -> dict[str, Rule]:
+        return {r.label: r for r in self.rules}
+
     def symbol(self, name: str) -> Symbol:
-        for s in self.symbols:
-            if s.name == name:
-                return s
-        raise KeyError(name)
+        return self._symbols_by_name[name]
 
     def rule(self, label: str) -> Rule:
-        for r in self.rules:
-            if r.label == label:
-                return r
-        raise KeyError(label)
+        return self._rules_by_label[label]
 
     def with_rules(self, rules: Sequence[Rule]) -> "Trs":
         """Same signature, different rule list; declared variables are
@@ -125,17 +121,6 @@ class Trs:
                 if v not in used:
                     used.append(v)
         return Trs(self.symbols, tuple(used), tuple(rules))
-
-    def all_rule_variables(self) -> set[str]:
-        out: set[str] = set()
-        for r in self.rules:
-            out |= r.variables()
-        return out
-
-
-def make_trs(symbols: Sequence[Symbol], variables: Sequence[str],
-             rules: Sequence[Rule]) -> Trs:
-    return Trs(tuple(symbols), tuple(variables), tuple(rules))
 
 
 @dataclass(frozen=True)
@@ -165,15 +150,24 @@ class FuelExhausted(Exception):
         self.trace = trace
 
 
+def apply_rule(rule: Rule, t: Term, p: Position) -> Optional[tuple[Term, Subst]]:
+    """`t` rewritten by `rule` at `p`, with the matcher; None when the lhs
+    does not match there. Every rewrite step goes through here."""
+    sigma = match_term(rule.lhs, subterm_at(t, p))
+    if sigma is None:
+        return None
+    return replace_at(t, p, substitute(rule.rhs, sigma)), sigma
+
+
 def rewrite_at(trs: Trs, t: Term, p: Position) -> Optional[tuple[Term, RewriteStep]]:
     """Apply the first rule (in file order) whose lhs matches t at p."""
     sub = subterm_at(t, p)
     if isinstance(sub, Var):
         return None
     for rule in trs.rules_by_root.get(sub.sym.name, ()):
-        sigma = match_term(rule.lhs, sub)
-        if sigma is not None:
-            target = replace_at(t, p, substitute(rule.rhs, sigma))
+        hit = apply_rule(rule, t, p)
+        if hit is not None:
+            target, sigma = hit
             step = RewriteStep(rule.label, p, tuple(sorted(sigma.items())), t, target)
             return target, step
     return None
@@ -288,12 +282,10 @@ def nf(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
 def replay(trs: Trs, t: Term, trace: Sequence[RewriteStep]) -> Term:
     """Re-run a trace step by step; raises if any step does not apply."""
     for step in trace:
-        rule = trs.rule(step.rule_label)
-        sub = subterm_at(t, step.position)
-        sigma = match_term(rule.lhs, sub)
-        if sigma is None:
+        hit = apply_rule(trs.rule(step.rule_label), t, step.position)
+        if hit is None:
             raise ValueError(f"step {step} does not apply to {render_term(t)}")
-        t = replace_at(t, step.position, substitute(rule.rhs, sigma))
+        t = hit[0]
         if t != step.target:
             raise ValueError(f"step {step} replayed to {render_term(t)}")
     return t
@@ -317,14 +309,6 @@ def eps_normal_form(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     if isinstance(t, Var):
         return t
     return App(t.sym, tuple(nf(trs, a, fuel) for a in t.args))
-
-
-def _label_at(t: Term, p: Position) -> Optional[str]:
-    try:
-        sub = subterm_at(t, p)
-    except InvalidPositionError:
-        return None
-    return sub.name if isinstance(sub, Var) else sub.sym.name
 
 
 def odp(s: Term, t: Term) -> set[Position]:

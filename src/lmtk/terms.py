@@ -259,14 +259,11 @@ def fresh_name(base: str, avoid: set[str]) -> str:
     return f"{base}{k}"
 
 
-def rename_pair_apart(
-    lhs: Term, rhs: Term, avoid: set[str]
-) -> tuple[Term, Term, Subst]:
+def rename_pair_apart(lhs: Term, rhs: Term, avoid: set[str]) -> tuple[Term, Term]:
     """Rename the variables of (lhs, rhs) away from `avoid`.
 
     The renaming is a bijection on the pair's variables, deterministic in
-    the inputs: clashing names get the first free numeric suffix. Returns
-    the renamed pair and the renaming itself.
+    the inputs: clashing names get the first free numeric suffix.
     """
     own = variables_in_order(lhs) + variables_in_order(rhs)
     taken = set(avoid) | set(own)
@@ -277,7 +274,7 @@ def rename_pair_apart(
         new = fresh_name(name, taken)
         renaming[name] = Var(new)
         taken.add(new)
-    return substitute(lhs, renaming), substitute(rhs, renaming), renaming
+    return substitute(lhs, renaming), substitute(rhs, renaming)
 
 
 def enumerate_terms(

@@ -178,6 +178,17 @@ class TestSmallCommands:
         path = write("chain.trs", UNARY_CHAIN)
         code, out, _ = run(capsys, "collapse", path)
         assert code == 0
+        assert "capped" not in out
+
+    def test_collapse_states_its_enumeration_cap(self, write, capsys):
+        # a binary symbol passes 4000 terms before depth 5 is exhausted
+        path = write("binary.trs", "sig: f/2 a/0\nrules:\n")
+        code, out, _ = run(capsys, "collapse", path)
+        assert code == 0
+        assert out.strip() == ("no collapse up to depth 5 (4000 terms "
+                               "checked, enumeration capped at 4000 terms)")
+        code, out, _ = run(capsys, "collapse", path, "--json")
+        assert json.loads(out)["exhausted"] is False
 
 
 class TestMinskyCommands:

@@ -3,6 +3,7 @@
 import pytest
 
 from lmtk.minsky import (
+    CapInstance,
     Config,
     MinskyMachine,
     Transition,
@@ -225,6 +226,15 @@ class TestCapSearch:
         assert res.found
         assert str(res.cap) == str(canonical_cap(BRANCHING_MACHINE, run, inst))
         assert nf(inst.theory, res.cap.plug()) == inst.goal
+
+    def test_pruned_search_is_not_complete(self):
+        # the only cap, f^5(hole), outgrows both bounds; dropping it is a
+        # bounded miss, never a complete one
+        trs = parse_trs("sig: f/1 k/0 b/0\nrules:\n  f(f(f(f(f(k))))) -> b\n")
+        inst = CapInstance(trs, (parse_term("k", trs),), parse_term("b", trs))
+        for bounds in (dict(max_term_size=4), dict(max_rounds=3)):
+            res = cap_search(inst, **bounds)
+            assert (res.found, res.complete) == (False, False), bounds
 
     def test_non_halting_machine_reports_bounds(self):
         m = MinskyMachine(("q0", "qL"), "q0", "qL",

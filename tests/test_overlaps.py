@@ -143,6 +143,14 @@ class TestParamodulation:
         trs = parse_trs(UNARY_CHAIN)
         assert paramodulation_candidates(trs) == []
 
+    def test_unifier_keeps_the_equation_variables(self):
+        # mgu(rule lhs, subterm): the rewritten equation's own variable
+        # names survive, not the renamed copy's (y, not y1)
+        trs = parse_trs("sig: f/1 g/2\nvars: y\nrules:\n"
+                        "  g(y,y) -> f(g(y,y))\n")
+        assert [str(c) for c in paramodulation_candidates(trs)] == \
+            ["f(f(g(y,y))) = g(y,y)  [r1 into rhs of r1 at 1]"]
+
 
 @functools.lru_cache(maxsize=1)
 def certified_pools():

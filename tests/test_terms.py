@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from lmtk.rewriting import Rule, rename_apart
+from lmtk.rewriting import Rule
 from lmtk.terms import (
     App,
     InvalidPositionError,
@@ -188,21 +188,21 @@ class TestMgu:
 class TestRenameApart:
     def test_clash_gets_suffix(self):
         rule = Rule(f(x, x), App(Symbol("0", 0)), "r1")
-        renamed = rename_apart(rule, {"x"})
+        renamed = rule.renamed_apart({"x"})
         assert render_term(renamed.lhs) == "f(x1,x1)"
 
     def test_no_clash_unchanged(self):
         rule = Rule(g(y), App(Symbol("c", 0)), "r1")
-        assert rename_apart(rule, {"x"}) == rule
+        assert rule.renamed_apart({"x"}) == rule
 
     def test_deterministic(self):
         rule = Rule(f(x, y), g(x), "r1")
         avoid = {"x", "y"}
-        assert rename_apart(rule, avoid) == rename_apart(rule, avoid)
+        assert rule.renamed_apart(avoid) == rule.renamed_apart(avoid)
 
     def test_fresh_name_avoids_rule_variables(self):
         rule = Rule(f(x, Var("x1")), g(x), "r1")
-        renamed = rename_apart(rule, {"x"})
+        renamed = rule.renamed_apart({"x"})
         names = variables_of(renamed.lhs)
         assert len(names) == 2  # bijective renaming
 
@@ -211,7 +211,7 @@ class TestRenameApart:
         if isinstance(t, Var):
             return
         rule = Rule(f(t, t), f(t, t), "r")
-        renamed = rename_apart(rule, variables_of(t) | {"q"})
+        renamed = rule.renamed_apart(variables_of(t) | {"q"})
         assert match_term(rule.lhs, rule.lhs) is not None
         back = match_term(renamed.lhs, rule.lhs)
         fwd = match_term(rule.lhs, renamed.lhs)
