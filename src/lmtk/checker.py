@@ -60,6 +60,7 @@ from .terms import (
 )
 
 Precedence = Sequence[str]  # symbol names, greatest first
+SEARCH_LIMIT = 8  # symbols; the precedence search tries every ordering
 
 
 def lpo_greater(s: Term, t: Term, rank: dict[str, int]) -> bool:
@@ -95,8 +96,8 @@ class TerminationResult:
     failing_rule: Optional[str] = None
 
 
-def check_termination(trs: Trs, precedence: Optional[Precedence] = None,
-                      search_limit: int = 8) -> TerminationResult:
+def check_termination(trs: Trs, precedence: Optional[Precedence] = None
+                      ) -> TerminationResult:
     """LPO termination: with a precedence, check lhs > rhs for every rule;
     without one, search all total precedences (only for small signatures)."""
     names = [s.name for s in trs.symbols]
@@ -109,7 +110,7 @@ def check_termination(trs: Trs, precedence: Optional[Precedence] = None,
             if not lpo_greater(r.lhs, r.rhs, rank):
                 return TerminationResult(False, failing_rule=r.label)
         return TerminationResult(True, list(precedence))
-    if len(names) > search_limit:
+    if len(names) > SEARCH_LIMIT:
         raise SignatureTooLarge(
             f"{len(names)} symbols; supply a precedence explicitly")
     for perm in itertools.permutations(names):
@@ -286,7 +287,6 @@ class CheckOptions:
     collapse_terms: int = 4000
     consequence_depth: int = 3
     fuel: int = DEFAULT_FUEL
-    run_consequences: bool = True
 
 
 def lm_verdict(trs: Trs, opts: Optional[CheckOptions] = None) -> LmReport:
@@ -400,18 +400,18 @@ def lm_verdict(trs: Trs, opts: Optional[CheckOptions] = None) -> LmReport:
         "variable-preserving" if vp
         else f"not variable-preserving (rule {vp_witness})")
 
-    if report.verdict == "pass" and opts.run_consequences:
+    if report.verdict == "pass":
         report.consequences = consequence_checks(trs, opts.consequence_depth,
                                                  opts.fuel)
     return report
 
 
 INTERNAL_INCONSISTENCY = "INTERNAL-INCONSISTENCY"
+FREENESS_POOL = 600  # terms the freeness check draws from the enumeration
 
 
 def consequence_checks(trs: Trs, depth: int = 3,
-                       fuel: int = DEFAULT_FUEL,
-                       max_terms: int = 600) -> list[Condition]:
+                       fuel: int = DEFAULT_FUEL) -> list[Condition]:
     """Structural facts every certified system satisfies. Run only after
     certification; a failure here is reported as an internal inconsistency
     between the checker and these facts."""
@@ -473,7 +473,7 @@ def consequence_checks(trs: Trs, depth: int = 3,
     for t in enumerate_terms(trs.symbols, vars_, depth):
         if isinstance(t, App) and is_eps_irreducible(trs, t):
             pool.append(t)
-            if len(pool) >= max_terms:
+            if len(pool) >= FREENESS_POOL:
                 break
     bad = []
     seen_nf: dict[tuple[str, Term], Term] = {}

@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 the checked property holds, 1 it fails, 2 the verdict is
-open at the configured bounds, 3 bad input or usage. `--json` switches
-any subcommand to a structured report on stdout.
+open at the configured bounds (also when any subcommand runs out of
+rewrite fuel), 3 bad input or usage. `--json` switches any subcommand to
+a structured report on stdout.
 """
 
 from __future__ import annotations
@@ -189,11 +190,7 @@ def cmd_nosup(args) -> int:
 def cmd_normalize(args) -> int:
     trs = _load_trs(args.file)
     term = parse_term(args.term, trs)
-    try:
-        result, trace = normalize(trs, term, _fuel(args))
-    except FuelExhausted as e:
-        print(f"fuel exhausted after {len(e.trace)} steps", file=sys.stderr)
-        return EXIT_UNKNOWN
+    result, trace = normalize(trs, term, _fuel(args))
     payload = {"normal_form": render_term(result),
                "trace": [str(s) for s in trace]}
     lines = [str(s) for s in trace]
@@ -418,6 +415,9 @@ def run_command(argv: list[str]) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
+    except FuelExhausted as e:
+        print(e, file=sys.stderr)
+        return EXIT_UNKNOWN
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -153,18 +153,22 @@ def is_forward_closed(trs: Trs) -> tuple[bool, Optional[FcCandidate]]:
     return True, None
 
 
+# one-step check bounds: ground pool size, lhs instantiations per rule
+ONE_STEP_POOL = 512
+ONE_STEP_TUPLES_PER_RULE = 4096
+
+
 @dataclass
 class OneStepReport:
     ok: bool
     witness: Optional[Term]
     depth: int
     pool_size: int
-    tuples_per_rule: int
     redexes_checked: int
 
     def bound_note(self) -> str:
         return (f"depth {self.depth}, pool {self.pool_size}, "
-                f"<= {self.tuples_per_rule} instantiations per rule")
+                f"<= {ONE_STEP_TUPLES_PER_RULE} instantiations per rule")
 
 
 def _one_step_reaches(trs: Trs, t: Term, target: Term) -> bool:
@@ -177,8 +181,6 @@ def _one_step_reaches(trs: Trs, t: Term, target: Term) -> bool:
 
 
 def innermost_one_step_check(trs: Trs, depth: int = 3,
-                             max_pool: int = 512,
-                             max_tuples_per_rule: int = 4096,
                              fuel: int = DEFAULT_FUEL) -> OneStepReport:
     """Bounded check that every innermost redex reaches its normal form in
     a single step.
@@ -189,7 +191,7 @@ def innermost_one_step_check(trs: Trs, depth: int = 3,
     count per rule are capped so arity-heavy signatures stay tractable;
     the caps are part of the reported bound.
     """
-    pool = enumerate_ground_irreducible(trs, depth, max_pool)
+    pool = enumerate_ground_irreducible(trs, depth, ONE_STEP_POOL)
     checked = 0
 
     def check_redex(t: Term) -> bool:
@@ -202,17 +204,15 @@ def innermost_one_step_check(trs: Trs, depth: int = 3,
 
     for rule in trs.rules:
         if is_eps_irreducible(trs, rule.lhs) and not check_redex(rule.lhs):
-            return OneStepReport(False, rule.lhs, depth, len(pool),
-                                 max_tuples_per_rule, checked)
+            return OneStepReport(False, rule.lhs, depth, len(pool), checked)
         names = sorted(rule.variables())
         if not names:
             continue
         assignments = itertools.islice(
-            itertools.product(pool, repeat=len(names)), max_tuples_per_rule)
+            itertools.product(pool, repeat=len(names)),
+            ONE_STEP_TUPLES_PER_RULE)
         for combo in assignments:
             t = substitute(rule.lhs, dict(zip(names, combo)))
             if not check_redex(t):
-                return OneStepReport(False, t, depth, len(pool),
-                                     max_tuples_per_rule, checked)
-    return OneStepReport(True, None, depth, len(pool),
-                         max_tuples_per_rule, checked)
+                return OneStepReport(False, t, depth, len(pool), checked)
+    return OneStepReport(True, None, depth, len(pool), checked)

@@ -39,6 +39,8 @@ from .terms import (
 
 COUNTER_OPS = ("Z", "P", "0", "+", "-")
 
+TUPLE_BUDGET_PER_ITEM = 16  # see cap_search
+
 
 @dataclass(frozen=True)
 class Transition:
@@ -383,8 +385,7 @@ class CapSearchResult:
 
 def cap_search(instance: CapInstance, max_term_size: int = 30,
                max_rounds: int = 12, fuel: int = DEFAULT_FUEL,
-               max_apps: int = 60_000,
-               tuple_budget_per_item: int = 16) -> CapSearchResult:
+               max_apps: int = 60_000) -> CapSearchResult:
     """Bounded forward saturation of the deducible normal forms.
 
     Deduction closes the knowledge set under application of public
@@ -404,7 +405,7 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
     the inert middle term). This keeps the reachable-configuration chain
     of machine encodings ahead of the junk flood. At most `max_apps`
     applications are tried overall, and a popped item contributes at most
-    `tuple_budget_per_item` argument tuples per symbol of arity two or
+    `TUPLE_BUDGET_PER_ITEM` argument tuples per symbol of arity two or
     more. Exhausting any bound without success is a bounded "not found".
     """
     theory = instance.theory
@@ -486,7 +487,7 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
         for sym in wide:
             if found or apps >= max_apps:
                 break
-            budget = tuple_budget_per_item
+            budget = TUPLE_BUDGET_PER_ITEM
             for slot in range(sym.arity):
                 if budget < 0 or found or apps >= max_apps:
                     break

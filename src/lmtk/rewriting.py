@@ -9,6 +9,8 @@ pretending to be complete.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -38,7 +40,7 @@ DEFAULT_FUEL = 10_000
 
 # normalization bails out once a term outgrows this many nodes; legitimate
 # desk-scale normal forms stay far below it, while rules that inflate their
-# input would otherwise make every redex rescan arbitrarily costly
+# input would otherwise make every step arbitrarily costly
 MAX_TERM_NODES = 5_000
 
 
@@ -152,32 +154,34 @@ class FuelExhausted(Exception):
 
 def apply_rule(rule: Rule, t: Term, p: Position) -> Optional[tuple[Term, Subst]]:
     """`t` rewritten by `rule` at `p`, with the matcher; None when the lhs
-    does not match there. Every rewrite step goes through here."""
+    does not match there. For callers that already hold the rule."""
     sigma = match_term(rule.lhs, subterm_at(t, p))
     if sigma is None:
         return None
     return replace_at(t, p, substitute(rule.rhs, sigma)), sigma
 
 
-def rewrite_at(trs: Trs, t: Term, p: Position) -> Optional[tuple[Term, RewriteStep]]:
-    """Apply the first rule (in file order) whose lhs matches t at p."""
-    sub = subterm_at(t, p)
-    if isinstance(sub, Var):
+def _root_step(trs: Trs, u: Term) -> Optional[tuple[Rule, Subst]]:
+    """The first rule in file order whose lhs matches `u` at the root, with
+    its matcher; None when `u` is no redex. The only place that decides
+    which rule fires."""
+    if isinstance(u, Var):
         return None
-    for rule in trs.rules_by_root.get(sub.sym.name, ()):
-        hit = apply_rule(rule, t, p)
-        if hit is not None:
-            target, sigma = hit
-            step = RewriteStep(rule.label, p, tuple(sorted(sigma.items())), t, target)
-            return target, step
+    for rule in trs.rules_by_root.get(u.sym.name, ()):
+        sigma = match_term(rule.lhs, u)
+        if sigma is not None:
+            return rule, sigma
     return None
 
 
-def _match_anywhere(trs: Trs, t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return any(match_term(r.lhs, t) is not None
-               for r in trs.rules_by_root.get(t.sym.name, ()))
+def rewrite_at(trs: Trs, t: Term, p: Position) -> Optional[tuple[Term, RewriteStep]]:
+    """Apply the first rule (in file order) whose lhs matches t at p."""
+    hit = _root_step(trs, subterm_at(t, p))
+    if hit is None:
+        return None
+    rule, sigma = hit
+    target = replace_at(t, p, substitute(rule.rhs, sigma))
+    return target, RewriteStep(rule.label, p, tuple(sorted(sigma.items())), t, target)
 
 
 def is_reducible(trs: Trs, t: Term) -> bool:
@@ -186,93 +190,76 @@ def is_reducible(trs: Trs, t: Term) -> bool:
     stack = [t]
     while stack:
         u = stack.pop()
-        if isinstance(u, Var):
-            continue
-        if _match_anywhere(trs, u):
+        if _root_step(trs, u) is not None:
             return True
-        stack.extend(u.args)
+        if isinstance(u, App):
+            stack.extend(u.args)
     return False
 
 
-def _chain_to_position(chain) -> Position:
-    # chains are (index, parent_chain) links built root-to-leaf
-    out: list[int] = []
-    while chain is not None:
-        i, chain = chain
-        out.append(i)
-    return tuple(reversed(out))
-
-
-def _innermost_redex_position(trs: Trs, t: Term) -> Optional[Position]:
-    """Leftmost-innermost redex position, or None if t is irreducible.
-
-    Iterative post-order walk (rewriting can exceed the interpreter
-    recursion limit); positions are kept as parent-link chains so the
-    walk stays linear in the term size.
-    """
-    stack: list[tuple[Term, object, bool]] = [(t, None, False)]
-    while stack:
-        u, chain, expanded = stack.pop()
-        if isinstance(u, Var):
-            continue
-        if not expanded:
-            stack.append((u, chain, True))
-            for i in range(len(u.args), 0, -1):
-                stack.append((u.args[i - 1], (i, chain), False))
-        elif _match_anywhere(trs, u):
-            return _chain_to_position(chain)
-    return None
-
-
-def _outermost_redex_position(trs: Trs, t: Term) -> Optional[Position]:
-    stack: list[tuple[Term, object]] = [(t, None)]
-    while stack:
-        u, chain = stack.pop()
-        if isinstance(u, Var):
-            continue
-        if _match_anywhere(trs, u):
-            return _chain_to_position(chain)
-        for i in range(len(u.args), 0, -1):
-            stack.append((u.args[i - 1], (i, chain)))
-    return None
-
-
-def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
-              max_nodes: int = MAX_TERM_NODES) -> tuple[Term, list[RewriteStep]]:
+def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[RewriteStep]]:
     """Leftmost-innermost normal form with its trace.
 
-    Raises FuelExhausted (carrying the partial trace) if the step budget
-    runs out, or the term outgrows `max_nodes`, before an irreducible
-    term is reached.
+    One iterative bottom-up walk (rewriting can exceed the interpreter
+    recursion limit). Each spine frame holds a node, its argument list and
+    the cursor index; the arguments left of the cursor are normal, so the
+    first redex the walk meets is the leftmost-innermost one. After a step
+    the walk re-enters the new subterm.
+
+    Raises FuelExhausted (carrying the partial trace) if a redex remains
+    after `fuel` steps, or the term outgrows MAX_TERM_NODES.
     """
     trace: list[RewriteStep] = []
-    for _ in range(fuel):
-        p = _innermost_redex_position(trs, t)
-        if p is None:
-            return t, trace
-        t, step = rewrite_at(trs, t, p)  # type: ignore[misc]
-        trace.append(step)
-        if term_size(t) > max_nodes:
-            raise FuelExhausted(t, trace)
-    if _innermost_redex_position(trs, t) is None:
-        return t, trace
-    raise FuelExhausted(t, trace)
+    spine: list[list] = []
+    whole, u, entering = t, t, True
+    while True:
+        if entering and isinstance(u, App) and u.args:
+            spine.append([u, list(u.args), 0])
+            u = u.args[0]
+        # else every argument of u is normal: try the root
+        elif (hit := _root_step(trs, u)) is not None:
+            if len(trace) >= fuel:
+                raise FuelExhausted(whole, trace)
+            rule, sigma = hit
+            u = target = substitute(rule.rhs, sigma)
+            for node, args, i in reversed(spine):
+                target = App(node.sym, (*args[:i], target, *args[i + 1:]))
+            trace.append(RewriteStep(
+                rule.label, tuple(i + 1 for _, _, i in spine),
+                tuple(sorted(sigma.items())), whole, target))
+            whole, entering = target, True
+            if term_size(whole) > MAX_TERM_NODES:
+                raise FuelExhausted(whole, trace)
+        elif not spine:
+            return whole, trace
+        else:
+            frame = spine[-1]
+            node, args, i = frame
+            args[i] = u
+            if i + 1 < len(args):
+                frame[2] = i + 1
+                u, entering = args[i + 1], True
+            else:
+                spine.pop()
+                unchanged = all(map(operator.is_, args, node.args))
+                u = node if unchanged else App(node.sym, tuple(args))
+                entering = False
 
 
-def normalize_outermost(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
-                        max_nodes: int = MAX_TERM_NODES) -> Term:
+def normalize_outermost(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     """Leftmost-outermost normal form; used to cross-check strategy
-    independence on convergent systems."""
-    for _ in range(fuel):
-        p = _outermost_redex_position(trs, t)
-        if p is None:
+    independence on convergent systems. Sorted positions are in pre-order,
+    so the first one that rewrites holds the leftmost-outermost redex."""
+    for steps in itertools.count():
+        hit = next(filter(None, (rewrite_at(trs, t, p)
+                                 for p in sorted(positions(t)))), None)
+        if hit is None:
             return t
-        t, _ = rewrite_at(trs, t, p)  # type: ignore[misc]
-        if term_size(t) > max_nodes:
+        if steps >= fuel:
             raise FuelExhausted(t, [])
-    if _outermost_redex_position(trs, t) is None:
-        return t
-    raise FuelExhausted(t, [])
+        t = hit[0]
+        if term_size(t) > MAX_TERM_NODES:
+            raise FuelExhausted(t, [])
 
 
 def nf(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
@@ -299,9 +286,7 @@ def is_eps_irreducible(trs: Trs, t: Term) -> bool:
 
 
 def is_innermost_redex(trs: Trs, t: Term) -> bool:
-    return (not isinstance(t, Var)
-            and is_eps_irreducible(trs, t)
-            and _match_anywhere(trs, t))
+    return _root_step(trs, t) is not None and is_eps_irreducible(trs, t)
 
 
 def eps_normal_form(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
@@ -398,7 +383,7 @@ def enumerate_ground_irreducible(trs: Trs, max_depth: int,
     """First `limit` irreducible ground terms up to `max_depth`, in
     enumeration order."""
     out: list[Term] = []
-    for t in enumerate_terms(trs.symbols, (), max_depth, ground_only=True):
+    for t in enumerate_terms(trs.symbols, (), max_depth):
         if not is_reducible(trs, t):
             out.append(t)
             if len(out) >= limit:

@@ -51,11 +51,25 @@ class App:
             a._size if isinstance(a, App) else 1 for a in self.args))
 
     def __eq__(self, other: object) -> bool:
-        return (self is other
-                or (isinstance(other, App)
-                    and self._hash == other._hash
-                    and self.sym == other.sym
-                    and self.args == other.args))
+        if self is other:
+            return True
+        if other.__class__ is not App or self._hash != other._hash:
+            return False
+        # iterative: rewriting builds terms deeper than the recursion limit
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a.sym is not b.sym and a.sym != b.sym:
+                return False
+            for x, y in zip(a.args, b.args):
+                if x.__class__ is App and y.__class__ is App:
+                    if x._hash != y._hash:
+                        return False
+                    if x is not y:
+                        pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
 
     def __hash__(self) -> int:
         return self._hash
@@ -281,15 +295,13 @@ def enumerate_terms(
     symbols: Sequence[Symbol],
     variables: Sequence[str],
     max_depth: int,
-    ground_only: bool = False,
 ) -> Iterator[Term]:
     """All terms of depth <= max_depth, depth-increasing, symbols in the
     given signature order, variables after constants at depth 1."""
     if max_depth < 1:
         return
-    layer: list[Term] = [App(s) for s in symbols if s.arity == 0]
-    if not ground_only:
-        layer.extend(Var(v) for v in variables)
+    layer: list[Term] = ([App(s) for s in symbols if s.arity == 0]
+                         + [Var(v) for v in variables])
     known: list[Term] = []
     yield from layer
     for depth in range(2, max_depth + 1):

@@ -245,6 +245,19 @@ class TestFuelOverride:
                            "--fuel", "50")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ("reduce",),
+        ("cap", "--knowledge", "a", "--goal", "f(a)"),
+        ("fc-check",),
+        ("collapse",),
+    ])
+    def test_running_out_of_fuel_is_open(self, write, capsys, argv):
+        path = write("grow.trs", "sig: a/0 f/1\nrules:\n  a -> f(a)\n")
+        code, out, err = run(capsys, argv[0], path, *argv[1:],
+                             "--fuel", "50")
+        assert code == 2
+        assert err.strip() == "fuel exhausted after 50 steps"
+
 
 class TestUsage:
     def test_no_command(self, capsys):

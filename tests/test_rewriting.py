@@ -1,9 +1,14 @@
 """Rewriting relation, normal forms, traces, and bounded searches."""
 
+import math
+import sys
+
 import pytest
 
 from lmtk.rewriting import (
+    MAX_TERM_NODES,
     FuelExhausted,
+    enumeration_variables,
     eps_normal_form,
     is_eps_irreducible,
     is_innermost_redex,
@@ -16,10 +21,16 @@ from lmtk.rewriting import (
     rewrite_at,
     subterm_collapse_search,
 )
-from lmtk.terms import App, Symbol, Var, render_term
+from lmtk.terms import App, Symbol, Var, enumerate_terms, positions, render_term, term_size
 from lmtk.trs_format import parse_term, parse_trs
 
-from conftest import ROOT_OVERLAP, ROOT_OVERLAP_TRUNCATED, UNARY_CHAIN
+from conftest import (
+    FC_SOURCES,
+    LM_SOURCES,
+    ROOT_OVERLAP,
+    ROOT_OVERLAP_TRUNCATED,
+    UNARY_CHAIN,
+)
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +95,67 @@ class TestNormalize:
         # arguments normalize before the root fires
         _, trace = normalize(sys3, t("f(g(b),i(g(b)))", sys3))
         assert trace[0].position != ()
+
+    def test_term_deeper_than_the_recursion_limit(self):
+        trs = parse_trs("sig: a/0 f/1 g/1 h/1\nvars: x\nrules:\n"
+                        "  f(x) -> h(x)\n")
+        a, f, g, h = (trs.symbol(n) for n in "afgh")
+        n = 3 * sys.getrecursionlimit()
+        start, expected = App(f, (App(a),)), App(h, (App(a),))
+        for _ in range(n):
+            start, expected = App(g, (start,)), App(g, (expected,))
+        result, trace = normalize(trs, start)
+        assert [s.position for s in trace] == [(1,) * n]
+        assert replay(trs, start, trace) == expected
+        assert result == expected
+
+
+def innermost_oracle(trs, t, fuel):
+    """Leftmost-innermost normalization from the definition: rewrite at the
+    first position in post-order where a rule applies."""
+    trace = []
+    while True:
+        order = sorted(positions(t), key=lambda p: p + (math.inf,))
+        hit = next(filter(None, (rewrite_at(trs, t, p) for p in order)), None)
+        if hit is None:
+            return t, trace
+        if len(trace) >= fuel:
+            raise FuelExhausted(t, trace)
+        t, step = hit
+        trace.append(step)
+        if term_size(t) > MAX_TERM_NODES:
+            raise FuelExhausted(t, trace)
+
+
+def outcome(normalizer, trs, u, fuel):
+    try:
+        return normalizer(trs, u, fuel)
+    except FuelExhausted as e:
+        return "fuel", e.term, len(e.trace), e.trace
+
+
+# redexes below the root of a right side, and a rule that never stops,
+# so that re-entering a rewritten subterm and running out of fuel both show
+ORACLE_EXTRA = {
+    "inner_redex_rhs": "sig: f/1 g/2 h/1 a/0 b/0\nvars: x\nrules:\n"
+                       "  f(x) -> g(h(x),a)\n  a -> b\n  h(x) -> x\n",
+    "growing": "sig: a/0 f/1\nrules:\n  a -> f(a)\n",
+}
+
+
+class TestInnermostOracle:
+    def test_normalize_agrees_with_the_definition(self):
+        cases = 0
+        for name, src in {**LM_SOURCES, **FC_SOURCES, **ORACLE_EXTRA}.items():
+            trs = parse_trs(src)
+            for u in enumerate_terms(trs.symbols,
+                                     enumeration_variables(trs, 2), 3):
+                for fuel in (0, 3, 50):
+                    cases += 1
+                    assert (outcome(normalize, trs, u, fuel)
+                            == outcome(innermost_oracle, trs, u, fuel)), \
+                        (name, render_term(u), fuel)
+        assert cases > 6000
 
 
 class TestEpsNotions:
@@ -162,8 +234,6 @@ class TestCollapseSearch:
 
 class TestStrategyIndependence:
     def test_innermost_matches_outermost_on_convergent_system(self, sys3):
-        from lmtk.rewriting import enumeration_variables
-        from lmtk.terms import enumerate_terms
         vars_ = enumeration_variables(sys3, 2)
         count = 0
         for u in enumerate_terms(sys3.symbols, vars_, 4):
@@ -173,9 +243,6 @@ class TestStrategyIndependence:
             assert nf(sys3, u) == normalize_outermost(sys3, u)
 
     def test_certified_corpus_is_strategy_independent(self):
-        from conftest import LM_SOURCES
-        from lmtk.rewriting import enumeration_variables
-        from lmtk.terms import enumerate_terms
         for name, src in LM_SOURCES.items():
             trs = parse_trs(src)
             vars_ = enumeration_variables(trs, 2)

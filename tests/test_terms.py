@@ -154,8 +154,7 @@ class TestMgu:
         # universe equates them (sound for this signature: any unifier can
         # be instantiated to a ground one, and depth-2 images suffice for
         # depth-2 inputs)
-        pool = list(enumerate_terms([G, A, B], [], max_depth=2,
-                                    ground_only=True))
+        pool = list(enumerate_terms([G, A, B], [], max_depth=2))
         small = list(enumerate_terms([G, A, B], ["x", "y"], max_depth=2))
         for s in small:
             for t in small:
@@ -172,8 +171,7 @@ class TestMgu:
         sigma = mgu(s, t)
         assert sigma is not None
         names = sorted(variables_of(s) | variables_of(t))
-        pool = list(enumerate_terms([G, A, B], [], max_depth=2,
-                                    ground_only=True))
+        pool = list(enumerate_terms([G, A, B], [], max_depth=2))
         for combo in itertools.product(pool, repeat=len(names)):
             delta = dict(zip(names, combo))
             if substitute(s, delta) != substitute(t, delta):
@@ -222,7 +220,7 @@ class TestRenameApart:
 class TestEnumerateTerms:
     def test_ground_depth_two(self):
         zero, s = Symbol("0", 0), Symbol("s", 1)
-        got = list(enumerate_terms([zero, s], [], 2, ground_only=True))
+        got = list(enumerate_terms([zero, s], [], 2))
         assert [render_term(t) for t in got] == ["0", "s(0)"]
 
     def test_constants_before_variables(self):
@@ -231,7 +229,7 @@ class TestEnumerateTerms:
 
     def test_counted_example(self):
         zero, s, f2 = Symbol("0", 0), Symbol("s", 1), Symbol("f", 2)
-        got = list(enumerate_terms([zero, s, f2], [], 2, ground_only=True))
+        got = list(enumerate_terms([zero, s, f2], [], 2))
         assert [render_term(t) for t in got] == ["0", "s(0)", "f(0,0)"]
 
     @given(st.integers(min_value=1, max_value=3))
