@@ -26,6 +26,7 @@ from .terms import (
 from .rewriting import (
     DEFAULT_FUEL,
     FuelExhausted,
+    NormalForms,
     RewriteStep,
     Rule,
     Trs,

@@ -35,12 +35,11 @@ from .overlaps import (
 from .rewriting import (
     DEFAULT_FUEL,
     FuelExhausted,
+    NormalForms,
     Rule,
     Trs,
     enumeration_variables,
     is_eps_irreducible,
-    joinable,
-    nf,
     subterm_collapse_search,
 )
 from .terms import (
@@ -130,13 +129,15 @@ class ConfluenceResult:
 def check_confluence(trs: Trs, fuel: int = DEFAULT_FUEL) -> ConfluenceResult:
     """For terminating systems: confluent iff every critical pair joins."""
     pairs = critical_pairs(trs)
-    bad = [cp for cp in pairs if not joinable(trs, cp.left, cp.right, fuel)[0]]
+    nf = NormalForms(trs, fuel)
+    bad = [cp for cp in pairs if nf(cp.left) != nf(cp.right)]
     return ConfluenceResult(not bad, len(pairs), bad)
 
 
 def right_reduce(trs: Trs, fuel: int = DEFAULT_FUEL) -> Trs:
     """Replace every right-hand side by its normal form."""
-    rules = [Rule(r.lhs, nf(trs, r.rhs, fuel), r.label) for r in trs.rules]
+    nf = NormalForms(trs, fuel)
+    rules = [Rule(r.lhs, nf(r.rhs), r.label) for r in trs.rules]
     return trs.with_rules(rules)
 
 
@@ -477,8 +478,9 @@ def consequence_checks(trs: Trs, depth: int = 3,
                 break
     bad = []
     seen_nf: dict[tuple[str, Term], Term] = {}
+    nf = NormalForms(trs, fuel)
     for t in pool:
-        key = (t.sym.name, nf(trs, t, fuel))
+        key = (t.sym.name, nf(t))
         if key in seen_nf:
             bad.append(f"{render_term(seen_nf[key])} ~ {render_term(t)}")
         else:

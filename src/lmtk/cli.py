@@ -2,8 +2,9 @@
 
 Exit codes: 0 the checked property holds, 1 it fails, 2 the verdict is
 open at the configured bounds (also when any subcommand runs out of
-rewrite fuel), 3 bad input or usage. `--json` switches any subcommand to
-a structured report on stdout.
+rewrite fuel), 3 bad input or usage, 4 an internal error (a bug in lmtk;
+stderr names the exception). `--json` switches any subcommand to a
+structured report on stdout.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_UNKNOWN = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 def _fuel(args) -> int:
@@ -421,6 +423,10 @@ def run_command(argv: list[str]) -> int:
     except (ParseError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:
+        # never exit 1 (FAIL) for a crash; the message names the bug
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

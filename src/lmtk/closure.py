@@ -21,13 +21,13 @@ from typing import Optional, Sequence
 from .overlaps import overlap_sites, rule_key
 from .rewriting import (
     DEFAULT_FUEL,
+    NormalForms,
     Rule,
     Trs,
     apply_rule,
     enumerate_ground_irreducible,
     is_eps_irreducible,
     is_innermost_redex,
-    nf,
 )
 from .terms import (
     InvalidPositionError,
@@ -192,6 +192,7 @@ def innermost_one_step_check(trs: Trs, depth: int = 3,
     the caps are part of the reported bound.
     """
     pool = enumerate_ground_irreducible(trs, depth, ONE_STEP_POOL)
+    nf = NormalForms(trs, fuel)
     checked = 0
 
     def check_redex(t: Term) -> bool:
@@ -199,7 +200,7 @@ def innermost_one_step_check(trs: Trs, depth: int = 3,
         if not is_innermost_redex(trs, t):
             return True
         checked += 1
-        target = nf(trs, t, fuel)
+        target = nf(t)
         return _one_step_reaches(trs, t, target)
 
     for rule in trs.rules:

@@ -24,7 +24,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional
 
-from .rewriting import DEFAULT_FUEL, Rule, Trs, nf
+from .rewriting import DEFAULT_FUEL, NormalForms, Rule, Trs
 from .terms import (
     App,
     Symbol,
@@ -410,6 +410,7 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
     """
     theory = instance.theory
     goal = instance.goal
+    nf = NormalForms(theory, fuel)
     # per term: construction by taint (True = uses a knowledge leaf)
     known: dict[Term, dict[bool, Deduction]] = {}
     depth: dict[tuple[Term, bool], int] = {}
@@ -438,7 +439,7 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
             found = True
 
     for i, kt in enumerate(instance.knowledge):
-        t = nf(theory, kt, fuel)
+        t = nf(kt)
         admit(t, True, Deduction(t, "knowledge", (), i), 1, True)
 
     unary = [s for s in theory.symbols if s.arity == 1]
@@ -447,7 +448,7 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
         if sym.arity == 0 and not found:
             apps += 1
             t = App(sym)
-            admit(nf(theory, t, fuel), False,
+            admit(nf(t), False,
                   Deduction(t, sym.name, ()), 1, False)
 
     def consider(sym: Symbol, args: tuple[Term, ...],
@@ -455,7 +456,7 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
         nonlocal apps
         apps += 1
         raw = App(sym, args)
-        t = nf(theory, raw, fuel)
+        t = nf(raw)
         tainted = any(taints)
         d = 1 + max(depth[(a, f)] for a, f in zip(args, taints))
         admit(t, tainted, Deduction(t, sym.name, tuple(zip(args, taints))),
@@ -476,7 +477,7 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
                     break
                 apps += 1
                 raw2 = App(sym2, (u,))
-                t2 = nf(theory, raw2, fuel)
+                t2 = nf(raw2)
                 if t2 != raw2:
                     admit(t2, tainted,
                           Deduction(t2, sym2.name, ((u, tainted),)),

@@ -204,23 +204,32 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
     recursion limit). Each spine frame holds a node, its argument list and
     the cursor index; the arguments left of the cursor are normal, so the
     first redex the walk meets is the leftmost-innermost one. After a step
-    the walk re-enters the new subterm.
+    the walk re-enters the new subterm, but not the matcher's values: they
+    lie below an innermost redex, so they are normal, and the trace keeps
+    them alive, so their ids cannot be reused.
 
     Raises FuelExhausted (carrying the partial trace) if a redex remains
     after `fuel` steps, or the term outgrows MAX_TERM_NODES.
     """
     trace: list[RewriteStep] = []
     spine: list[list] = []
+    normal_ids: set[int] = set()
     whole, u, entering = t, t, True
     while True:
-        if entering and isinstance(u, App) and u.args:
+        if entering and id(u) in normal_ids:
+            hit = None
+        elif entering and isinstance(u, App) and u.args:
             spine.append([u, list(u.args), 0])
             u = u.args[0]
-        # else every argument of u is normal: try the root
-        elif (hit := _root_step(trs, u)) is not None:
+            continue
+        else:
+            # every argument of u is normal: try the root
+            hit = _root_step(trs, u)
+        if hit is not None:
             if len(trace) >= fuel:
                 raise FuelExhausted(whole, trace)
             rule, sigma = hit
+            normal_ids = {id(v) for v in sigma.values()}
             u = target = substitute(rule.rhs, sigma)
             for node, args, i in reversed(spine):
                 target = App(node.sym, (*args[:i], target, *args[i + 1:]))
@@ -264,6 +273,50 @@ def normalize_outermost(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
 
 def nf(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     return normalize(trs, t, fuel)[0]
+
+
+class NormalForms:
+    """`nf(trs, t, fuel)` for many terms of one run, remembering normal
+    forms (Efficient Annotated Terms, van den Brand et al., SP&E 2000).
+
+    A query the memo does not hold is first walked in pre-order, skipping
+    every subterm already known normal, up to the first redex. With none
+    the query is normal: it took zero steps, so neither the fuel nor the
+    size check could have fired. Otherwise `normalize` runs, and only a
+    successful result is kept, so every normal form and every
+    FuelExhausted is the one `nf` gives. Normal top-level queries are not
+    kept: searches reject most of them at once. Build one per call that
+    normalizes many terms; nothing outlives it.
+    """
+
+    def __init__(self, trs: Trs, fuel: int = DEFAULT_FUEL):
+        self.trs = trs
+        self.fuel = fuel
+        self.memo: dict[Term, Term] = {}
+
+    def __call__(self, t: Term) -> Term:
+        memo = self.memo
+        known = memo.get(t)
+        if known is not None:
+            return known
+        fresh: list[Term] = []
+        stack = [t]
+        while stack:
+            u = stack.pop()
+            if u is not t:
+                v = memo.get(u)
+                if v is not None and (v is u or v == u):
+                    continue
+                fresh.append(u)
+            if _root_step(self.trs, u) is not None:
+                out = normalize(self.trs, t, self.fuel)[0]
+                memo[t] = memo[out] = out
+                return out
+            if isinstance(u, App):
+                stack.extend(u.args)
+        for u in fresh:
+            memo[u] = u
+        return t
 
 
 def replay(trs: Trs, t: Term, trace: Sequence[RewriteStep]) -> Term:
@@ -360,6 +413,7 @@ def subterm_collapse_search(trs: Trs, max_depth: int = 5,
     Absence of a witness is a verdict *up to these bounds* only.
     """
     vars_ = enumeration_variables(trs, 2)
+    nf = NormalForms(trs, fuel)
     checked = 0
     exhausted = True
     for u in enumerate_terms(trs.symbols, vars_, max_depth):
@@ -369,11 +423,11 @@ def subterm_collapse_search(trs: Trs, max_depth: int = 5,
         checked += 1
         if isinstance(u, Var):
             continue
-        u_nf = nf(trs, u, fuel)
+        u_nf = nf(u)
         for p in sorted(positions(u)):
             if p == ROOT:
                 continue
-            if nf(trs, subterm_at(u, p), fuel) == u_nf:
+            if nf(subterm_at(u, p)) == u_nf:
                 return CollapseSearchResult((u, p), max_depth, checked, exhausted)
     return CollapseSearchResult(None, max_depth, checked, exhausted)
 

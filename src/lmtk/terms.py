@@ -11,7 +11,7 @@ to terms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
 
@@ -26,7 +26,7 @@ class Symbol:
         return f"{self.name}/{self.arity}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
@@ -34,10 +34,12 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class App:
     sym: Symbol
     args: tuple["Term", ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
+    _size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.args) != self.sym.arity:
@@ -93,11 +95,26 @@ class InvalidPositionError(ValueError):
 
 def render_term(t: Term) -> str:
     """Concrete syntax: `f(a,g(x))`, constants without parentheses."""
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.sym.name
-    return f"{t.sym.name}({','.join(render_term(a) for a in t.args)})"
+    # iterative: parsed input and rewriting both reach depths past the
+    # interpreter recursion limit. The stack holds terms and literal text.
+    out: list[str] = []
+    stack: list = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is str:
+            out.append(u)
+        elif isinstance(u, Var):
+            out.append(u.name)
+        elif not u.args:
+            out.append(u.sym.name)
+        else:
+            out.append(f"{u.sym.name}(")
+            stack.append(")")
+            for i in range(len(u.args) - 1, 0, -1):
+                stack.append(u.args[i])
+                stack.append(",")
+            stack.append(u.args[0])
+    return "".join(out)
 
 
 def render_position(p: Position) -> str:

@@ -37,8 +37,7 @@ class ParseError(ValueError):
 
 
 class _TermParser:
-    """Recursive-descent parser for `f(t1,...,tn)` with declared symbols
-    and variables."""
+    """Parser for `f(t1,...,tn)` with declared symbols and variables."""
 
     def __init__(self, text: str, symbols: dict[str, Symbol],
                  variables: set[str], line: int = 0, col_offset: int = 0):
@@ -74,32 +73,50 @@ class _TermParser:
         return m.group()
 
     def term(self) -> Term:
-        name = self.ident()
-        self.skip_ws()
-        if self.peek() == "(":
-            if name in self.variables:
-                raise self.error(f"variable {name} applied to arguments")
-            if name not in self.symbols:
-                raise self.error(f"undeclared symbol {name}")
-            self.pos += 1
-            args: list[Term] = []
+        # iterative: input terms may nest deeper than the interpreter
+        # recursion limit. Each open frame is a symbol name and the arguments
+        # parsed so far.
+        frames: list[tuple[str, list[Term]]] = []
+        while True:
+            name = self.ident()
             self.skip_ws()
-            if self.peek() == ")":
+            if self.peek() == "(":
+                if name in self.variables:
+                    raise self.error(f"variable {name} applied to arguments")
+                if name not in self.symbols:
+                    raise self.error(f"undeclared symbol {name}")
                 self.pos += 1
-            else:
-                args.append(self.term())
                 self.skip_ws()
-                while self.peek() == ",":
+                if self.peek() != ")":
+                    frames.append((name, []))
+                    continue
+                self.pos += 1
+                done = self.application(name, [])
+            else:
+                done = self.leaf(name)
+            # hand the finished term to the frames it completes
+            while frames:
+                name, args = frames[-1]
+                args.append(done)
+                self.skip_ws()
+                if self.peek() == ",":
                     self.pos += 1
-                    args.append(self.term())
-                    self.skip_ws()
+                    break
                 self.expect(")")
-            sym = self.symbols[name]
-            if len(args) != sym.arity:
-                raise self.error(
-                    f"arity mismatch: {name} declared /{sym.arity}, "
-                    f"applied to {len(args)} arguments")
-            return App(sym, tuple(args))
+                frames.pop()
+                done = self.application(name, args)
+            else:
+                return done
+
+    def application(self, name: str, args: list[Term]) -> Term:
+        sym = self.symbols[name]
+        if len(args) != sym.arity:
+            raise self.error(
+                f"arity mismatch: {name} declared /{sym.arity}, "
+                f"applied to {len(args)} arguments")
+        return App(sym, tuple(args))
+
+    def leaf(self, name: str) -> Term:
         if name in self.variables:
             return Var(name)
         if name not in self.symbols:

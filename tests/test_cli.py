@@ -1,9 +1,11 @@
 """Command-line surface: subcommands, exit codes, JSON output."""
 
 import json
+import sys
 
 import pytest
 
+from lmtk import cli
 from lmtk.cli import run_command
 from lmtk.minsky import render_machine
 
@@ -265,3 +267,25 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert run_command(["bogus"]) == 3
+
+    def test_internal_error_exits_four(self, write, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "cmd_normalize", broken)
+        path = write("full.trs", ROOT_OVERLAP)
+        code, out, err = run(capsys, "normalize", path, "b")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError: boom\n"
+
+
+class TestDeepInput:
+    def test_term_deeper_than_the_recursion_limit(self, write, capsys):
+        path = write("deep.trs", "sig: a/0 b/0 f/1\nrules:\n  a -> b\n")
+        n = 3 * sys.getrecursionlimit()
+        code, out, err = run(capsys, "normalize", path,
+                             "f(" * n + "a" + ")" * n)
+        assert (code, err) == (0, "")
+        step, normal_form = out.strip().splitlines()
+        assert step.startswith("[r1] at " + ".".join(["1"] * n) + ": ")
+        assert normal_form == "f(" * n + "b" + ")" * n

@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
+from lmtk import rewriting
 from lmtk.rewriting import (
     MAX_TERM_NODES,
     FuelExhausted,
+    NormalForms,
     enumeration_variables,
     eps_normal_form,
     is_eps_irreducible,
@@ -109,6 +111,26 @@ class TestNormalize:
         assert replay(trs, start, trace) == expected
         assert result == expected
 
+    def test_matcher_values_are_not_walked_again(self, monkeypatch):
+        # each step's matcher value is the whole normal tail g^k(a): walking
+        # it again would try the root about n^2/2 times
+        trs = parse_trs("sig: a/0 f/1 g/1\nvars: x\nrules:\n  f(x) -> g(x)\n")
+        a, f = trs.symbol("a"), trs.symbol("f")
+        n = 400
+        start = App(a)
+        for _ in range(n):
+            start = App(f, (start,))
+        root_step, tries = rewriting._root_step, []
+
+        def counting(trs, u):
+            tries.append(u)
+            return root_step(trs, u)
+        monkeypatch.setattr(rewriting, "_root_step", counting)
+        result, trace = normalize(trs, start)
+        assert len(trace) == n
+        assert render_term(result) == "g(" * n + "a" + ")" * n
+        assert len(tries) <= 3 * n
+
 
 def innermost_oracle(trs, t, fuel):
     """Leftmost-innermost normalization from the definition: rewrite at the
@@ -158,6 +180,38 @@ class TestInnermostOracle:
         assert cases > 6000
 
 
+# a right side that doubles its argument: outgrows MAX_TERM_NODES within
+# fuel 50, runs out of fuel 3 first
+DOUBLING = "sig: a/0 f/2 g/1\nvars: x\nrules:\n  g(x) -> g(f(x,x))\n"
+
+
+class TestNormalFormsCache:
+    def test_cache_agrees_with_normalize(self):
+        cases = outgrown = 0
+        systems = {**LM_SOURCES, **FC_SOURCES, **ORACLE_EXTRA,
+                   "doubling": DOUBLING}
+        for name, src in systems.items():
+            trs = parse_trs(src)
+            terms = list(enumerate_terms(trs.symbols,
+                                         enumeration_variables(trs, 2), 3))
+            for fuel in (0, 3, 50):
+                # one cache per system and fuel; the reverse sweep meets
+                # hits before misses and before failures
+                cached = NormalForms(trs, fuel)
+                for u in terms + terms[::-1]:
+                    cases += 1
+                    expected = outcome(normalize, trs, u, fuel)
+                    where = (name, render_term(u), fuel)
+                    if expected[0] != "fuel":
+                        assert cached(u) == expected[0], where
+                        continue
+                    with pytest.raises(FuelExhausted) as exc:
+                        cached(u)
+                    e = exc.value
+                    assert ("fuel", e.term, len(e.trace), e.trace) == expected, where
+                    outgrown += term_size(e.term) > MAX_TERM_NODES
+        assert cases > 12000
+        assert outgrown > 0
 class TestEpsNotions:
     def test_innermost_redex(self, sys3):
         assert is_innermost_redex(sys3, t("f(b,i(b))", sys3))
