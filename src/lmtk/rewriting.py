@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -143,13 +144,71 @@ class RewriteStep:
 
 
 class FuelExhausted(Exception):
-    """Rewriting did not finish within the step budget."""
+    """Rewriting did not finish within the step budget, or the term outgrew
+    MAX_TERM_NODES. `term` is the term rewriting stopped at; `trace` is the
+    sequence of steps that led there from the start term. `normalize`
+    passes a read-only sequence whose steps are built on first read (its
+    length costs nothing); it compares equal to the list of the same
+    steps."""
 
-    def __init__(self, term: Term, trace: list[RewriteStep]):
+    def __init__(self, term: Term, trace: Sequence[RewriteStep]):
         # the stuck term can be enormous; keep it off the message
         super().__init__(f"fuel exhausted after {len(trace)} steps")
         self.term = term
         self.trace = trace
+
+
+# one step as `normalize` records it: rule label, position, sorted matcher
+# items and the rewritten subterm; the whole terms come from `_steps`
+_Record = tuple[str, Position, tuple[tuple[str, Term], ...], Term]
+
+
+def _steps(t: Term, records: list[_Record]) -> list[RewriteStep]:
+    """The trace of `records` from start term `t`, in one pass."""
+    out: list[RewriteStep] = []
+    for label, p, items, r in records:
+        target = replace_at(t, p, r)
+        out.append(RewriteStep(label, p, items, t, target))
+        t = target
+    return out
+
+
+class _LazyTrace(abc.Sequence):
+    """The trace of a normalization that ran out of fuel, built on first
+    read. Callers that catch FuelExhausted mostly drop the trace unread,
+    and building it costs a whole-term rebuild per step."""
+
+    __slots__ = ("_start", "_records", "_built")
+    __hash__ = None  # like the list it stands for
+
+    def __init__(self, start: Term, records: list[_Record]):
+        self._start = start
+        self._records = records
+        self._built: Optional[list[RewriteStep]] = None
+
+    def _list(self) -> list[RewriteStep]:
+        if self._built is None:
+            self._built = _steps(self._start, self._records)
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _LazyTrace):
+            other = other._list()
+        if not isinstance(other, list):
+            return NotImplemented
+        return self._list() == other
+
+    def __repr__(self) -> str:
+        return repr(self._list())
 
 
 def apply_rule(rule: Rule, t: Term, p: Position) -> Optional[tuple[Term, Subst]]:
@@ -197,76 +256,121 @@ def is_reducible(trs: Trs, t: Term) -> bool:
     return False
 
 
+def _rebuilt(node: App, args: list[Term]) -> Term:
+    """`node` with arguments `args`, or `node` itself if none changed."""
+    if all(map(operator.is_, args, node.args)):
+        return node
+    return App(node.sym, tuple(args))
+
+
 def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[RewriteStep]]:
     """Leftmost-innermost normal form with its trace.
 
     One iterative bottom-up walk (rewriting can exceed the interpreter
-    recursion limit). Each spine frame holds a node, its argument list and
-    the cursor index; the arguments left of the cursor are normal, so the
-    first redex the walk meets is the leftmost-innermost one. After a step
-    the walk re-enters the new subterm, but not the matcher's values: they
-    lie below an innermost redex, so they are normal, and the trace keeps
-    them alive, so their ids cannot be reused.
+    recursion limit). Each spine frame holds a node and its argument list,
+    and `path` the 1-based index of the argument being walked; the
+    arguments left of it are normal, so the first redex the walk meets is
+    the leftmost-innermost one. After a step the walk re-enters the new
+    subterm, but not the matcher's values: they lie below an innermost
+    redex, so they are normal, and the step records keep them alive, so
+    their ids cannot be reused.
 
-    Raises FuelExhausted (carrying the partial trace) if a redex remains
-    after `fuel` steps, or the term outgrows MAX_TERM_NODES.
+    A step records only its rule, position, matcher and rewritten subterm,
+    and the whole term's size is kept by difference, so a step costs no
+    rebuild of the term. On success the trace's source and target terms
+    are built from the records in one pass. Raises FuelExhausted if a
+    redex remains after `fuel` steps, or the term outgrows MAX_TERM_NODES;
+    its term is built once from the spine, and its trace is built only if
+    read.
     """
-    trace: list[RewriteStep] = []
-    spine: list[list] = []
+    records: list[_Record] = []
+    spine: list[tuple[App, list[Term]]] = []
+    path: list[int] = []
     normal_ids: set[int] = set()
-    whole, u, entering = t, t, True
+    size = term_size(t)
+    u, entering = t, True
+
+    def stuck() -> FuelExhausted:
+        # the whole term, once; with no step taken that is `t` itself
+        whole = u
+        for (node, args), i in zip(reversed(spine), reversed(path)):
+            args[i - 1] = whole
+            whole = _rebuilt(node, args)
+        return FuelExhausted(whole, _LazyTrace(t, records))
+
     while True:
         if entering and id(u) in normal_ids:
             hit = None
         elif entering and isinstance(u, App) and u.args:
-            spine.append([u, list(u.args), 0])
+            spine.append((u, list(u.args)))
+            path.append(1)
             u = u.args[0]
             continue
         else:
             # every argument of u is normal: try the root
             hit = _root_step(trs, u)
         if hit is not None:
-            if len(trace) >= fuel:
-                raise FuelExhausted(whole, trace)
+            if len(records) >= fuel:
+                raise stuck()
             rule, sigma = hit
             normal_ids = {id(v) for v in sigma.values()}
-            u = target = substitute(rule.rhs, sigma)
-            for node, args, i in reversed(spine):
-                target = App(node.sym, (*args[:i], target, *args[i + 1:]))
-            trace.append(RewriteStep(
-                rule.label, tuple(i + 1 for _, _, i in spine),
-                tuple(sorted(sigma.items())), whole, target))
-            whole, entering = target, True
-            if term_size(whole) > MAX_TERM_NODES:
-                raise FuelExhausted(whole, trace)
+            r = substitute(rule.rhs, sigma)
+            size += term_size(r) - term_size(u)
+            records.append((rule.label, tuple(path),
+                            tuple(sorted(sigma.items())), r))
+            u, entering = r, True
+            if size > MAX_TERM_NODES:
+                raise stuck()
         elif not spine:
-            return whole, trace
+            trace = _steps(t, records)
+            return (trace[-1].target if trace else t), trace
         else:
-            frame = spine[-1]
-            node, args, i = frame
-            args[i] = u
-            if i + 1 < len(args):
-                frame[2] = i + 1
-                u, entering = args[i + 1], True
+            node, args = spine[-1]
+            i = path[-1]
+            args[i - 1] = u
+            if i < len(args):
+                path[-1] = i + 1
+                u, entering = args[i], True
             else:
                 spine.pop()
-                unchanged = all(map(operator.is_, args, node.args))
-                u = node if unchanged else App(node.sym, tuple(args))
-                entering = False
+                path.pop()
+                u, entering = _rebuilt(node, args), False
+
+
+def _outermost_redex(trs: Trs, t: Term) -> Optional[tuple[Position, Rule, Subst]]:
+    """The leftmost-outermost redex of `t`: its position, rule and matcher.
+    An iterative pre-order walk that stops at the first redex; each frame
+    holds a node and the index of the argument being walked."""
+    frames: list[list] = []
+    u = t
+    while True:
+        hit = _root_step(trs, u)
+        if hit is not None:
+            return (tuple(i + 1 for _, i in frames), *hit)
+        if isinstance(u, App) and u.args:
+            frames.append([u, 0])
+            u = u.args[0]
+            continue
+        while frames and frames[-1][1] + 1 == len(frames[-1][0].args):
+            frames.pop()
+        if not frames:
+            return None
+        frame = frames[-1]
+        frame[1] += 1
+        u = frame[0].args[frame[1]]
 
 
 def normalize_outermost(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     """Leftmost-outermost normal form; used to cross-check strategy
-    independence on convergent systems. Sorted positions are in pre-order,
-    so the first one that rewrites holds the leftmost-outermost redex."""
+    independence on convergent systems."""
     for steps in itertools.count():
-        hit = next(filter(None, (rewrite_at(trs, t, p)
-                                 for p in sorted(positions(t)))), None)
+        hit = _outermost_redex(trs, t)
         if hit is None:
             return t
         if steps >= fuel:
             raise FuelExhausted(t, [])
-        t = hit[0]
+        p, rule, sigma = hit
+        t = replace_at(t, p, substitute(rule.rhs, sigma))
         if term_size(t) > MAX_TERM_NODES:
             raise FuelExhausted(t, [])
 

@@ -132,6 +132,61 @@ class TestNormalize:
         assert len(tries) <= 3 * n
 
 
+    def test_running_out_of_fuel_rebuilds_no_term_per_step(self, monkeypatch):
+        # g^d(h(a)) under h(x) -> h(s(x)) rewrites at depth d at every step:
+        # rebuilding the whole term per step would build about fuel * d nodes
+        trs = parse_trs("sig: a/0 g/1 h/1 s/1\nvars: x\nrules:\n"
+                        "  h(x) -> h(s(x))\n")
+        a, g, h, s = (trs.symbol(n) for n in "aghs")
+        fuel, d = 200, sys.getrecursionlimit() + 100
+        start, stuck = App(h, (App(a),)), App(a)
+        for _ in range(fuel):
+            stuck = App(s, (stuck,))
+        stuck = App(h, (stuck,))
+        for _ in range(d):
+            start, stuck = App(g, (start,)), App(g, (stuck,))
+        post_init, built = App.__post_init__, []
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+        monkeypatch.setattr(App, "__post_init__", counting)
+        raised = []
+        for normalizer in (lambda u: nf(trs, u, fuel), NormalForms(trs, fuel)):
+            built.clear()
+            with pytest.raises(FuelExhausted) as exc:
+                normalizer(start)
+            assert len(built) < 10 * (fuel + d)
+            count = len(built)
+            assert len(exc.value.trace) == fuel
+            assert len(built) == count
+            raised.append(exc.value)
+        monkeypatch.undo()
+        assert [e.term for e in raised] == [stuck, stuck]
+        e = raised[0]
+        steps = list(e.trace)
+        assert all(x is y for x, y in zip(steps, e.trace, strict=True))
+        assert replay(trs, start, e.trace) == e.term
+
+    def test_lazy_trace_equals_the_list_of_its_steps(self):
+        loop = parse_trs("sig: a/0 b/0\nrules:\n  a -> b\n  b -> a\n")
+        start = t("a", loop)
+        with pytest.raises(FuelExhausted) as ref:
+            innermost_oracle(loop, start, 5)
+        steps = ref.value.trace
+        traces = []
+        for _ in range(4):
+            with pytest.raises(FuelExhausted) as exc:
+                normalize(loop, start, 5)
+            traces.append(exc.value.trace)
+        # each comparison is the first read of its trace
+        assert steps == traces[0]
+        assert traces[1] == steps
+        assert traces[2] == traces[3]
+        assert traces[0] != steps[:-1] and steps[:-1] != traces[0]
+        assert [s.rule_label for s in traces[0]] == ["r1", "r2"] * 2 + ["r1"]
+
+
 def innermost_oracle(trs, t, fuel):
     """Leftmost-innermost normalization from the definition: rewrite at the
     first position in post-order where a rule applies."""
@@ -295,6 +350,16 @@ class TestStrategyIndependence:
             if count > 600:
                 break
             assert nf(sys3, u) == normalize_outermost(sys3, u)
+
+    def test_outermost_on_a_term_deeper_than_the_recursion_limit(self):
+        # a left chain f(...f(a,b)...,b) whose only redex is its leftmost leaf
+        trs = parse_trs("sig: a/0 b/0 f/2\nrules:\n  a -> b\n")
+        a, b, f = (trs.symbol(n) for n in "abf")
+        start, expected = App(a), App(b)
+        for _ in range(sys.getrecursionlimit() + 100):
+            start = App(f, (start, App(b)))
+            expected = App(f, (expected, App(b)))
+        assert normalize_outermost(trs, start) == expected
 
     def test_certified_corpus_is_strategy_independent(self):
         for name, src in LM_SOURCES.items():
