@@ -17,11 +17,11 @@ from .terms import (
     enumerate_terms,
     match_term,
     mgu,
-    positions,
     render_term,
     replace_at,
     substitute,
     subterm_at,
+    subterms,
 )
 from .rewriting import (
     DEFAULT_FUEL,

@@ -51,10 +51,9 @@ from .terms import (
     match_many,
     match_term,
     mgu,
-    positions,
     render_position,
     render_term,
-    subterm_at,
+    subterms,
     variables_of,
 )
 
@@ -172,13 +171,11 @@ def almost_left_reduce(trs: Trs) -> tuple[Trs, list[Deletion]]:
 
 
 def _proper_lhs_instance(rule: Rule, others: Sequence[Rule]):
-    for p in sorted(positions(rule.lhs, nonvar_only=True)):
-        if p == ():
-            continue
-        sub = subterm_at(rule.lhs, p)
-        for other in others:
-            if match_term(other.lhs, sub) is not None:
-                return p, other
+    for p, sub in subterms(rule.lhs):
+        if p and isinstance(sub, App):
+            for other in others:
+                if match_term(other.lhs, sub) is not None:
+                    return p, other
     return None
 
 

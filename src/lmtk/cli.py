@@ -47,12 +47,19 @@ EXIT_INTERNAL = 4
 
 
 def _fuel(args) -> int:
-    if getattr(args, "fuel", None):
+    if args.fuel is not None:
         return args.fuel
     env = os.environ.get("LMTK_FUEL")
     if env and env.isdigit():
         return int(env)
     return DEFAULT_FUEL
+
+
+def _step_budget(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a step count of 0 or more, got {text!r}")
+    return int(text)
 
 
 def _load_trs(path: str) -> Trs:
@@ -322,9 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="structured output")
-        p.add_argument("--fuel", type=int, default=0,
-                       help="rewrite step budget (default 10000, "
-                            "env LMTK_FUEL)")
+        p.add_argument("--fuel", type=_step_budget,
+                       help="rewrite step budget, 0 or more (default "
+                            "LMTK_FUEL, else 10000)")
 
     p = sub.add_parser("check", help="decide the LM-system conditions")
     p.add_argument("file")

@@ -24,22 +24,23 @@ from .rewriting import (
     NormalForms,
     Rule,
     Trs,
-    apply_rule,
     enumerate_ground_irreducible,
     is_eps_irreducible,
     is_innermost_redex,
 )
 from .terms import (
+    App,
     InvalidPositionError,
     Position,
     Term,
     match_many,
+    match_term,
     mgu,
-    positions,
     render_position,
     render_term,
     replace_at,
     substitute,
+    subterms,
 )
 
 
@@ -58,7 +59,7 @@ class FcCandidate:
 
 def fc_step(r1: Rule, r2: Rule, p: Position) -> Optional[FcCandidate]:
     """Compose r1 with r2 at position p of r1's rhs, if they overlap."""
-    if p not in positions(r1.rhs, nonvar_only=True):
+    if p not in {q for q, u in subterms(r1.rhs) if isinstance(u, App)}:
         raise InvalidPositionError(
             f"{render_position(p)} is not a non-variable position of "
             f"{render_term(r1.rhs)}")
@@ -172,10 +173,11 @@ class OneStepReport:
 
 
 def _one_step_reaches(trs: Trs, t: Term, target: Term) -> bool:
-    for p in sorted(positions(t)):
+    for p, sub in subterms(t):
         for rule in trs.rules:
-            hit = apply_rule(rule, t, p)
-            if hit is not None and hit[0] == target:
+            sigma = match_term(rule.lhs, sub)
+            if (sigma is not None
+                    and replace_at(t, p, substitute(rule.rhs, sigma)) == target):
                 return True
     return False
 

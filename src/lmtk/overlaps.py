@@ -15,18 +15,18 @@ from typing import Iterator, Optional, Sequence
 
 from .rewriting import Rule, Trs
 from .terms import (
+    App,
     Position,
     ROOT,
     Subst,
     Term,
     Var,
     mgu,
-    positions,
     render_position,
     render_term,
     replace_at,
     substitute,
-    subterm_at,
+    subterms,
     variables_in_order,
 )
 
@@ -80,31 +80,28 @@ def canonical_term_pair(a: Term, b: Term) -> tuple[Term, Term]:
     return substitute(a, renaming), substitute(b, renaming)
 
 
-def equation_key(eq: Equation) -> tuple[str, str]:
+def equation_key(eq: Equation) -> frozenset[tuple[Term, Term]]:
     """Canonical key identifying equations up to renaming and side swap."""
-    fwd = canonical_term_pair(eq.lhs, eq.rhs)
-    bwd = canonical_term_pair(eq.rhs, eq.lhs)
-    k1 = (render_term(fwd[0]), render_term(fwd[1]))
-    k2 = (render_term(bwd[0]), render_term(bwd[1]))
-    return min(k1, k2)
+    return frozenset((canonical_term_pair(eq.lhs, eq.rhs),
+                      canonical_term_pair(eq.rhs, eq.lhs)))
 
 
-def rule_key(rule: Rule) -> tuple[str, str]:
-    """Canonical key identifying rules up to variable renaming."""
-    lhs, rhs = canonical_term_pair(rule.lhs, rule.rhs)
-    return (render_term(lhs), render_term(rhs))
+def rule_key(rule: Rule) -> tuple[Term, Term]:
+    """Canonical key identifying rules up to variable renaming. Keys are
+    terms, not their text: a constant may be named like a canonical
+    variable."""
+    return canonical_term_pair(rule.lhs, rule.rhs)
 
 
 def overlap_sites(host: Term, avoid: set[str], rules: Sequence[Rule],
                   trivial: Optional[str] = None
                   ) -> Iterator[tuple[Rule, Rule, Position, Term]]:
     """Per rule in order: the rule, its copy renamed apart from `avoid`,
-    and each sorted non-variable position of `host` with its subterm,
+    and each non-variable position of `host` in pre-order with its subterm,
     except the root site of the rule labelled `trivial`. Callers unify
     subterm and renamed lhs themselves: the `mgu` argument order decides
     whose variable names survive."""
-    sites = [(p, subterm_at(host, p))
-             for p in sorted(positions(host, nonvar_only=True))]
+    sites = [(p, sub) for p, sub in subterms(host) if isinstance(sub, App)]
     for rule in rules:
         renamed = rule.renamed_apart(avoid)
         for p, sub in sites:
@@ -134,7 +131,7 @@ def nosup(trs: Trs) -> list[Term]:
     """Superposition terms sigma(l1) from unifying one lhs into a proper
     non-variable position of another lhs l1 (self-pairs via a renamed copy
     included)."""
-    seen: set[str] = set()
+    seen: set[Term] = set()
     out: list[Term] = []
     for outer in trs.rules:
         for _, inner_r, p, sub in overlap_sites(outer.lhs, outer.variables(),
@@ -145,7 +142,7 @@ def nosup(trs: Trs) -> list[Term]:
             if sigma is None:
                 continue
             t = substitute(outer.lhs, sigma)
-            key = render_term(canonical_term_pair(t, t)[0])
+            key = canonical_term_pair(t, t)[0]
             if key not in seen:
                 seen.add(key)
                 out.append(t)
@@ -158,7 +155,7 @@ def rhs_critical_pairs(trs: Trs) -> list[Equation]:
     inference fires only when the two instantiated left sides differ as
     literal terms, which silently drops the no-op self-pairings."""
     out: list[Equation] = []
-    seen: set[tuple[str, str]] = set()
+    seen: set[frozenset[tuple[Term, Term]]] = set()
     for r1 in trs.rules:
         for r2 in trs.rules:
             r2r = r2.renamed_apart(r1.variables())

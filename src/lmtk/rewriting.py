@@ -26,13 +26,13 @@ from .terms import (
     Var,
     enumerate_terms,
     match_term,
-    positions,
     render_position,
     render_term,
     rename_pair_apart,
     replace_at,
     substitute,
     subterm_at,
+    subterms,
     term_size,
     variables_of,
 )
@@ -244,16 +244,7 @@ def rewrite_at(trs: Trs, t: Term, p: Position) -> Optional[tuple[Term, RewriteSt
 
 
 def is_reducible(trs: Trs, t: Term) -> bool:
-    # iterative: fuel-bounded rewriting can build terms deeper than the
-    # interpreter recursion limit
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if _root_step(trs, u) is not None:
-            return True
-        if isinstance(u, App):
-            stack.extend(u.args)
-    return False
+    return any(_root_step(trs, u) is not None for _, u in subterms(t))
 
 
 def _rebuilt(node: App, args: list[Term]) -> Term:
@@ -338,26 +329,12 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
 
 
 def _outermost_redex(trs: Trs, t: Term) -> Optional[tuple[Position, Rule, Subst]]:
-    """The leftmost-outermost redex of `t`: its position, rule and matcher.
-    An iterative pre-order walk that stops at the first redex; each frame
-    holds a node and the index of the argument being walked."""
-    frames: list[list] = []
-    u = t
-    while True:
+    """The leftmost-outermost redex of `t`: its position, rule and matcher."""
+    for p, u in subterms(t):
         hit = _root_step(trs, u)
         if hit is not None:
-            return (tuple(i + 1 for _, i in frames), *hit)
-        if isinstance(u, App) and u.args:
-            frames.append([u, 0])
-            u = u.args[0]
-            continue
-        while frames and frames[-1][1] + 1 == len(frames[-1][0].args):
-            frames.pop()
-        if not frames:
-            return None
-        frame = frames[-1]
-        frame[1] += 1
-        u = frame[0].args[frame[1]]
+            return (p, *hit)
+    return None
 
 
 def normalize_outermost(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
@@ -437,9 +414,7 @@ def replay(trs: Trs, t: Term, trace: Sequence[RewriteStep]) -> Term:
 
 def is_eps_irreducible(trs: Trs, t: Term) -> bool:
     """Every proper subterm irreducible (the root may still be a redex)."""
-    if isinstance(t, Var):
-        return True
-    return all(not is_reducible(trs, a) for a in t.args)
+    return all(_root_step(trs, u) is None for p, u in subterms(t) if p)
 
 
 def is_innermost_redex(trs: Trs, t: Term) -> bool:
@@ -528,10 +503,8 @@ def subterm_collapse_search(trs: Trs, max_depth: int = 5,
         if isinstance(u, Var):
             continue
         u_nf = nf(u)
-        for p in sorted(positions(u)):
-            if p == ROOT:
-                continue
-            if nf(subterm_at(u, p)) == u_nf:
+        for p, sub in subterms(u):
+            if p and nf(sub) == u_nf:
                 return CollapseSearchResult((u, p), max_depth, checked, exhausted)
     return CollapseSearchResult(None, max_depth, checked, exhausted)
 

@@ -4,8 +4,10 @@ Terms are either variables or applications of a fixed-arity symbol to
 argument terms. Everything downstream (rewriting, overlap computation,
 forward closure, the LM checker) manipulates these values, so they are
 immutable and hashable. Positions are 1-based integer tuples, the empty
-tuple being the root. Substitutions are plain dicts from variable names
-to terms.
+tuple being the root. `subterms` walks the positions of a term in
+pre-order, left to right, which is the order of the sorted position
+tuples; searches that report their first hit report it in that order.
+Substitutions are plain dicts from variable names to terms.
 """
 
 from __future__ import annotations
@@ -148,9 +150,7 @@ def variables_in_order(t: Term) -> list[str]:
 
 
 def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return all(is_ground(a) for a in t.args)
+    return not any(isinstance(u, Var) for _, u in subterms(t))
 
 
 def term_size(t: Term) -> int:
@@ -160,27 +160,20 @@ def term_size(t: Term) -> int:
 
 def term_depth(t: Term) -> int:
     """A variable or constant has depth 1."""
-    if isinstance(t, Var) or not t.args:
-        return 1
-    return 1 + max(term_depth(a) for a in t.args)
+    return 1 + max(len(p) for p, _ in subterms(t))
 
 
-def positions(t: Term, nonvar_only: bool = False) -> set[Position]:
-    """All positions of `t`; with `nonvar_only`, only those of non-variable
-    subterms (a bare variable then has no position at all)."""
-    out: set[Position] = set()
-
-    def walk(u: Term, prefix: Position) -> None:
-        if isinstance(u, Var):
-            if not nonvar_only:
-                out.add(prefix)
-            return
-        out.add(prefix)
-        for i, a in enumerate(u.args, start=1):
-            walk(a, prefix + (i,))
-
-    walk(t, ROOT)
-    return out
+def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
+    """Every position of `t` with its subterm, in pre-order, left to right
+    (the order of `sorted` on positions). Iterative: rewriting and parsed
+    input reach depths past the interpreter recursion limit."""
+    stack: list[tuple[Position, Term]] = [(ROOT, t)]
+    while stack:
+        p, u = stack.pop()
+        yield p, u
+        if isinstance(u, App):
+            for i in range(len(u.args), 0, -1):
+                stack.append((p + (i,), u.args[i - 1]))
 
 
 def subterm_at(t: Term, p: Position) -> Term:

@@ -222,8 +222,8 @@ class TestLocalConfluenceCrossCheck:
         # independent check of the critical-pair decision: every one-step
         # peak from an enumerated term must rejoin
         from lmtk.rewriting import enumeration_variables, joinable
-        from lmtk.terms import enumerate_terms, match_term, positions, \
-            replace_at, substitute, subterm_at
+        from lmtk.terms import enumerate_terms, match_term, replace_at, \
+            substitute, subterms
         for src in (UNARY_CHAIN, ROOT_OVERLAP, NEEDS_RIGHT_REDUCE):
             trs = parse_trs(src)
             assert check_termination(trs).ok
@@ -235,8 +235,7 @@ class TestLocalConfluenceCrossCheck:
                 if count > 250:
                     break
                 reducts = []
-                for p in sorted(positions(t)):
-                    sub = subterm_at(t, p)
+                for p, sub in subterms(t):
                     for rule in trs.rules:
                         m = match_term(rule.lhs, sub)
                         if m is not None:

@@ -170,6 +170,30 @@ class TestSmallCommands:
         assert code == 0
         assert "f(g(b))" in out
 
+    @pytest.mark.parametrize("command, source, expected", [
+        ("fc", "sig: h/1 f/1 k/1 c/0 v1/0\nvars: x y\nrules:\n"
+               "  h(x) -> f(k(x))\n  f(k(y)) -> c\n  h(v1) -> c\n",
+         "[r1~r2@e] h(y) -> c"),
+        ("rhs", "sig: h/1 f/1 k/1 c/0 v1/0\nvars: x y\nrules:\n"
+                "  h(x) -> f(k(x))\n  f(k(y)) -> c\n  h(v1) -> c\n",
+         "f(k(y)) = h(v1)   [rhs-cp(r2,r3)]"),
+        ("nosup", "sig: g/1 k/1 c/0 v1/0\nvars: x y\nrules:\n"
+                  "  g(k(x)) -> c\n  k(y) -> c\n  g(k(v1)) -> c\n",
+         "g(k(v1))"),
+    ], ids=["fc", "rhs", "nosup"])
+    def test_constant_named_like_a_canonical_variable(
+            self, write, capsys, command, source, expected):
+        # renaming apart calls variables v1, v2, ...; a constant `v1` must
+        # not make a rule, equation or superposition look like a known one
+        outputs = []
+        for name in ("v1", "w1"):
+            path = write(f"{name}.trs", source.replace("v1", name))
+            code, out, _ = run(capsys, command, path)
+            assert code == 0
+            outputs.append(out.replace(name, "v1"))
+        assert outputs[0] == outputs[1]
+        assert expected in outputs[0]
+
     def test_collapse_found_exit_one(self, write, capsys):
         path = write("dup.trs", DUPLICATING)
         code, out, _ = run(capsys, "collapse", path)
@@ -247,6 +271,24 @@ class TestFuelOverride:
                            "--fuel", "50")
         assert code == 0
 
+    def test_zero_fuel_allows_no_step(self, write, capsys, monkeypatch):
+        path = write("two.trs", "sig: a/0 b/0 f/1\nrules:\n"
+                                "  a -> f(b)\n  f(b) -> b\n")
+        code, out, err = run(capsys, "normalize", path, "a", "--fuel", "0")
+        assert (code, out) == (2, "")
+        assert err.strip() == "fuel exhausted after 0 steps"
+        # the flag wins over the environment, also when it is 0
+        monkeypatch.setenv("LMTK_FUEL", "5")
+        assert run(capsys, "normalize", path, "a", "--fuel", "0")[0] == 2
+        assert run(capsys, "normalize", path, "a")[0] == 0
+
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_bad_fuel_is_usage_error(self, write, capsys, value):
+        path = write("full.trs", ROOT_OVERLAP)
+        code, out, err = run(capsys, "normalize", path, "b", "--fuel", value)
+        assert (code, out) == (3, "")
+        assert "--fuel" in err
+
     @pytest.mark.parametrize("argv", [
         ("reduce",),
         ("cap", "--knowledge", "a", "--goal", "f(a)"),
@@ -289,3 +331,15 @@ class TestDeepInput:
         step, normal_form = out.strip().splitlines()
         assert step.startswith("[r1] at " + ".".join(["1"] * n) + ": ")
         assert normal_form == "f(" * n + "b" + ")" * n
+
+    def test_cap_from_knowledge_deeper_than_the_recursion_limit(
+            self, write, capsys):
+        # the rule peels k symbols per step, so normalizing the knowledge
+        # takes n/k steps and its trace stays small
+        k = 100
+        path = write("peel.trs", "sig: b/0 f/1\nvars: x\nrules:\n  "
+                                 + "f(" * k + "x" + ")" * k + " -> x\n")
+        n = k * -(-3 * sys.getrecursionlimit() // k)
+        code, out, err = run(capsys, "cap", path, "--knowledge",
+                             "f(" * n + "b" + ")" * n, "--goal", "b")
+        assert (code, out, err) == (0, "cap: hole1\n", "")

@@ -14,6 +14,7 @@ from lmtk.rewriting import (
     eps_normal_form,
     is_eps_irreducible,
     is_innermost_redex,
+    is_reducible,
     joinable,
     nf,
     normalize,
@@ -23,7 +24,7 @@ from lmtk.rewriting import (
     rewrite_at,
     subterm_collapse_search,
 )
-from lmtk.terms import App, Symbol, Var, enumerate_terms, positions, render_term, term_size
+from lmtk.terms import App, Symbol, Var, enumerate_terms, render_term, subterms, term_size
 from lmtk.trs_format import parse_term, parse_trs
 
 from conftest import (
@@ -192,7 +193,7 @@ def innermost_oracle(trs, t, fuel):
     first position in post-order where a rule applies."""
     trace = []
     while True:
-        order = sorted(positions(t), key=lambda p: p + (math.inf,))
+        order = sorted((p for p, _ in subterms(t)), key=lambda p: p + (math.inf,))
         hit = next(filter(None, (rewrite_at(trs, t, p) for p in order)), None)
         if hit is None:
             return t, trace
@@ -283,6 +284,16 @@ class TestEpsNotions:
 
     def test_eps_normal_form_constant(self, sys3):
         assert eps_normal_form(sys3, t("b", sys3)) == t("b", sys3)
+
+    def test_chain_past_the_recursion_limit(self):
+        trs = parse_trs("sig: a/0 b/0 f/1\nrules:\n  a -> b\n")
+        n = 3 * sys.getrecursionlimit()
+        normal = t("f(" * n + "b" + ")" * n, trs)
+        redex_at_leaf = t("f(" * n + "a" + ")" * n, trs)
+        assert not is_reducible(trs, normal)
+        assert is_eps_irreducible(trs, normal)
+        assert is_reducible(trs, redex_at_leaf)
+        assert not is_eps_irreducible(trs, redex_at_leaf)
 
 
 class TestOdp:

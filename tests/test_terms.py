@@ -1,6 +1,7 @@
 """Terms, positions, matching, unification, renaming."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,16 +10,18 @@ from lmtk.rewriting import Rule
 from lmtk.terms import (
     App,
     InvalidPositionError,
+    ROOT,
     Symbol,
     Var,
     enumerate_terms,
+    is_ground,
     match_term,
     mgu,
-    positions,
     render_term,
     replace_at,
     substitute,
     subterm_at,
+    subterms,
     term_depth,
     variables_of,
 )
@@ -65,15 +68,56 @@ ground_terms = st.recursive(
 )
 
 
+def reference_positions(t, nonvar_only=False):
+    """The recursive position set that `subterms` replaced; with
+    `nonvar_only`, only positions of non-variable subterms."""
+    out = set()
+
+    def walk(u, prefix):
+        if isinstance(u, Var):
+            if not nonvar_only:
+                out.add(prefix)
+            return
+        out.add(prefix)
+        for k, arg in enumerate(u.args, start=1):
+            walk(arg, prefix + (k,))
+
+    walk(t, ROOT)
+    return out
+
+
+def nonvar_positions(t):
+    return {p for p, u in subterms(t) if isinstance(u, App)}
+
+
 class TestPositions:
     def test_variable_has_no_nonvar_position(self):
-        assert positions(x, nonvar_only=True) == set()
+        assert nonvar_positions(x) == set()
 
     def test_flat_application(self):
-        assert positions(f(x, b)) == {(), (1,), (2,)}
+        assert [p for p, _ in subterms(f(x, b))] == [(), (1,), (2,)]
 
     def test_nonvar_positions_skip_variables(self):
-        assert positions(f(g(a), x), nonvar_only=True) == {(), (1,), (1, 1)}
+        assert nonvar_positions(f(g(a), x)) == {(), (1,), (1, 1)}
+
+    @given(terms)
+    def test_subterms_is_sorted_reference_order(self, t):
+        walked = list(subterms(t))
+        assert [p for p, _ in walked] == sorted(reference_positions(t))
+        assert nonvar_positions(t) == reference_positions(t, nonvar_only=True)
+        for p, u in walked:
+            assert u is subterm_at(t, p)
+
+    def test_depth_safe_on_a_chain_past_the_recursion_limit(self):
+        n = 3 * sys.getrecursionlimit()
+        t = b
+        for _ in range(n):
+            t = g(t)
+        walked = list(subterms(t))
+        assert len(walked) == n + 1
+        assert walked[-1] == ((1,) * n, b)
+        assert is_ground(t) and not is_ground(f(t, x))
+        assert term_depth(t) == n + 1
 
     def test_subterm_at_nested(self):
         assert subterm_at(f(g(a), b), (1, 1)) == a
@@ -97,7 +141,7 @@ class TestPositions:
 
     @given(terms)
     def test_replace_subterm_roundtrip(self, t):
-        for p in positions(t):
+        for p, _ in subterms(t):
             assert replace_at(t, p, subterm_at(t, p)) == t
 
 
