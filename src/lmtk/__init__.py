@@ -3,7 +3,10 @@
 Core surface: parse a system (`trs_format.parse_trs`), check whether it is
 an LM-system (`checker.lm_verdict`), compute its forward closure
 (`closure.fc_iterate`), and encode counter machines into cap-problem
-instances (`minsky.encode`, `minsky.cap_search`).
+instances (`minsky.encode`, `minsky.cap_search`). Every name below is
+called by this pipeline, the CLI or the benchmark. One rule at one
+position is `apply_rule`; normal forms come from `normalize` (with its
+trace), `nf` or, for many terms, `NormalForms`.
 """
 
 from .terms import (
@@ -31,14 +34,10 @@ from .rewriting import (
     Rule,
     Trs,
     apply_rule,
-    eps_normal_form,
     is_eps_irreducible,
     is_innermost_redex,
-    joinable,
     nf,
     normalize,
-    odp,
-    rewrite_at,
     subterm_collapse_search,
 )
 from .overlaps import (
@@ -54,7 +53,6 @@ from .closure import (
     FcCandidate,
     FcTrace,
     fc_iterate,
-    fc_step,
     innermost_one_step_check,
     is_forward_closed,
     is_redundant_approx,

@@ -465,7 +465,8 @@ def consequence_checks(trs: Trs, depth: int = 3,
     add("paramodulation saturated", not bad, "; ".join(bad[:3]))
 
     # (f) freeness: distinct same-root terms with irreducible arguments
-    # never join (same normal form = joinable, so one normalize per term)
+    # never join (they join when their normal forms are equal, so one
+    # normalize per term)
     vars_ = enumeration_variables(trs, 2)
     pool: list[Term] = []
     for t in enumerate_terms(trs.symbols, vars_, depth):

@@ -5,13 +5,18 @@ open at the configured bounds (also when any subcommand runs out of
 rewrite fuel), 3 bad input or usage, 4 an internal error (a bug in lmtk;
 stderr names the exception). `--json` switches any subcommand to a
 structured report on stdout.
+
+Every count flag takes a decimal number: the depths (`--depth`,
+`--fc-depth`) 1 or more, the rest (`--fuel`, the other bounds and the
+counter values) 0 or more. Anything else is a usage error, so a bound
+that allows no search never reads as a verdict. The rewrite step budget
+comes from `--fuel` alone, default 10000.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -46,20 +51,15 @@ EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 
 
-def _fuel(args) -> int:
-    if args.fuel is not None:
-        return args.fuel
-    env = os.environ.get("LMTK_FUEL")
-    if env and env.isdigit():
-        return int(env)
-    return DEFAULT_FUEL
-
-
-def _step_budget(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"expected a step count of 0 or more, got {text!r}")
-    return int(text)
+def _count(minimum: int):
+    """An argparse type: a decimal count of `minimum` or more. Out-of-range
+    bounds are usage errors, never verdicts."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected a count of {minimum} or more, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _load_trs(path: str) -> Trs:
@@ -95,7 +95,7 @@ def cmd_check(args) -> int:
     trs = _load_trs(args.file)
     precedence = args.precedence.split(",") if args.precedence else None
     opts = CheckOptions(precedence=precedence, collapse_depth=args.depth,
-                        fuel=_fuel(args))
+                        fuel=args.fuel)
     started = time.perf_counter()
     report = lm_verdict(trs, opts)
     elapsed = time.perf_counter() - started
@@ -118,7 +118,7 @@ def cmd_check(args) -> int:
 
 def cmd_reduce(args) -> int:
     trs = _load_trs(args.file)
-    reduced = right_reduce(trs, _fuel(args))
+    reduced = right_reduce(trs, args.fuel)
     reduced, log = almost_left_reduce(reduced)
     text = render_trs(reduced)
     payload = {"system": text, "deletions": [str(d) for d in log]}
@@ -155,7 +155,7 @@ def cmd_fc_check(args) -> int:
     trs = _load_trs(args.file)
     ok, witness = is_forward_closed(trs)
     one_step = innermost_one_step_check(trs, depth=args.fc_depth,
-                                        fuel=_fuel(args))
+                                        fuel=args.fuel)
     payload = {"forward_closed": ok,
                "witness": str(witness) if witness else None,
                "one_step": one_step.ok,
@@ -199,7 +199,7 @@ def cmd_nosup(args) -> int:
 def cmd_normalize(args) -> int:
     trs = _load_trs(args.file)
     term = parse_term(args.term, trs)
-    result, trace = normalize(trs, term, _fuel(args))
+    result, trace = normalize(trs, term, args.fuel)
     payload = {"normal_form": render_term(result),
                "trace": [str(s) for s in trace]}
     lines = [str(s) for s in trace]
@@ -210,7 +210,7 @@ def cmd_normalize(args) -> int:
 
 def cmd_collapse(args) -> int:
     trs = _load_trs(args.file)
-    res = subterm_collapse_search(trs, args.depth, fuel=_fuel(args))
+    res = subterm_collapse_search(trs, args.depth, fuel=args.fuel)
     if res.collapsing:
         u, p = res.witness
         payload = {"collapsing": True, "term": render_term(u),
@@ -250,7 +250,7 @@ def cmd_cap(args) -> int:
     knowledge = tuple(parse_term(t, trs) for t in args.knowledge)
     goal = parse_term(args.goal, trs)
     instance = CapInstance(trs, knowledge, goal)
-    result = cap_search(instance, args.max_size, args.max_rounds, _fuel(args))
+    result = cap_search(instance, args.max_size, args.max_rounds, args.fuel)
     lines = ([f"cap: {result.cap}"] if result.found
              else [f"no cap within bounds (rounds {result.rounds_used}, "
                    f"{result.deduced} terms deduced)"])
@@ -305,7 +305,7 @@ def cmd_minsky(args) -> int:
 
     if args.action == "cap":
         result = cap_search(instance, args.max_size, args.max_rounds,
-                            _fuel(args))
+                            args.fuel)
         lines = []
         run = simulate(machine, Config(machine.initial, args.k, args.p),
                        args.max_steps)
@@ -329,14 +329,14 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--json", action="store_true",
                        help="structured output")
-        p.add_argument("--fuel", type=_step_budget,
+        p.add_argument("--fuel", type=_count(0), default=DEFAULT_FUEL,
                        help="rewrite step budget, 0 or more (default "
-                            "LMTK_FUEL, else 10000)")
+                            f"{DEFAULT_FUEL}; other values exit 3)")
 
     p = sub.add_parser("check", help="decide the LM-system conditions")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=5,
-                   help="subterm-collapse search depth")
+    p.add_argument("--depth", type=_count(1), default=5,
+                   help="subterm-collapse search depth, 1 or more")
     p.add_argument("--precedence",
                    help="comma-separated symbols, greatest first")
     common(p)
@@ -350,15 +350,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fc", help="iterate the forward closure")
     p.add_argument("file")
-    p.add_argument("--fc-max-gen", type=int, default=16)
+    p.add_argument("--fc-max-gen", type=_count(0), default=16)
     common(p)
     p.set_defaults(func=cmd_fc)
 
     p = sub.add_parser("fc-check",
                        help="one-layer forward-closedness and one-step test")
     p.add_argument("file")
-    p.add_argument("--fc-depth", type=int, default=3,
-                   help="instantiation depth for the one-step check")
+    p.add_argument("--fc-depth", type=_count(1), default=3,
+                   help="instantiation depth for the one-step check, "
+                        "1 or more")
     common(p)
     p.set_defaults(func=cmd_fc_check)
 
@@ -385,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("collapse", help="bounded subterm-collapse search")
     p.add_argument("file")
-    p.add_argument("--depth", type=int, default=5)
+    p.add_argument("--depth", type=_count(1), default=5)
     common(p)
     p.set_defaults(func=cmd_collapse)
 
@@ -394,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--knowledge", nargs="+", required=True,
                    help="ground terms the intruder starts from")
     p.add_argument("--goal", required=True)
-    p.add_argument("--max-size", type=int, default=30)
-    p.add_argument("--max-rounds", type=int, default=12)
+    p.add_argument("--max-size", type=_count(0), default=30)
+    p.add_argument("--max-rounds", type=_count(0), default=12)
     common(p)
     p.set_defaults(func=cmd_cap)
 
@@ -403,13 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action",
                    choices=["validate", "simulate", "encode", "cap"])
     p.add_argument("file")
-    p.add_argument("--k", type=int, default=0, help="initial counter 1")
-    p.add_argument("--p", type=int, default=0, help="initial counter 2")
-    p.add_argument("--kp", type=int, default=None, help="final counter 1")
-    p.add_argument("--pp", type=int, default=None, help="final counter 2")
-    p.add_argument("--max-steps", type=int, default=10_000)
-    p.add_argument("--max-size", type=int, default=30)
-    p.add_argument("--max-rounds", type=int, default=12)
+    p.add_argument("--k", type=_count(0), default=0, help="initial counter 1")
+    p.add_argument("--p", type=_count(0), default=0, help="initial counter 2")
+    p.add_argument("--kp", type=_count(0), help="final counter 1")
+    p.add_argument("--pp", type=_count(0), help="final counter 2")
+    p.add_argument("--max-steps", type=_count(0), default=10_000)
+    p.add_argument("--max-size", type=_count(0), default=30)
+    p.add_argument("--max-rounds", type=_count(0), default=12)
     common(p)
     p.set_defaults(func=cmd_minsky)
 

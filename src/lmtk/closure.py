@@ -29,15 +29,12 @@ from .rewriting import (
     is_innermost_redex,
 )
 from .terms import (
-    App,
-    InvalidPositionError,
     Position,
     Term,
     match_many,
     match_term,
     mgu,
     render_position,
-    render_term,
     replace_at,
     substitute,
     subterms,
@@ -55,15 +52,6 @@ class FcCandidate:
     def __str__(self) -> str:
         return (f"{self.rule}  ({self.first} ~> {self.second} "
                 f"at {render_position(self.position)}, gen {self.generation})")
-
-
-def fc_step(r1: Rule, r2: Rule, p: Position) -> Optional[FcCandidate]:
-    """Compose r1 with r2 at position p of r1's rhs, if they overlap."""
-    if p not in {q for q, u in subterms(r1.rhs) if isinstance(u, App)}:
-        raise InvalidPositionError(
-            f"{render_position(p)} is not a non-variable position of "
-            f"{render_term(r1.rhs)}")
-    return next((c for c in compositions([r1], [r2]) if c.position == p), None)
 
 
 def subsumes(general: Rule, candidate: Rule) -> bool:

@@ -34,7 +34,6 @@ from .terms import (
     render_term,
     substitute,
     term_size,
-    variables_in_order,
 )
 
 COUNTER_OPS = ("Z", "P", "0", "+", "-")
@@ -241,6 +240,8 @@ def encode(m: MinskyMachine, k: int, p: int,
     """Build the rewrite theory, knowledge and goal for a machine started
     at (k, p). The finalize rule needs the halting counter values; pass
     them as kp/pp or leave them None to obtain them by simulation."""
+    if any(n is not None and n < 0 for n in (k, p, kp, pp)):
+        raise ValueError("counter values must be 0 or more")
     ok, witness = validate_machine(m)
     if not ok:
         a, b = witness
@@ -326,10 +327,6 @@ class Cap:
 
     body: Term
     assignment: tuple[tuple[str, Term], ...]
-
-    @property
-    def holes(self) -> list[str]:
-        return variables_in_order(self.body)
 
     def plug(self) -> Term:
         return substitute(self.body, dict(self.assignment))

@@ -227,14 +227,3 @@ def paramodulation_candidates(trs: Trs) -> list[ParamodCandidate]:
                     tuple(sorted(sigma.items()))))
     return out
 
-
-def root_pairs(trs: Trs) -> list[tuple[str, str]]:
-    """Directed root pairs of the rules, in rule order (variables cannot
-    appear at rule roots on the left; a variable rhs yields no pair)."""
-    out = []
-    for r in trs.rules:
-        eq = Equation(r.lhs, r.rhs)
-        rp = eq.root_pair()
-        if rp is not None:
-            out.append(rp)
-    return out

@@ -9,7 +9,6 @@ pretending to be complete.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import abc
 from dataclasses import dataclass
@@ -19,7 +18,6 @@ from typing import Optional, Sequence
 from .terms import (
     App,
     Position,
-    ROOT,
     Subst,
     Symbol,
     Term,
@@ -134,10 +132,6 @@ class RewriteStep:
     source: Term
     target: Term
 
-    @property
-    def subst(self) -> Subst:
-        return dict(self.subst_items)
-
     def __str__(self) -> str:
         return (f"[{self.rule_label}] at {render_position(self.position)}: "
                 f"{render_term(self.source)} -> {render_term(self.target)}")
@@ -233,16 +227,6 @@ def _root_step(trs: Trs, u: Term) -> Optional[tuple[Rule, Subst]]:
     return None
 
 
-def rewrite_at(trs: Trs, t: Term, p: Position) -> Optional[tuple[Term, RewriteStep]]:
-    """Apply the first rule (in file order) whose lhs matches t at p."""
-    hit = _root_step(trs, subterm_at(t, p))
-    if hit is None:
-        return None
-    rule, sigma = hit
-    target = replace_at(t, p, substitute(rule.rhs, sigma))
-    return target, RewriteStep(rule.label, p, tuple(sorted(sigma.items())), t, target)
-
-
 def is_reducible(trs: Trs, t: Term) -> bool:
     return any(_root_step(trs, u) is not None for _, u in subterms(t))
 
@@ -328,30 +312,6 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
                 u, entering = _rebuilt(node, args), False
 
 
-def _outermost_redex(trs: Trs, t: Term) -> Optional[tuple[Position, Rule, Subst]]:
-    """The leftmost-outermost redex of `t`: its position, rule and matcher."""
-    for p, u in subterms(t):
-        hit = _root_step(trs, u)
-        if hit is not None:
-            return (p, *hit)
-    return None
-
-
-def normalize_outermost(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    """Leftmost-outermost normal form; used to cross-check strategy
-    independence on convergent systems."""
-    for steps in itertools.count():
-        hit = _outermost_redex(trs, t)
-        if hit is None:
-            return t
-        if steps >= fuel:
-            raise FuelExhausted(t, [])
-        p, rule, sigma = hit
-        t = replace_at(t, p, substitute(rule.rhs, sigma))
-        if term_size(t) > MAX_TERM_NODES:
-            raise FuelExhausted(t, [])
-
-
 def nf(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
     return normalize(trs, t, fuel)[0]
 
@@ -419,42 +379,6 @@ def is_eps_irreducible(trs: Trs, t: Term) -> bool:
 
 def is_innermost_redex(trs: Trs, t: Term) -> bool:
     return _root_step(trs, t) is not None and is_eps_irreducible(trs, t)
-
-
-def eps_normal_form(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
-    """Normalize all proper subterms, never rewriting at the root."""
-    if isinstance(t, Var):
-        return t
-    return App(t.sym, tuple(nf(trs, a, fuel) for a in t.args))
-
-
-def odp(s: Term, t: Term) -> set[Position]:
-    """Outermost positions where the two terms carry different symbols
-    (a variable counts as its name; a missing position is a mismatch)."""
-    out: set[Position] = set()
-
-    def walk(a: Term, b: Term, prefix: Position) -> None:
-        la = a.name if isinstance(a, Var) else a.sym.name
-        lb = b.name if isinstance(b, Var) else b.sym.name
-        if la != lb:
-            out.add(prefix)
-            return
-        if isinstance(a, Var) or isinstance(b, Var):
-            return
-        for i, (x, y) in enumerate(zip(a.args, b.args), start=1):
-            walk(x, y, prefix + (i,))
-
-    walk(s, t, ROOT)
-    return out
-
-
-def joinable(trs: Trs, s: Term, t: Term, fuel: int = DEFAULT_FUEL
-             ) -> tuple[bool, Optional[Term]]:
-    """Whether s and t have the same normal form (valid for convergent
-    systems); the witness is the common normal form."""
-    a = nf(trs, s, fuel)
-    b = nf(trs, t, fuel)
-    return (a == b, a if a == b else None)
 
 
 def enumeration_variables(trs: Trs, count: int = 2) -> list[str]:

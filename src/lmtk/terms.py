@@ -158,11 +158,6 @@ def term_size(t: Term) -> int:
     return t._size if isinstance(t, App) else 1
 
 
-def term_depth(t: Term) -> int:
-    """A variable or constant has depth 1."""
-    return 1 + max(len(p) for p, _ in subterms(t))
-
-
 def subterms(t: Term) -> Iterator[tuple[Position, Term]]:
     """Every position of `t` with its subterm, in pre-order, left to right
     (the order of `sorted` on positions). Iterative: rewriting and parsed

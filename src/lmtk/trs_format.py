@@ -260,14 +260,12 @@ def parse_legacy_trs(text: str) -> Trs:
         for side in (lhs_s, rhs_s):
             _infer_arities(side, set(variables), arities)
 
-    sym_order = [Symbol(n, a) for n, a in sorted(arities.items())]
-    symbols = {s.name: s for s in sym_order}
-    rules = []
-    for i, (lhs_s, rhs_s) in enumerate(rule_srcs, start=1):
-        lhs = _parse_whole(lhs_s, symbols, set(variables))
-        rhs = _parse_whole(rhs_s, symbols, set(variables))
-        rules.append(Rule(lhs, rhs, f"r{i}"))
-    return Trs(tuple(sym_order), tuple(variables), tuple(rules))
+    signature = Trs(tuple(Symbol(n, a) for n, a in sorted(arities.items())),
+                    tuple(variables), ())
+    rules = [Rule(parse_term(lhs_s, signature), parse_term(rhs_s, signature),
+                  f"r{i}")
+             for i, (lhs_s, rhs_s) in enumerate(rule_srcs, start=1)]
+    return signature.with_rules(rules)
 
 
 def _infer_arities(src: str, variables: set[str], arities: dict[str, int]) -> None:
@@ -297,14 +295,6 @@ def _infer_arities(src: str, variables: set[str], arities: dict[str, int]) -> No
             raise ParseError(f"symbol {name} used with arities "
                              f"{arities[name]} and {arity}")
         arities[name] = arity
-
-
-def _parse_whole(src: str, symbols: dict[str, Symbol], variables: set[str]) -> Term:
-    p = _TermParser(src, symbols, variables)
-    t = p.term()
-    if not p.finished():
-        raise p.error("trailing input after term")
-    return t
 
 
 def render_trs(trs: Trs) -> str:

@@ -13,6 +13,7 @@ import pytest
 from lmtk.checker import CheckOptions, lm_verdict
 from lmtk.minsky import MinskyMachine, Transition, encode, encoding_precedence
 from lmtk.rewriting import Trs
+from lmtk.terms import ROOT, Position, Term, Var
 from lmtk.trs_format import parse_trs
 
 UNARY_CHAIN = """
@@ -226,4 +227,24 @@ def certified_lm(corpus):
         report = lm_verdict(trs, opts)
         if report.verdict == "pass":
             out.append((name, trs, opts, report))
+    return out
+
+
+def odp(s: Term, t: Term) -> set[Position]:
+    """Outermost positions where the two terms carry different symbols
+    (a variable counts as its name; a missing position is a mismatch)."""
+    out: set[Position] = set()
+
+    def walk(a: Term, b: Term, prefix: Position) -> None:
+        la = a.name if isinstance(a, Var) else a.sym.name
+        lb = b.name if isinstance(b, Var) else b.sym.name
+        if la != lb:
+            out.add(prefix)
+            return
+        if isinstance(a, Var) or isinstance(b, Var):
+            return
+        for i, (x, y) in enumerate(zip(a.args, b.args), start=1):
+            walk(x, y, prefix + (i,))
+
+    walk(s, t, ROOT)
     return out

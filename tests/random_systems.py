@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .checker import check_termination, check_confluence, is_quasi_deterministic
-from .overlaps import Equation
-from .rewriting import FuelExhausted, Rule, Trs
-from .terms import App, Symbol, Term, Var, variables_of
+from lmtk.checker import check_termination, check_confluence, is_quasi_deterministic
+from lmtk.overlaps import Equation
+from lmtk.rewriting import FuelExhausted, Rule, Trs
+from lmtk.terms import App, Symbol, Term, Var, variables_of
 
 
 def random_term(rng: random.Random, symbols: list[Symbol], variables: list[str],

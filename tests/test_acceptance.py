@@ -18,7 +18,6 @@ from lmtk.checker import (
     right_reduce,
 )
 from lmtk.closure import fc_iterate, innermost_one_step_check, is_forward_closed
-from lmtk.corpus import convergent_quasi_deterministic_corpus
 from lmtk.minsky import (
     Config,
     canonical_cap,
@@ -30,21 +29,13 @@ from lmtk.minsky import (
 )
 from lmtk.overlaps import rhs_closure
 from lmtk.rewriting import (
+    apply_rule,
     enumeration_variables,
     is_reducible,
     nf,
     normalize,
-    odp,
 )
-from lmtk.terms import (
-    App,
-    enumerate_terms,
-    match_term,
-    render_term,
-    replace_at,
-    substitute,
-    subterm_at,
-)
+from lmtk.terms import App, enumerate_terms, render_term, subterm_at
 from lmtk.trs_format import parse_trs
 
 from conftest import (
@@ -55,7 +46,9 @@ from conftest import (
     TINY_MACHINE,
     UNARY_CHAIN,
     corpus_systems,
+    odp,
 )
+from random_systems import convergent_quasi_deterministic_corpus
 
 SEED = 20260808
 
@@ -337,14 +330,6 @@ def test_09_iterated_closure_fixpoints_are_closed():
             violations)
 
 
-def _apply_rule_at(trs, term, label, position):
-    rule = trs.rule(label)
-    sub = subterm_at(term, position)
-    sigma = match_term(rule.lhs, sub)
-    assert sigma is not None
-    return replace_at(term, position, substitute(rule.rhs, sigma))
-
-
 def test_10_root_symbol_discipline_on_certified_systems():
     violations = []
     for name, trs, opts, report in certified_systems():
@@ -385,8 +370,10 @@ def test_10_root_symbol_discipline_on_certified_systems():
                         cur = a.args[m]
                         for s in between:
                             if s.position and s.position[0] == m + 1:
-                                cur = _apply_rule_at(trs, cur, s.rule_label,
-                                                     s.position[1:])
+                                hit = apply_rule(trs.rule(s.rule_label), cur,
+                                                 s.position[1:])
+                                assert hit is not None
+                                cur = hit[0]
                         if cur != b.args[m]:
                             violations.append(
                                 f"{name}: argument {m + 1} subtrace broke")

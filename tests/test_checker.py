@@ -221,7 +221,7 @@ class TestLocalConfluenceCrossCheck:
     def test_peaks_join_on_certified_convergent_systems(self):
         # independent check of the critical-pair decision: every one-step
         # peak from an enumerated term must rejoin
-        from lmtk.rewriting import enumeration_variables, joinable
+        from lmtk.rewriting import enumeration_variables, nf
         from lmtk.terms import enumerate_terms, match_term, replace_at, \
             substitute, subterms
         for src in (UNARY_CHAIN, ROOT_OVERLAP, NEEDS_RIGHT_REDUCE):
@@ -243,7 +243,7 @@ class TestLocalConfluenceCrossCheck:
                                 t, p, substitute(rule.rhs, m)))
                 for i in range(len(reducts)):
                     for j in range(i + 1, len(reducts)):
-                        assert joinable(trs, reducts[i], reducts[j])[0]
+                        assert nf(trs, reducts[i]) == nf(trs, reducts[j])
 
     def test_truncation_keeps_convergence(self):
         # dropping the root-overlapping rule preserves convergence even
@@ -261,7 +261,7 @@ class TestPipelineTotality:
         # every failure mode must surface as a report entry; unfiltered
         # random systems include diverging, collapsing and erasing ones
         import random
-        from lmtk.corpus import random_system
+        from random_systems import random_system
         opts = CheckOptions(fuel=200, collapse_depth=3, collapse_terms=150,
                             consequence_depth=2)
         names = {"terminating", "confluent", "right-reduced",

@@ -257,28 +257,18 @@ class TestMinskyCommands:
 
 
 class TestFuelOverride:
-    def test_env_variable_bounds_rewriting(self, write, capsys, monkeypatch):
-        loop = "sig: a/0 b/0\nrules:\n  a -> b\n  b -> a\n"
-        path = write("loop.trs", loop)
-        monkeypatch.setenv("LMTK_FUEL", "5")
-        code, _, err = run(capsys, "normalize", path, "a")
-        assert code == 2
-        assert "fuel exhausted" in err
-
     def test_flag_overrides(self, write, capsys):
         path = write("full.trs", ROOT_OVERLAP)
         code, out, _ = run(capsys, "normalize", path, "f(b,i(b))",
                            "--fuel", "50")
         assert code == 0
 
-    def test_zero_fuel_allows_no_step(self, write, capsys, monkeypatch):
+    def test_zero_fuel_allows_no_step(self, write, capsys):
         path = write("two.trs", "sig: a/0 b/0 f/1\nrules:\n"
                                 "  a -> f(b)\n  f(b) -> b\n")
         code, out, err = run(capsys, "normalize", path, "a", "--fuel", "0")
         assert (code, out) == (2, "")
         assert err.strip() == "fuel exhausted after 0 steps"
-        # the flag wins over the environment, also when it is 0
-        monkeypatch.setenv("LMTK_FUEL", "5")
         assert run(capsys, "normalize", path, "a", "--fuel", "0")[0] == 2
         assert run(capsys, "normalize", path, "a")[0] == 0
 
@@ -306,6 +296,36 @@ class TestFuelOverride:
 class TestUsage:
     def test_no_command(self, capsys):
         assert run_command([]) == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("check", "--depth", "0"),
+        ("collapse", "--depth", "0"),
+        ("fc", "--fc-max-gen", "-1"),
+        ("fc-check", "--fc-depth", "-3"),
+        ("fc-check", "--fc-depth", "0"),
+        ("cap", "--knowledge", "g(a)", "--goal", "a", "--max-size", "-1"),
+        ("cap", "--knowledge", "g(a)", "--goal", "a", "--max-rounds", "-1"),
+        ("minsky", "encode", "--k", "-2"),
+        ("minsky", "simulate", "--k", "-2"),
+        ("minsky", "encode", "--p", "-1"),
+        ("minsky", "encode", "--kp", "-1"),
+        ("minsky", "encode", "--pp", "-1"),
+        ("minsky", "simulate", "--max-steps", "-1"),
+        ("minsky", "cap", "--max-size", "-1"),
+        ("minsky", "cap", "--max-rounds", "-1"),
+    ])
+    def test_out_of_range_count_is_usage_error(self, write, capsys, argv):
+        # a bound that allows no search must not read as a verdict
+        if argv[0] == "minsky":
+            path = write("m.mm", render_machine(TINY_MACHINE))
+            head, rest = argv[:2], argv[2:]
+        else:
+            path = write("collapsing.trs",
+                         "sig: f/1 g/1 a/0\nvars: x\nrules:\n  f(g(x)) -> x\n")
+            head, rest = argv[:1], argv[1:]
+        code, out, err = run(capsys, *head, path, *rest)
+        assert (code, out) == (3, "")
+        assert f"argument {argv[-2]}: expected a count of" in err
 
     def test_unknown_command(self, capsys):
         assert run_command(["bogus"]) == 3

@@ -15,7 +15,7 @@ from lmtk.minsky import (
     simulate,
     validate_machine,
 )
-from lmtk.rewriting import nf, rewrite_at
+from lmtk.rewriting import apply_rule, nf
 from lmtk.terms import render_term
 from lmtk.trs_format import parse_term, render_trs, parse_trs
 
@@ -125,6 +125,12 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(m, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("counters", [(-2, 0, None, None), (0, -1, None, None),
+                                          (0, 0, -1, 0), (0, 0, 2, -1)])
+    def test_negative_counter_rejected(self, counters):
+        with pytest.raises(ValueError, match="0 or more"):
+            encode(TINY_MACHINE, *counters)
+
     def test_encoding_parses_back(self):
         inst = encode(BRANCHING_MACHINE, 1, 0)
         assert parse_trs(render_trs(inst.theory)) == inst.theory
@@ -179,7 +185,8 @@ class TestStepCounterFidelity:
                 head = ("fp_" if tr.op == "Z" else "f_") + tr.source
                 from lmtk.terms import App
                 wrapped = App(theory.symbol(head), (term,))
-                stepped = rewrite_at(theory, wrapped, ())
+                rule = theory.rule(f"t{machine.transitions.index(tr) + 1}")
+                stepped = apply_rule(rule, wrapped, ())
                 assert stepped is not None
                 term = stepped[0]
                 expect = "c({},{},{},{})".format(

@@ -9,7 +9,7 @@ from lmtk.overlaps import (
     rhs_closure,
     rhs_critical_pairs,
 )
-from lmtk.rewriting import rewrite_at
+from lmtk.rewriting import apply_rule
 from lmtk.terms import render_term, substitute, subterm_at
 from lmtk.trs_format import parse_trs
 
@@ -57,9 +57,8 @@ class TestCriticalPairs:
             from lmtk.terms import mgu
             sigma = mgu(subterm_at(outer.lhs, cp.position), inner.lhs)
             peak = substitute(outer.lhs, sigma)
-            one = rewrite_at(trs.with_rules([trs.rule(cp.inner)]), peak,
-                             cp.position)
-            other = rewrite_at(trs.with_rules([outer]), peak, ())
+            one = apply_rule(trs.rule(cp.inner), peak, cp.position)
+            other = apply_rule(outer, peak, ())
             assert one is not None and one[0] == cp.left
             assert other is not None and other[0] == cp.right
 
@@ -248,10 +247,10 @@ class TestRootPairMembership:
     def test_normalizing_across_roots_needs_a_root_pair(self):
         # a term whose normal form has a different root symbol certifies
         # that the two roots form a rule's root pair
-        from lmtk.overlaps import root_pairs
         from lmtk.terms import App
         for name, trs, pool, nfs in certified_pools():
-            pairs = set(root_pairs(trs))
+            pairs = {(r.lhs.sym.name, r.rhs.sym.name) for r in trs.rules
+                     if isinstance(r.rhs, App)}
             for t in pool:
                 target = nfs[t]
                 if not (isinstance(t, App) and isinstance(target, App)):

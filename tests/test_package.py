@@ -1,0 +1,43 @@
+"""The package's public surface: every exported name has a caller."""
+
+import ast
+from pathlib import Path
+
+import lmtk
+
+PACKAGE = Path(lmtk.__file__).resolve().parent
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def exported_names() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def used_names(path: Path) -> set[str]:
+    """Names that code in `path` reads, as a bare name or an attribute.
+    A top-level function or class reading its own name (recursion) does
+    not count as a use."""
+    used: set[str] = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                used.add(name)
+    return used
+
+
+def test_every_export_has_a_caller():
+    callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    bench = sorted(BENCH.glob("*.py"))
+    assert bench, f"no benchmark sources under {BENCH}"
+    callers += bench
+    used = set().union(*(used_names(p) for p in callers))
+    assert sorted(exported_names() - used) == []

@@ -1,5 +1,6 @@
 """Rewriting relation, normal forms, traces, and bounded searches."""
 
+import itertools
 import math
 import sys
 
@@ -7,21 +8,19 @@ import pytest
 
 from lmtk import rewriting
 from lmtk.rewriting import (
+    DEFAULT_FUEL,
     MAX_TERM_NODES,
     FuelExhausted,
     NormalForms,
+    RewriteStep,
+    apply_rule,
     enumeration_variables,
-    eps_normal_form,
     is_eps_irreducible,
     is_innermost_redex,
     is_reducible,
-    joinable,
     nf,
     normalize,
-    normalize_outermost,
-    odp,
     replay,
-    rewrite_at,
     subterm_collapse_search,
 )
 from lmtk.terms import App, Symbol, Var, enumerate_terms, render_term, subterms, term_size
@@ -33,6 +32,7 @@ from conftest import (
     ROOT_OVERLAP,
     ROOT_OVERLAP_TRUNCATED,
     UNARY_CHAIN,
+    odp,
 )
 
 
@@ -52,24 +52,20 @@ def t(src, trs):
 
 class TestRewriteAt:
     def test_root_step(self, sys3):
-        result = rewrite_at(sys3, t("f(b,i(b))", sys3), ())
-        assert result is not None
-        term, step = result
+        _, trace = normalize(sys3, t("f(b,i(b))", sys3))
         # first matching rule in file order wins
-        assert step.rule_label == "r1"
-        assert render_term(term) == "g(b)"
+        assert trace[0].rule_label == "r1"
+        assert render_term(trace[0].target) == "g(b)"
 
     def test_no_match_at_root(self, sys2):
-        only_g = sys2.with_rules([sys2.rule("r2")])
-        assert rewrite_at(only_g, t("f(b,i(b))", sys2), ()) is None
+        assert apply_rule(sys2.rule("r2"), t("f(b,i(b))", sys2), ()) is None
 
     def test_inner_step(self, sys2):
-        only_g = sys2.with_rules([sys2.rule("r2")])
-        result = rewrite_at(only_g, t("f(g(b),b)", sys2), (1,))
+        result = apply_rule(sys2.rule("r2"), t("f(g(b),b)", sys2), (1,))
         assert result is not None
-        term, step = result
+        term, sigma = result
         assert render_term(term) == "f(c,b)"
-        assert step.position == (1,)
+        assert sigma == {}
 
 
 class TestNormalize:
@@ -188,21 +184,49 @@ class TestNormalize:
         assert [s.rule_label for s in traces[0]] == ["r1", "r2"] * 2 + ["r1"]
 
 
+def first_redex(trs, t, order):
+    """The first position in `order` where some rule applies, taking the
+    rules in file order: (rule, position, rewritten term, matcher)."""
+    for p in order:
+        for rule in trs.rules:
+            hit = apply_rule(rule, t, p)
+            if hit is not None:
+                return rule, p, *hit
+    return None
+
+
 def innermost_oracle(trs, t, fuel):
     """Leftmost-innermost normalization from the definition: rewrite at the
     first position in post-order where a rule applies."""
     trace = []
     while True:
         order = sorted((p for p, _ in subterms(t)), key=lambda p: p + (math.inf,))
-        hit = next(filter(None, (rewrite_at(trs, t, p) for p in order)), None)
+        hit = first_redex(trs, t, order)
         if hit is None:
             return t, trace
         if len(trace) >= fuel:
             raise FuelExhausted(t, trace)
-        t, step = hit
-        trace.append(step)
+        rule, p, target, sigma = hit
+        trace.append(RewriteStep(rule.label, p, tuple(sorted(sigma.items())),
+                                 t, target))
+        t = target
         if term_size(t) > MAX_TERM_NODES:
             raise FuelExhausted(t, trace)
+
+
+def normalize_outermost(trs, t, fuel=DEFAULT_FUEL):
+    """Leftmost-outermost normal form: rewrite at the first position in
+    pre-order where a rule applies. Cross-checks strategy independence on
+    convergent systems."""
+    for steps in itertools.count():
+        hit = first_redex(trs, t, [p for p, _ in subterms(t)])
+        if hit is None:
+            return t
+        if steps >= fuel:
+            raise FuelExhausted(t, [])
+        t = hit[2]
+        if term_size(t) > MAX_TERM_NODES:
+            raise FuelExhausted(t, [])
 
 
 def outcome(normalizer, trs, u, fuel):
@@ -268,6 +292,15 @@ class TestNormalFormsCache:
                     outgrown += term_size(e.term) > MAX_TERM_NODES
         assert cases > 12000
         assert outgrown > 0
+
+
+def eps_normal_form(trs, t, fuel=DEFAULT_FUEL):
+    """Normalize all proper subterms, never rewriting at the root."""
+    if isinstance(t, Var):
+        return t
+    return App(t.sym, tuple(nf(trs, a, fuel) for a in t.args))
+
+
 class TestEpsNotions:
     def test_innermost_redex(self, sys3):
         assert is_innermost_redex(sys3, t("f(b,i(b))", sys3))
@@ -313,16 +346,18 @@ class TestOdp:
 
 
 class TestJoinable:
+    # two terms are joinable in a convergent system when their normal
+    # forms are equal
     def test_root_overlap_example(self, sys3):
-        ok, witness = joinable(sys3, t("f(b,i(b))", sys3), t("c", sys3))
-        assert ok and render_term(witness) == "c"
+        witness = nf(sys3, t("f(b,i(b))", sys3))
+        assert witness == nf(sys3, t("c", sys3)) and render_term(witness) == "c"
 
     def test_reflexive(self, sys3):
-        assert joinable(sys3, t("i(b)", sys3), t("i(b)", sys3))[0]
+        assert nf(sys3, t("i(b)", sys3)) == nf(sys3, t("i(b)", sys3))
 
     def test_distinct_normal_forms(self):
         trs = parse_trs("sig: a/0 b/0 c/0 d/0\nrules:\n  a -> b\n  c -> d\n")
-        assert not joinable(trs, t("a", trs), t("c", trs))[0]
+        assert nf(trs, t("a", trs)) != nf(trs, t("c", trs))
 
 
 class TestCollapseSearch:
