@@ -52,6 +52,7 @@ from .overlaps import (
 from .closure import (
     FcCandidate,
     FcTrace,
+    RuleIndex,
     fc_iterate,
     innermost_one_step_check,
     is_forward_closed,

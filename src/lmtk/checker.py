@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .closure import compositions, is_forward_closed
+from .closure import RuleIndex, compositions, is_forward_closed
 from .overlaps import (
     Equation,
     critical_pairs,
@@ -48,7 +48,6 @@ from .terms import (
     Term,
     Var,
     enumerate_terms,
-    match_many,
     match_term,
     mgu,
     render_position,
@@ -452,15 +451,13 @@ def consequence_checks(trs: Trs, depth: int = 3,
     # (e) every paramodulation conclusion is redundant (a conclusion is an
     # unordered equation, so subsumption tries both orientations)
     bad = []
+    index = RuleIndex(trs.rules)
     for cand in paramodulation_candidates(trs):
         eq = cand.conclusion
         if eq.lhs == eq.rhs:
             continue
-        subsumed = any(
-            match_many([(r.lhs, eq.lhs), (r.rhs, eq.rhs)]) is not None
-            or match_many([(r.lhs, eq.rhs), (r.rhs, eq.lhs)]) is not None
-            for r in trs.rules)
-        if not subsumed:
+        if not (index.subsumed(eq.lhs, eq.rhs)
+                or index.subsumed(eq.rhs, eq.lhs)):
             bad.append(str(cand))
     add("paramodulation saturated", not bad, "; ".join(bad[:3]))
 

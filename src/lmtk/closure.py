@@ -10,13 +10,24 @@ Redundancy here is the computable approximation: a candidate is redundant
 when its sides are equal or some existing rule subsumes it outright. That
 is sound (nothing needed is dropped) but may keep more rules than an
 ideal ground-instance notion would; reports always state which filter ran.
+
+Subsuming rules are not found by scanning every rule. A `RuleIndex` (a
+discrimination tree: McCune, JAR 1992; Graf, *Term Indexing*, LNAI 1053)
+files each rule under the pre-order symbols of its lhs and then its rhs,
+every variable under one wildcard key. A query walks the candidate's
+pre-order keys and follows two branches at each: the candidate's symbol,
+and the wildcard, which skips the candidate's whole subterm there. A
+candidate's variable is a constant to matching, so it follows only the
+wildcard. What the query retrieves matches the candidate position by
+position, and `subsumes` then checks each retrieved rule under one
+consistent substitution, which repeated variables need.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .overlaps import overlap_sites, rule_key
 from .rewriting import (
@@ -31,6 +42,7 @@ from .rewriting import (
 from .terms import (
     Position,
     Term,
+    Var,
     match_many,
     match_term,
     mgu,
@@ -54,17 +66,71 @@ class FcCandidate:
                 f"at {render_position(self.position)}, gen {self.generation})")
 
 
-def subsumes(general: Rule, candidate: Rule) -> bool:
-    """One substitution maps `general` onto `candidate`, both sides at once."""
-    return match_many([(general.lhs, candidate.lhs),
-                       (general.rhs, candidate.rhs)]) is not None
+def subsumes(general: Rule, lhs: Term, rhs: Term) -> bool:
+    """One substitution maps `general` onto the pair (lhs, rhs), both sides
+    at once."""
+    return match_many([(general.lhs, lhs), (general.rhs, rhs)]) is not None
 
 
-def is_redundant_approx(candidate: Rule, existing: Sequence[Rule]) -> bool:
-    """Trivial (sides equal) or subsumed by some existing rule."""
+# the index key of every variable; symbols are their own keys
+_ANY = object()
+
+
+class RuleIndex:
+    """Rules filed for retrieval of the ones that subsume a term pair."""
+
+    def __init__(self, rules: Iterable[Rule] = ()) -> None:
+        # nested dicts keyed by pre-order key; a key sequence spells out
+        # two whole terms, so no sequence is a prefix of another and the
+        # last key of each leads to the list of rules filed under it
+        self._root: dict = {}
+        for rule in rules:
+            self.add(rule)
+
+    def add(self, rule: Rule) -> None:
+        keys = [_ANY if isinstance(u, Var) else u.sym
+                for t in (rule.lhs, rule.rhs) for _, u in subterms(t)]
+        node = self._root
+        for key in keys[:-1]:
+            node = node.setdefault(key, {})
+        node.setdefault(keys[-1], []).append(rule)
+
+    def generalizations(self, lhs: Term, rhs: Term) -> list[Rule]:
+        """Every rule whose sides match (lhs, rhs) when each variable
+        occurrence is matched on its own: all the rules that subsume the
+        pair, and those that would but for a repeated variable."""
+        out: list[Rule] = []
+        # (tree node, subterms still to walk as a linked list, next first)
+        stack = [(self._root, (lhs, (rhs, None)))]
+        while stack:
+            node, todo = stack.pop()
+            if todo is None:
+                out.extend(node)
+                continue
+            u, rest = todo
+            child = node.get(_ANY)
+            if child is not None:
+                stack.append((child, rest))
+            if u.__class__ is not Var:
+                child = node.get(u.sym)
+                if child is not None:
+                    for a in reversed(u.args):
+                        rest = (a, rest)
+                    stack.append((child, rest))
+        return out
+
+    def subsumed(self, lhs: Term, rhs: Term) -> bool:
+        """Some indexed rule subsumes the pair (lhs, rhs)."""
+        return any(subsumes(r, lhs, rhs)
+                   for r in self.generalizations(lhs, rhs))
+
+
+def is_redundant_approx(candidate: Rule, existing: RuleIndex) -> bool:
+    """Trivial (sides equal) or subsumed by some rule of `existing`, found
+    through the index rather than by trying every rule."""
     if candidate.lhs == candidate.rhs:
         return True
-    return any(subsumes(r, candidate) for r in existing)
+    return existing.subsumed(candidate.lhs, candidate.rhs)
 
 
 def compositions(sources: Sequence[Rule], base: Sequence[Rule]) -> list[FcCandidate]:
@@ -106,11 +172,14 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
     current: list[Rule] = list(trs.rules)
     trace.generations.append(list(current))
     labels = {r.label for r in current}
+    # candidates are checked against the previous generation only; a
+    # generation's own duplicates are caught by `rule_key`
+    index = RuleIndex(current)
     for gen in range(1, max_generations + 1):
         fresh: list[FcCandidate] = []
         keys = {rule_key(r) for r in current}
         for cand in compositions(current, trs.rules):
-            if is_redundant_approx(cand.rule, current):
+            if is_redundant_approx(cand.rule, index):
                 continue
             key = rule_key(cand.rule)
             if key in keys:
@@ -128,6 +197,8 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
             trace.converged = True
             return trace
         trace.new_rules.append(fresh)
+        for c in fresh:
+            index.add(c.rule)
         current = current + [c.rule for c in fresh]
         trace.generations.append(list(current))
     return trace
@@ -136,8 +207,9 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
 def is_forward_closed(trs: Trs) -> tuple[bool, Optional[FcCandidate]]:
     """True when every one-step composition of the system against itself
     is redundant; otherwise the first non-redundant composition."""
+    index = RuleIndex(trs.rules)
     for cand in compositions(trs.rules, trs.rules):
-        if not is_redundant_approx(cand.rule, trs.rules):
+        if not is_redundant_approx(cand.rule, index):
             return False, cand
     return True, None
 

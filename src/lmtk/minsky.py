@@ -76,6 +76,10 @@ class Config:
     c2: int
     steps: int = 0
 
+    def __post_init__(self) -> None:
+        if min(self.c1, self.c2, self.steps) < 0:
+            raise ValueError("counter values and steps must be 0 or more")
+
 
 def parse_machine(text: str) -> MinskyMachine:
     """Line-oriented machine files:

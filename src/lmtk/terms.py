@@ -23,6 +23,15 @@ class Symbol:
 
     name: str
     arity: int
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # symbols key every term hash and the closure's rule index; the
+        # generated hash would build and hash a tuple on every lookup
+        object.__setattr__(self, "_hash", hash((self.name, self.arity)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return f"{self.name}/{self.arity}"
@@ -125,27 +134,30 @@ def render_position(p: Position) -> str:
 
 
 def variables_of(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return {t.name}
+    # iterative, like the other term walks: rules and rewritten terms
+    # reach depths past the interpreter recursion limit
     out: set[str] = set()
-    for a in t.args:
-        out |= variables_of(a)
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is Var:
+            out.add(u.name)
+        else:
+            stack.extend(u.args)
     return out
 
 
 def variables_in_order(t: Term) -> list[str]:
     """Variable names by first occurrence, left to right."""
     seen: list[str] = []
-
-    def walk(u: Term) -> None:
-        if isinstance(u, Var):
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is Var:
             if u.name not in seen:
                 seen.append(u.name)
         else:
-            for a in u.args:
-                walk(a)
-
-    walk(t)
+            stack.extend(reversed(u.args))
     return seen
 
 

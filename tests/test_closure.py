@@ -1,20 +1,32 @@
 """Forward closure: composition, redundancy, iteration, one-step checks."""
 
+import random
+
 import pytest
 
 from lmtk.closure import (
+    RuleIndex,
     compositions,
     fc_iterate,
     innermost_one_step_check,
     is_forward_closed,
     is_redundant_approx,
+    subsumes,
 )
 from lmtk.minsky import encode
+from lmtk.overlaps import paramodulation_candidates
 from lmtk.rewriting import Rule, apply_rule
-from lmtk.terms import render_term
-from lmtk.trs_format import parse_trs
+from lmtk.terms import Var, render_term
+from lmtk.trs_format import parse_term, parse_trs
 
-from conftest import ROOT_OVERLAP, ROOT_OVERLAP_TRUNCATED, TINY_MACHINE
+from conftest import (
+    FC_SOURCES,
+    LM_SOURCES,
+    ROOT_OVERLAP,
+    ROOT_OVERLAP_TRUNCATED,
+    TINY_MACHINE,
+)
+from random_systems import random_system
 
 
 @pytest.fixture(scope="module")
@@ -58,15 +70,15 @@ class TestFcStep:
 class TestRedundancy:
     def test_identical_rule(self, sys3):
         cand = Rule(sys3.rule("r3").lhs, sys3.rule("r3").rhs, "new")
-        assert is_redundant_approx(cand, sys3.rules)
+        assert is_redundant_approx(cand, RuleIndex(sys3.rules))
 
     def test_not_subsumed(self, sys2):
         cand = composed_at(sys2.rule("r1"), sys2.rule("r2"), ()).rule
-        assert not is_redundant_approx(cand, sys2.rules)
+        assert not is_redundant_approx(cand, RuleIndex(sys2.rules))
 
     def test_trivial_candidate(self, sys2):
         lhs = sys2.rule("r1").lhs
-        assert is_redundant_approx(Rule(lhs, lhs, "t"), [])
+        assert is_redundant_approx(Rule(lhs, lhs, "t"), RuleIndex())
 
     def test_renamed_variant_subsumed(self):
         trs = parse_trs("sig: f/1 g/1\nvars: x y\nrules:\n  f(x) -> g(x)\n")
@@ -74,7 +86,93 @@ class TestRedundancy:
             "sig: f/1 g/1\nvars: y\nrules:\n  f(y) -> g(y)\n").rules[0].lhs,
             parse_trs("sig: f/1 g/1\nvars: y\nrules:\n  f(y) -> g(y)\n"
                       ).rules[0].rhs, "v")
-        assert is_redundant_approx(variant, trs.rules)
+        assert is_redundant_approx(variant, RuleIndex(trs.rules))
+
+
+def differential_systems():
+    """The hand-written systems and seeded random ones, non-linear left
+    sides included."""
+    out = [parse_trs(src) for src in {**LM_SOURCES, **FC_SOURCES}.values()]
+    for seed in range(120):
+        trs = random_system(random.Random(seed))
+        if trs is not None:
+            out.append(trs)
+    return out
+
+
+def checked_generations():
+    """Each generation's rules with the compositions `fc_iterate` checks
+    against them for redundancy."""
+    for trs in differential_systems():
+        trace = fc_iterate(trs, 2)
+        for rules in trace.generations[:len(trace.new_rules)]:
+            yield rules, [c.rule for c in compositions(rules, trs.rules)]
+
+
+def linear_match(pattern, subject):
+    """Matching that lets each variable occurrence match on its own."""
+    pairs = [(pattern, subject)]
+    while pairs:
+        p, s = pairs.pop()
+        if isinstance(p, Var):
+            continue
+        if isinstance(s, Var) or p.sym != s.sym:
+            return False
+        pairs.extend(zip(p.args, s.args))
+    return True
+
+
+class TestRuleIndex:
+    """The index against the scan it replaced, as a differential oracle."""
+
+    def test_retrieval_is_complete_and_precise(self):
+        candidates = scanned = retrieved = subsumed = 0
+        for rules, cands in checked_generations():
+            index = RuleIndex(rules)
+            for cand in cands:
+                found = index.generalizations(cand.lhs, cand.rhs)
+                assert len(found) == len(set(found))
+                # (a) complete: every subsuming rule is retrieved
+                oracle = [r for r in rules if subsumes(r, cand.lhs, cand.rhs)]
+                assert set(oracle) <= set(found)
+                # (b) precise: everything retrieved matches but for variable
+                # consistency; a scan of every rule fails here
+                for r in found:
+                    assert linear_match(r.lhs, cand.lhs), (r, cand)
+                    assert linear_match(r.rhs, cand.rhs), (r, cand)
+                assert is_redundant_approx(cand, index) == (
+                    cand.lhs == cand.rhs or bool(oracle))
+                candidates += 1
+                scanned += len(rules)
+                retrieved += len(found)
+                subsumed += len(oracle)
+        # the corpus exercises both filters: retrieval prunes the scan, and
+        # repeated variables reject some retrieved rules
+        assert candidates > 1000
+        assert subsumed < retrieved < scanned
+
+    def test_paramodulation_conclusions_in_both_orientations(self):
+        conclusions = 0
+        for trs in differential_systems():
+            index = RuleIndex(trs.rules)
+            for cand in paramodulation_candidates(trs):
+                eq = cand.conclusion
+                for lhs, rhs in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
+                    assert index.subsumed(lhs, rhs) == any(
+                        subsumes(r, lhs, rhs) for r in trs.rules)
+                conclusions += 1
+        assert conclusions > 100
+
+    def test_variable_sides_are_indexed_and_queried(self):
+        trs = parse_trs("sig: f/2 g/1 a/0\nvars: x y\nrules:\n"
+                        "  f(x, x) -> x\n  f(x, y) -> g(y)\n")
+        index = RuleIndex(trs.rules)
+        same, a, x = (parse_term(s, trs) for s in ("f(a,a)", "a", "x"))
+        assert index.generalizations(same, a) == [trs.rule("r1")]
+        assert index.subsumed(same, a)
+        # a subject variable is a constant: only pattern variables match it
+        assert index.generalizations(x, same) == []
+        assert not index.subsumed(same, x)
 
 
 class TestFcIterate:

@@ -52,6 +52,12 @@ class TestSimulate:
         assert run.halted
         assert run.final_config == Config("qL", 2, 0, 2)
 
+    @pytest.mark.parametrize("counters", [(-2, 0, 0), (0, -1, 0), (0, 0, -1)])
+    def test_negative_counter_rejected(self, counters):
+        # with c1 = -2 the tiny machine used to "halt" at qL with c1 = 0
+        with pytest.raises(ValueError, match="0 or more"):
+            simulate(TINY_MACHINE, Config("q0", *counters))
+
     def test_start_at_final(self):
         run = simulate(TINY_MACHINE, Config("qL", 0, 0))
         assert run.halted and run.transitions == []

@@ -108,6 +108,16 @@ class TestNormalize:
         assert replay(trs, start, trace) == expected
         assert result == expected
 
+    def test_rule_deeper_than_the_recursion_limit(self):
+        n = 3 * sys.getrecursionlimit()
+        trs = parse_trs("sig: a/0 f/1\nvars: x\nrules:\n  "
+                        + "f(" * n + "x" + ")" * n + " -> x\n")
+        a, f = trs.symbol("a"), trs.symbol("f")
+        start = App(a)
+        for _ in range(n):
+            start = App(f, (start,))
+        assert nf(trs, start) == App(a)
+
     def test_matcher_values_are_not_walked_again(self, monkeypatch):
         # each step's matcher value is the whole normal tail g^k(a): walking
         # it again would try the root about n^2/2 times

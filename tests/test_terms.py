@@ -22,6 +22,7 @@ from lmtk.terms import (
     substitute,
     subterm_at,
     subterms,
+    variables_in_order,
     variables_of,
 )
 
@@ -224,6 +225,47 @@ class TestMgu:
             lam = match_term(f(pattern[0], f(pattern[1], pattern[2])),
                              f(image[0], f(image[1], image[2])))
             assert lam is not None
+
+
+def recursive_variables_of(t):
+    """The recursive body `variables_of` had before it became a loop."""
+    if isinstance(t, Var):
+        return {t.name}
+    out = set()
+    for u in t.args:
+        out |= recursive_variables_of(u)
+    return out
+
+
+def recursive_variables_in_order(t):
+    """The recursive body `variables_in_order` had before it became a loop."""
+    seen = []
+
+    def walk(u):
+        if isinstance(u, Var):
+            if u.name not in seen:
+                seen.append(u.name)
+        else:
+            for v in u.args:
+                walk(v)
+
+    walk(t)
+    return seen
+
+
+class TestVariables:
+    @given(terms)
+    def test_loops_agree_with_recursive_bodies(self, t):
+        assert variables_of(t) == recursive_variables_of(t)
+        # first-occurrence order decides the names `rename_pair_apart` picks
+        assert variables_in_order(t) == recursive_variables_in_order(t)
+
+    def test_depth_safe_on_a_chain_past_the_recursion_limit(self):
+        t = f(y, x)
+        for _ in range(3 * sys.getrecursionlimit()):
+            t = f(g(t), z)
+        assert variables_of(t) == {"x", "y", "z"}
+        assert variables_in_order(t) == ["y", "x", "z"]
 
 
 class TestRenameApart:
