@@ -14,21 +14,26 @@ facts that certified systems must satisfy (disjoint left sides, no
 superpositions, no compositions, paramodulation candidates all redundant,
 free constructors). A consequence failure means the certification and the
 suite disagree, which is reported as an internal inconsistency rather
-than a property of the input.
+than a property of the input. The suite reads its overlaps off
+`critical_pairs` and `compositions`; the checker unifies nothing itself.
+
+Conditions and consequences alike are settled by `_condition`, the one
+place where a hit bound (rewrite fuel, the precedence search's signature
+limit) turns into an UNKNOWN entry instead of ending the report. An open
+consequence never changes the verdict.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .closure import RuleIndex, compositions, is_forward_closed
 from .overlaps import (
     Equation,
     critical_pairs,
     nosup,
-    overlap_sites,
     paramodulation_candidates,
     rhs_closure,
 )
@@ -49,7 +54,6 @@ from .terms import (
     Var,
     enumerate_terms,
     match_term,
-    mgu,
     render_position,
     render_term,
     subterms,
@@ -95,13 +99,18 @@ class TerminationResult:
 
 def check_termination(trs: Trs, precedence: Optional[Precedence] = None
                       ) -> TerminationResult:
-    """LPO termination: with a precedence, check lhs > rhs for every rule;
-    without one, search all total precedences (only for small signatures)."""
+    """LPO termination: with a precedence, which must name each symbol of
+    the signature once (ValueError otherwise), check lhs > rhs for every
+    rule; without one, search all total precedences (only for small
+    signatures)."""
     names = [s.name for s in trs.symbols]
     if precedence is not None:
         missing = set(names) - set(precedence)
         if missing:
             raise ValueError(f"precedence does not cover {sorted(missing)}")
+        if len(precedence) != len(names):
+            raise ValueError("precedence must name each symbol exactly "
+                             f"once, got {','.join(precedence)}")
         rank = {n: i for i, n in enumerate(precedence)}
         for r in trs.rules:
             if not lpo_greater(r.lhs, r.rhs, rank):
@@ -286,109 +295,89 @@ class CheckOptions:
     fuel: int = DEFAULT_FUEL
 
 
+def _condition(name: str, decide: Callable[[], tuple],
+               fuel_note: str = "fuel exhausted") -> Condition:
+    """The condition `name` as `decide()` settles it, from the rest of the
+    `Condition` fields it returns. A hit bound leaves the condition open:
+    running out of rewrite fuel with `fuel_note`, a signature too large for
+    the precedence search with that error's message."""
+    try:
+        return Condition(name, *decide())
+    except FuelExhausted:
+        return Condition(name, "unknown", fuel_note)
+    except SignatureTooLarge as e:
+        return Condition(name, "unknown", str(e))
+
+
 def lm_verdict(trs: Trs, opts: Optional[CheckOptions] = None) -> LmReport:
-    """Run the full pipeline. Conditions are evaluated in a fixed order
-    and all of them are reported, so a failing system still gets every
-    witness attributed."""
+    """Run the full pipeline. The seven conditions are evaluated in a fixed
+    order and all of them are reported, so a failing system still gets
+    every witness attributed."""
     opts = opts or CheckOptions()
     report = LmReport(collapse_depth=opts.collapse_depth)
+    add = report.conditions.append
 
-    # 1. termination
-    try:
-        term_res = check_termination(trs, opts.precedence)
-    except SignatureTooLarge as e:
-        term_res = None
-        report.conditions.append(Condition("terminating", "unknown", str(e)))
-    if term_res is not None:
-        if term_res.ok:
-            prec = " > ".join(term_res.precedence or [])
-            report.conditions.append(Condition("terminating", "pass",
-                                               f"LPO precedence: {prec}"))
-        else:
-            detail = (f"no LPO orientation (rule {term_res.failing_rule})"
-                      if term_res.failing_rule else "no LPO precedence found")
-            report.conditions.append(Condition("terminating", "fail", detail))
-    terminating = term_res is not None and term_res.ok
+    def terminating():
+        res = check_termination(trs, opts.precedence)
+        if res.ok:
+            return "pass", f"LPO precedence: {' > '.join(res.precedence)}"
+        return "fail", (f"no LPO orientation (rule {res.failing_rule})"
+                        if res.failing_rule else "no LPO precedence found")
+    add(_condition("terminating", terminating))
 
-    # 2. confluence (meaningful once terminating; fuel guards the rest)
-    if not terminating:
-        report.conditions.append(Condition(
-            "confluent", "unknown", "termination not established"))
-    else:
-        try:
-            conf = check_confluence(trs, opts.fuel)
-            if conf.ok:
-                report.conditions.append(Condition(
-                    "confluent", "pass", f"{conf.pair_count} critical pairs, all join"))
-            else:
-                wit = "; ".join(str(cp) for cp in conf.unjoinable[:3])
-                report.conditions.append(Condition("confluent", "fail", wit))
-        except FuelExhausted:
-            report.conditions.append(Condition("confluent", "unknown",
-                                               "fuel exhausted joining pairs"))
+    def confluent():
+        if report.condition("terminating").verdict != "pass":
+            return "unknown", "termination not established"
+        conf = check_confluence(trs, opts.fuel)
+        if conf.ok:
+            return "pass", f"{conf.pair_count} critical pairs, all join"
+        return "fail", "; ".join(str(cp) for cp in conf.unjoinable[:3])
+    add(_condition("confluent", confluent, "fuel exhausted joining pairs"))
 
-    # 3. right-reduced
-    try:
+    def right_reduced():
         reduced = right_reduce(trs, opts.fuel)
         changed = [r.label for r, r2 in zip(trs.rules, reduced.rules)
                    if r.rhs != r2.rhs]
         if changed:
-            report.conditions.append(Condition(
-                "right-reduced", "fail", f"reducible rhs in {', '.join(changed)}"))
-        else:
-            report.conditions.append(Condition("right-reduced", "pass"))
-    except FuelExhausted:
-        report.conditions.append(Condition("right-reduced", "unknown",
-                                           "fuel exhausted normalizing rhs"))
+            return "fail", f"reducible rhs in {', '.join(changed)}"
+        return ("pass",)
+    add(_condition("right-reduced", right_reduced,
+                   "fuel exhausted normalizing rhs"))
 
-    # 4. almost-left-reduced
-    _, deletions = almost_left_reduce(trs)
-    if deletions:
-        report.conditions.append(Condition(
-            "almost-left-reduced", "fail",
-            "; ".join(str(d) for d in deletions)))
-    else:
-        report.conditions.append(Condition("almost-left-reduced", "pass"))
+    def almost_left_reduced():
+        _, deletions = almost_left_reduce(trs)
+        if deletions:
+            return "fail", "; ".join(str(d) for d in deletions)
+        return ("pass",)
+    add(_condition("almost-left-reduced", almost_left_reduced))
 
-    # 5. non-subterm-collapsing (bounded)
-    try:
+    def non_collapsing():
         col = subterm_collapse_search(trs, opts.collapse_depth,
                                       opts.collapse_terms, opts.fuel)
         if col.collapsing:
             u, p = col.witness
-            report.conditions.append(Condition(
-                "non-subterm-collapsing", "fail",
-                f"{render_term(u)} collapses to its subterm at "
-                f"{render_position(p)}"))
-        else:
-            scope = (f"depth {col.max_depth}, {col.terms_checked} terms"
-                     + ("" if col.exhausted else ", enumeration capped"))
-            report.conditions.append(Condition(
-                "non-subterm-collapsing", "pass", f"bounded: {scope}",
-                bounded=True))
-    except FuelExhausted:
-        report.conditions.append(Condition("non-subterm-collapsing", "unknown",
-                                           "fuel exhausted during search"))
+            return "fail", (f"{render_term(u)} collapses to its subterm at "
+                            f"{render_position(p)}")
+        scope = (f"depth {col.max_depth}, {col.terms_checked} terms"
+                 + ("" if col.exhausted else ", enumeration capped"))
+        return "pass", f"bounded: {scope}", True
+    add(_condition("non-subterm-collapsing", non_collapsing,
+                   "fuel exhausted during search"))
 
-    # 6. forward-closed
-    fc_ok, fc_witness = is_forward_closed(trs)
-    if fc_ok:
-        report.conditions.append(Condition("forward-closed", "pass",
-                                           "all compositions redundant"))
-    else:
-        report.conditions.append(Condition(
-            "forward-closed", "fail", f"new rule {fc_witness.rule}"))
+    def forward_closed():
+        ok, witness = is_forward_closed(trs)
+        if ok:
+            return "pass", "all compositions redundant"
+        return "fail", f"new rule {witness.rule}"
+    add(_condition("forward-closed", forward_closed))
 
-    # 7. quasi-determinism of the rhs closure
-    closure = rhs_closure(trs)
-    qd = is_quasi_deterministic(closure)
-    if qd.ok:
-        report.conditions.append(Condition(
-            "rhs quasi-deterministic", "pass", f"{len(closure)} equations"))
-    else:
-        report.conditions.append(Condition(
-            "rhs quasi-deterministic", "fail",
-            "; ".join(str(v) for v in qd.violations)))
+    def rhs_quasi_deterministic():
+        closure = rhs_closure(trs)
+        qd = is_quasi_deterministic(closure)
+        if qd.ok:
+            return "pass", f"{len(closure)} equations"
+        return "fail", "; ".join(str(v) for v in qd.violations)
+    add(_condition("rhs quasi-deterministic", rhs_quasi_deterministic))
 
     # informational: not an LM condition, but a hypothesis of the
     # closure-of-rhs characterization some property tests rely on
@@ -411,75 +400,80 @@ def consequence_checks(trs: Trs, depth: int = 3,
                        fuel: int = DEFAULT_FUEL) -> list[Condition]:
     """Structural facts every certified system satisfies. Run only after
     certification; a failure here is reported as an internal inconsistency
-    between the checker and these facts."""
+    between the checker and these facts. A fact whose check hits a bound
+    is open, like a condition."""
     out: list[Condition] = []
 
-    def add(name: str, ok: bool, detail: str = "") -> None:
-        out.append(Condition(name, "pass" if ok else "fail",
-                             detail if ok or not detail
-                             else f"{INTERNAL_INCONSISTENCY}: {detail}"))
+    def add(name: str, violations: Callable[[], str],
+            fuel_note: str = "fuel exhausted") -> None:
+        # `violations()` cites what breaks the fact, "" when nothing does
+        def decide():
+            bad = violations()
+            return ("fail", f"{INTERNAL_INCONSISTENCY}: {bad}") if bad \
+                else ("pass",)
+        out.append(_condition(name, decide, fuel_note))
 
     # (a) no two distinct rules have unifiable left sides: the root
     # critical pairs, outer rule before inner in rule order
-    bad = [f"{outer.label}/{inner.label}"
-           for i, outer in enumerate(trs.rules)
-           for inner, inner_r, p, sub in overlap_sites(
-               outer.lhs, outer.variables(), trs.rules[i + 1:])
-           if p == ROOT and mgu(sub, inner_r.lhs) is not None]
-    add("lhs pairwise non-unifiable", not bad, ", ".join(bad))
+    order = {r.label: i for i, r in enumerate(trs.rules)}
+    add("lhs pairwise non-unifiable", lambda: ", ".join(
+        f"{cp.outer}/{cp.inner}" for cp in critical_pairs(trs)
+        if cp.position == ROOT and order[cp.outer] < order[cp.inner]))
 
-    # (b) no rhs unifies with a distinct rule's lhs
-    bad = []
-    for r1 in trs.rules:
-        for r2 in trs.rules:
-            if r1.label == r2.label:
-                continue
-            r2r = r2.renamed_apart(r1.variables())
-            if mgu(r1.rhs, r2r.lhs) is not None:
-                bad.append(f"{r1.label}->{r2.label}")
-    add("rhs/lhs non-unifiable", not bad, ", ".join(bad))
+    # (b) no rhs unifies with a distinct rule's lhs: the root compositions,
+    # and every pair whose first rhs is a variable (it unifies with any
+    # lhs renamed apart, but has no non-variable position to compose at)
+    comps = compositions(trs.rules, trs.rules)
+    at_root = {(c.first, c.second) for c in comps if c.position == ROOT}
+    add("rhs/lhs non-unifiable", lambda: ", ".join(
+        f"{r1.label}->{r2.label}" for r1 in trs.rules for r2 in trs.rules
+        if r1 is not r2 and (isinstance(r1.rhs, Var)
+                             or (r1.label, r2.label) in at_root)))
 
     # (c) no non-overlay superpositions
-    sup = nosup(trs)
-    add("no superpositions", not sup,
-        ", ".join(render_term(t) for t in sup[:3]))
+    add("no superpositions",
+        lambda: ", ".join(render_term(t) for t in nosup(trs)[:3]))
 
     # (d) no compositions at all (stronger than redundancy)
-    comps = compositions(trs.rules, trs.rules)
-    add("no compositions", not comps, ", ".join(str(c) for c in comps[:3]))
+    add("no compositions", lambda: ", ".join(str(c) for c in comps[:3]))
 
     # (e) every paramodulation conclusion is redundant (a conclusion is an
     # unordered equation, so subsumption tries both orientations)
-    bad = []
-    index = RuleIndex(trs.rules)
-    for cand in paramodulation_candidates(trs):
-        eq = cand.conclusion
-        if eq.lhs == eq.rhs:
-            continue
-        if not (index.subsumed(eq.lhs, eq.rhs)
-                or index.subsumed(eq.rhs, eq.lhs)):
-            bad.append(str(cand))
-    add("paramodulation saturated", not bad, "; ".join(bad[:3]))
+    def unsaturated() -> str:
+        bad = []
+        index = RuleIndex(trs.rules)
+        for cand in paramodulation_candidates(trs):
+            eq = cand.conclusion
+            if eq.lhs == eq.rhs:
+                continue
+            if not (index.subsumed(eq.lhs, eq.rhs)
+                    or index.subsumed(eq.rhs, eq.lhs)):
+                bad.append(str(cand))
+        return "; ".join(bad[:3])
+    add("paramodulation saturated", unsaturated)
 
     # (f) freeness: distinct same-root terms with irreducible arguments
     # never join (they join when their normal forms are equal, so one
     # normalize per term)
-    vars_ = enumeration_variables(trs, 2)
-    pool: list[Term] = []
-    for t in enumerate_terms(trs.symbols, vars_, depth):
-        if isinstance(t, App) and is_eps_irreducible(trs, t):
-            pool.append(t)
-            if len(pool) >= FREENESS_POOL:
-                break
-    bad = []
-    seen_nf: dict[tuple[str, Term], Term] = {}
-    nf = NormalForms(trs, fuel)
-    for t in pool:
-        key = (t.sym.name, nf(t))
-        if key in seen_nf:
-            bad.append(f"{render_term(seen_nf[key])} ~ {render_term(t)}")
-        else:
-            seen_nf[key] = t
-    add("free over the signature", not bad, "; ".join(bad[:3]))
+    def joined() -> str:
+        vars_ = enumeration_variables(trs, 2)
+        pool: list[Term] = []
+        for t in enumerate_terms(trs.symbols, vars_, depth):
+            if isinstance(t, App) and is_eps_irreducible(trs, t):
+                pool.append(t)
+                if len(pool) >= FREENESS_POOL:
+                    break
+        bad = []
+        seen_nf: dict[tuple[str, Term], Term] = {}
+        nf = NormalForms(trs, fuel)
+        for t in pool:
+            key = (t.sym.name, nf(t))
+            if key in seen_nf:
+                bad.append(f"{render_term(seen_nf[key])} ~ {render_term(t)}")
+            else:
+                seen_nf[key] = t
+        return "; ".join(bad[:3])
+    add("free over the signature", joined,
+        "fuel exhausted normalizing the pool")
 
     return out

@@ -1,9 +1,11 @@
 """Command-line surface.
 
 Exit codes: 0 the checked property holds, 1 it fails, 2 the verdict is
-open at the configured bounds (also when any subcommand runs out of
-rewrite fuel), 3 bad input or usage, 4 an internal error (a bug in lmtk;
-stderr names the exception). `--json` switches any subcommand to a
+open at the configured bounds (also when a subcommand runs out of rewrite
+fuel; `check` reports that in the condition it hit, and an open
+consequence leaves its code alone), 3 bad input or usage (a `--precedence`
+that does not name each symbol once, too), 4 an internal error (a bug in
+lmtk; stderr names the exception). `--json` switches any subcommand to a
 structured report on stdout.
 
 Every count flag takes a decimal number: the depths (`--depth`,
@@ -338,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=_count(1), default=5,
                    help="subterm-collapse search depth, 1 or more")
     p.add_argument("--precedence",
-                   help="comma-separated symbols, greatest first")
+                   help="comma-separated symbols, greatest first, each "
+                        "symbol once")
     common(p)
     p.set_defaults(func=cmd_check)
 

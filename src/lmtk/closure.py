@@ -233,12 +233,13 @@ class OneStepReport:
 
 
 def _one_step_reaches(trs: Trs, t: Term, target: Term) -> bool:
-    for p, sub in subterms(t):
-        for rule in trs.rules:
-            sigma = match_term(rule.lhs, sub)
-            if (sigma is not None
-                    and replace_at(t, p, substitute(rule.rhs, sigma)) == target):
-                return True
+    """Some rule rewrites `t` to `target` at the root. `t` is an innermost
+    redex, so its proper subterms are irreducible and no other step
+    exists."""
+    for rule in trs.rules:
+        sigma = match_term(rule.lhs, t)
+        if sigma is not None and substitute(rule.rhs, sigma) == target:
+            return True
     return False
 
 

@@ -58,13 +58,15 @@ class Equation:
 class CriticalPair:
     """Peak results <inner-rewritten, root-rewritten> of an overlap of
     `inner` into `outer` at `position` (a non-variable position of the
-    outer lhs)."""
+    outer lhs); `peak` is the overlapped term, the instantiated outer
+    lhs."""
 
     left: Term
     right: Term
     outer: str
     inner: str
     position: Position
+    peak: Term
 
     def __str__(self) -> str:
         return (f"<{render_term(self.left)}, {render_term(self.right)}> "
@@ -121,32 +123,24 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
             sigma = mgu(sub, inner_r.lhs)
             if sigma is None:
                 continue
-            left = substitute(replace_at(outer.lhs, p, inner_r.rhs), sigma)
+            peak = substitute(outer.lhs, sigma)
+            left = replace_at(peak, p, substitute(inner_r.rhs, sigma))
             right = substitute(outer.rhs, sigma)
-            out.append(CriticalPair(left, right, outer.label, inner.label, p))
+            out.append(CriticalPair(left, right, outer.label, inner.label, p,
+                                    peak))
     return out
 
 
 def nosup(trs: Trs) -> list[Term]:
-    """Superposition terms sigma(l1) from unifying one lhs into a proper
-    non-variable position of another lhs l1 (self-pairs via a renamed copy
-    included)."""
-    seen: set[Term] = set()
-    out: list[Term] = []
-    for outer in trs.rules:
-        for _, inner_r, p, sub in overlap_sites(outer.lhs, outer.variables(),
-                                                trs.rules):
-            if p == ROOT:
-                continue
-            sigma = mgu(sub, inner_r.lhs)
-            if sigma is None:
-                continue
-            t = substitute(outer.lhs, sigma)
-            key = canonical_term_pair(t, t)[0]
-            if key not in seen:
-                seen.add(key)
-                out.append(t)
-    return out
+    """The non-overlay superpositions: the peaks of the critical pairs at
+    proper positions (a lhs unified into a proper non-variable position of
+    another lhs, or of a renamed copy of itself), in critical-pair order,
+    one per variable renaming."""
+    peaks: dict[Term, Term] = {}  # the first peak per canonical renaming
+    for cp in critical_pairs(trs):
+        if cp.position != ROOT:
+            peaks.setdefault(canonical_term_pair(cp.peak, cp.peak)[0], cp.peak)
+    return list(peaks.values())
 
 
 def rhs_critical_pairs(trs: Trs) -> list[Equation]:

@@ -90,13 +90,13 @@ class Trs:
             raise ValueError("rule labels are not unique")
 
     @cached_property
-    def rules_by_root(self) -> dict[str, tuple[Rule, ...]]:
-        """Rules grouped by lhs root symbol, file order preserved; lets
-        matching skip rules that cannot apply."""
-        out: dict[str, list[Rule]] = {}
+    def rules_by_root(self) -> dict[str, tuple[tuple[int, Rule], ...]]:
+        """Rules grouped by lhs root symbol, file order preserved, each
+        with its lhs size; lets matching skip rules that cannot apply."""
+        out: dict[str, list[tuple[int, Rule]]] = {}
         for r in self.rules:
             assert isinstance(r.lhs, App)
-            out.setdefault(r.lhs.sym.name, []).append(r)
+            out.setdefault(r.lhs.sym.name, []).append((term_size(r.lhs), r))
         return {k: tuple(v) for k, v in out.items()}
 
     @cached_property
@@ -220,10 +220,13 @@ def _root_step(trs: Trs, u: Term) -> Optional[tuple[Rule, Subst]]:
     which rule fires."""
     if isinstance(u, Var):
         return None
-    for rule in trs.rules_by_root.get(u.sym.name, ()):
-        sigma = match_term(rule.lhs, u)
-        if sigma is not None:
-            return rule, sigma
+    # a matcher maps the lhs nodes onto distinct nodes of `u`, so a
+    # larger lhs cannot match
+    for size, rule in trs.rules_by_root.get(u.sym.name, ()):
+        if size <= u._size:
+            sigma = match_term(rule.lhs, u)
+            if sigma is not None:
+                return rule, sigma
     return None
 
 

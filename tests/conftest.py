@@ -214,6 +214,36 @@ def corpus_systems() -> list[tuple[str, Trs, CheckOptions]]:
     return out
 
 
+# variable right sides, first and last in rule order: such a rhs unifies
+# with every lhs renamed apart, at no non-variable position
+VARIABLE_RHS = """
+sig: f/1 g/2 h/1 a/0
+vars: x y
+rules:
+  f(x) -> x
+  g(x, y) -> h(y)
+  h(a) -> a
+  g(a, f(x)) -> x
+"""
+
+
+def overlap_systems() -> list[Trs]:
+    """Every system the overlap oracles compare on, certified or not: the
+    named systems above, the corpus with the encoded machines, and the
+    random systems of seeds 0-119."""
+    import random
+    from random_systems import random_system
+    out = [load(src) for src in (UNARY_CHAIN, DUPLICATING, ROOT_OVERLAP,
+                                 ROOT_OVERLAP_TRUNCATED, NEEDS_RIGHT_REDUCE,
+                                 NEEDS_LEFT_REDUCE, VARIABLE_RHS)]
+    out.extend(trs for _, trs, _ in corpus_systems())
+    for seed in range(120):
+        trs = random_system(random.Random(seed))
+        if trs is not None:
+            out.append(trs)
+    return out
+
+
 @pytest.fixture(scope="session")
 def corpus():
     return corpus_systems()

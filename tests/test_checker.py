@@ -3,6 +3,7 @@
 import pytest
 
 from lmtk.checker import (
+    INTERNAL_INCONSISTENCY,
     CheckOptions,
     SignatureTooLarge,
     almost_left_reduce,
@@ -16,9 +17,9 @@ from lmtk.checker import (
     right_reduce,
 )
 from lmtk.minsky import encode, encoding_precedence
-from lmtk.overlaps import Equation, rhs_closure
+from lmtk.overlaps import Equation, overlap_sites, rhs_closure
 from lmtk.rewriting import nf
-from lmtk.terms import Var, enumerate_terms, render_term
+from lmtk.terms import ROOT, Var, enumerate_terms, mgu, render_term
 from lmtk.trs_format import parse_term, parse_trs
 
 from conftest import (
@@ -29,6 +30,8 @@ from conftest import (
     ROOT_OVERLAP,
     TINY_MACHINE,
     UNARY_CHAIN,
+    VARIABLE_RHS,
+    overlap_systems,
 )
 
 
@@ -70,6 +73,16 @@ class TestTermination:
         trs = parse_trs(UNARY_CHAIN)
         with pytest.raises(ValueError):
             check_termination(trs, ["f", "g"])
+
+    @pytest.mark.parametrize("precedence", [
+        ["f", "g", "h", "f"],           # a symbol twice
+        ["f", "f", "g", "h"],
+        ["f", "g", "h", "zz"],          # a symbol outside the signature
+    ])
+    def test_precedence_must_name_each_symbol_once(self, precedence):
+        trs = parse_trs(UNARY_CHAIN)
+        with pytest.raises(ValueError, match="exactly once"):
+            check_termination(trs, precedence)
 
 
 class TestConfluence:
@@ -304,3 +317,92 @@ rules:
         inst = encode(TINY_MACHINE, 0, 0)
         checks = consequence_checks(inst.theory)
         assert all(c.verdict == "pass" for c in checks)
+
+
+FREE_UNARY = "sig: f/1 g/1\nvars: x\nrules:\n  f(x) -> g(x)\n"
+
+
+class TestBoundsLeaveConditionsOpen:
+    def test_consequence_out_of_fuel_is_unknown(self):
+        # certified at collapse depth 1 with no fuel, since nothing there
+        # needs a step; the freeness pool does
+        report = lm_verdict(parse_trs(FREE_UNARY),
+                            CheckOptions(collapse_depth=1, fuel=0))
+        assert report.verdict == "pass"
+        assert len(report.conditions) == 7
+        free = report.consequences[-1]
+        assert (free.name, free.verdict, free.detail) == (
+            "free over the signature", "unknown",
+            "fuel exhausted normalizing the pool")
+        assert [c.verdict for c in report.consequences[:-1]] == ["pass"] * 5
+
+    def test_each_condition_keeps_its_fuel_note(self):
+        # terminating, but joining <f(c), k(b)>, normalizing the rhs g(b)
+        # and the collapse search each need a step
+        report = lm_verdict(parse_trs(
+            "sig: f/1 g/1 k/1 b/0 c/0 d/0\nvars: x\nrules:\n"
+            "  f(g(x)) -> k(x)\n  g(b) -> c\n  f(c) -> k(b)\n"
+            "  d -> g(b)\n"), CheckOptions(fuel=0))
+        assert report.condition("terminating").verdict == "pass"
+        notes = {c.name: c.detail for c in report.conditions
+                 if c.verdict == "unknown"}
+        assert notes == {"confluent": "fuel exhausted joining pairs",
+                         "right-reduced": "fuel exhausted normalizing rhs",
+                         "non-subterm-collapsing":
+                             "fuel exhausted during search"}
+        assert report.verdict == "fail" and report.consequences == []
+
+    def test_oversized_signature_is_unknown(self):
+        theory = encode(TINY_MACHINE, 0, 0).theory
+        term = lm_verdict(theory).condition("terminating")
+        assert term.verdict == "unknown"
+        assert term.detail.endswith("supply a precedence explicitly")
+
+
+def lhs_unifiable_oracle(trs):
+    """Consequence (a) as its own rename-apart-and-unify loop."""
+    return [f"{outer.label}/{inner.label}"
+            for i, outer in enumerate(trs.rules)
+            for inner, inner_r, p, sub in overlap_sites(
+                outer.lhs, outer.variables(), trs.rules[i + 1:])
+            if p == ROOT and mgu(sub, inner_r.lhs) is not None]
+
+
+def rhs_lhs_unifiable_oracle(trs):
+    """Consequence (b) as its own pairwise unification loop."""
+    return [f"{r1.label}->{r2.label}"
+            for r1 in trs.rules for r2 in trs.rules
+            if r1.label != r2.label and mgu(
+                r1.rhs, r2.renamed_apart(r1.variables()).lhs) is not None]
+
+
+class TestConsequenceOverlaps:
+    """Consequences (a) and (b) against the unification loops they
+    replaced, on certified and uncertified systems alike."""
+
+    @staticmethod
+    def expected(bad):
+        return ("fail", f"{INTERNAL_INCONSISTENCY}: {', '.join(bad)}") \
+            if bad else ("pass", "")
+
+    def test_agree_with_the_unification_loops(self):
+        failing = variable_rhs = 0
+        for trs in overlap_systems():
+            checks = consequence_checks(trs, depth=1, fuel=50)
+            lhs, rhs = checks[0], checks[1]
+            assert lhs.name == "lhs pairwise non-unifiable"
+            assert rhs.name == "rhs/lhs non-unifiable"
+            assert (lhs.verdict, lhs.detail) == \
+                self.expected(lhs_unifiable_oracle(trs))
+            assert (rhs.verdict, rhs.detail) == \
+                self.expected(rhs_lhs_unifiable_oracle(trs))
+            failing += lhs.verdict == "fail"
+            failing += rhs.verdict == "fail"
+            variable_rhs += any(isinstance(r.rhs, Var) for r in trs.rules)
+        assert failing > 20 and variable_rhs >= 1
+
+    def test_variable_rhs_unifies_with_every_other_lhs(self):
+        checks = consequence_checks(parse_trs(VARIABLE_RHS), depth=1)
+        assert checks[1].detail == (
+            f"{INTERNAL_INCONSISTENCY}: r1->r2, r1->r3, r1->r4, "
+            "r2->r3, r4->r1, r4->r2, r4->r3")

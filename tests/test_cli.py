@@ -76,6 +76,35 @@ class TestCheck:
                            ",".join(encoding_precedence(TINY_MACHINE)))
         assert code == 0
 
+    @pytest.mark.parametrize("precedence", [
+        "f,a,g,f",      # f twice, ranked last by the second
+        "f,f,g,a",      # f twice, certifying f > f > g > a
+        "g,f,a,zz",     # a symbol the signature does not declare
+    ])
+    def test_malformed_precedence_is_usage_error(self, write, capsys,
+                                                 precedence):
+        path = write("fg.trs", "sig: f/1 g/1 a/0\nvars: x\nrules:\n"
+                               "  f(x) -> g(x)\n")
+        code, out, err = run(capsys, "check", path, "--precedence",
+                             precedence)
+        assert (code, out) == (3, "")
+        assert err.strip() == ("error: precedence must name each symbol "
+                               f"exactly once, got {precedence}")
+
+    def test_consequence_out_of_fuel_still_reports(self, write, capsys):
+        # nothing up to collapse depth 1 takes a step, so the system is
+        # certified with no fuel; only the freeness pool runs out
+        path = write("fg.trs", "sig: f/1 g/1\nvars: x\nrules:\n"
+                               "  f(x) -> g(x)\n")
+        code, out, err = run(capsys, "check", path, "--fuel", "0",
+                             "--depth", "1")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len([ln for ln in lines[:7] if "PASS" in ln]) == 7
+        assert ("  free over the signature     UNKNOWN "
+                "(fuel exhausted normalizing the pool)") in lines
+        assert lines[-1] == "LM-system: PASS (collapse bounded at depth 1)"
+
     def test_missing_file_exit_three(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent.trs")
         assert code == 3

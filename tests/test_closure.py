@@ -1,9 +1,12 @@
 """Forward closure: composition, redundancy, iteration, one-step checks."""
 
+import contextlib
+import itertools
 import random
 
 import pytest
 
+from lmtk import closure
 from lmtk.closure import (
     RuleIndex,
     compositions,
@@ -15,8 +18,22 @@ from lmtk.closure import (
 )
 from lmtk.minsky import encode
 from lmtk.overlaps import paramodulation_candidates
-from lmtk.rewriting import Rule, apply_rule
-from lmtk.terms import Var, render_term
+from lmtk.rewriting import (
+    FuelExhausted,
+    Rule,
+    apply_rule,
+    enumerate_ground_irreducible,
+    is_innermost_redex,
+    nf,
+)
+from lmtk.terms import (
+    Var,
+    match_term,
+    render_term,
+    replace_at,
+    substitute,
+    subterms,
+)
 from lmtk.trs_format import parse_term, parse_trs
 
 from conftest import (
@@ -238,3 +255,41 @@ class TestInnermostOneStep:
     def test_single_ground_rule(self):
         trs = parse_trs("sig: a/0 b/0\nrules:\n  a -> b\n")
         assert innermost_one_step_check(trs, depth=3).ok
+
+    def test_root_steps_agree_with_every_position(self, monkeypatch):
+        # the check asks only about innermost redexes, whose one steps all
+        # happen at the root; the oracle tries every position and rule
+        def oracle(trs, t, target):
+            return any(replace_at(t, p, substitute(rule.rhs, sigma)) == target
+                       for p, sub in subterms(t) for rule in trs.rules
+                       if (sigma := match_term(rule.lhs, sub)) is not None)
+
+        def report(trs):
+            try:
+                return innermost_one_step_check(trs, depth=3, fuel=200)
+            except FuelExhausted as e:
+                return e.term
+
+        answers = []
+        for trs in differential_systems():
+            pool = enumerate_ground_irreducible(trs, 3, 128)
+            for rule in trs.rules:
+                names = sorted(rule.variables())
+                for combo in itertools.islice(
+                        itertools.product(pool, repeat=len(names)), 512):
+                    t = substitute(rule.lhs, dict(zip(names, combo)))
+                    if not is_innermost_redex(trs, t):
+                        continue
+                    targets = [t]
+                    with contextlib.suppress(FuelExhausted):
+                        targets.append(nf(trs, t, 200))
+                    for target in targets:
+                        answer = closure._one_step_reaches(trs, t, target)
+                        assert answer == oracle(trs, t, target), (trs, t)
+                        answers.append(answer)
+        assert len(answers) > 500 and True in answers and False in answers
+
+        systems = differential_systems()
+        fast = [report(trs) for trs in systems]
+        monkeypatch.setattr(closure, "_one_step_reaches", oracle)
+        assert fast == [report(trs) for trs in systems]

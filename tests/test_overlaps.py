@@ -3,17 +3,19 @@
 import functools
 
 from lmtk.overlaps import (
+    canonical_term_pair,
     critical_pairs,
     nosup,
+    overlap_sites,
     paramodulation_candidates,
     rhs_closure,
     rhs_critical_pairs,
 )
 from lmtk.rewriting import apply_rule
-from lmtk.terms import render_term, substitute, subterm_at
+from lmtk.terms import ROOT, mgu, render_term, substitute, subterm_at
 from lmtk.trs_format import parse_trs
 
-from conftest import DUPLICATING, TINY_MACHINE, UNARY_CHAIN
+from conftest import DUPLICATING, TINY_MACHINE, UNARY_CHAIN, overlap_systems
 from lmtk.minsky import encode
 
 NESTED = """
@@ -75,6 +77,48 @@ class TestNosup:
     def test_lm_system_empty(self):
         trs = parse_trs(UNARY_CHAIN)
         assert nosup(trs) == []
+
+    def test_first_peak_per_renaming_is_kept(self):
+        # g(y) and g(z) overlap f(g(x)) at 1 in rule order; their peaks
+        # differ only by the name of the variable
+        trs = parse_trs("sig: f/1 g/1 a/0 b/0 c/0\nvars: x y z\nrules:\n"
+                        "  f(g(x)) -> a\n  g(y) -> b\n  g(z) -> c\n")
+        assert [render_term(u) for u in nosup(trs)] == ["f(g(y))"]
+
+    def test_agrees_with_its_own_unification_loop(self):
+        # nosup by its definition: unify each lhs into every proper
+        # non-variable position of each lhs, keep one peak per renaming
+        def oracle(trs):
+            seen, out = set(), []
+            for outer in trs.rules:
+                for _, inner_r, p, sub in overlap_sites(
+                        outer.lhs, outer.variables(), trs.rules):
+                    if p == ROOT:
+                        continue
+                    sigma = mgu(sub, inner_r.lhs)
+                    if sigma is None:
+                        continue
+                    t = substitute(outer.lhs, sigma)
+                    key = canonical_term_pair(t, t)[0]
+                    if key not in seen:
+                        seen.add(key)
+                        out.append(t)
+            return out
+
+        found = 0
+        for trs in overlap_systems():
+            expected = oracle(trs)
+            assert nosup(trs) == expected
+            found += len(expected)
+        assert found > 20
+
+    def test_peak_rewrites_to_both_sides(self):
+        for trs in overlap_systems():
+            for cp in critical_pairs(trs):
+                inner = apply_rule(trs.rule(cp.inner), cp.peak, cp.position)
+                outer = apply_rule(trs.rule(cp.outer), cp.peak, ROOT)
+                assert inner is not None and inner[0] == cp.left
+                assert outer is not None and outer[0] == cp.right
 
 
 class TestRhsCriticalPairs:

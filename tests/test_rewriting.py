@@ -118,6 +118,26 @@ class TestNormalize:
             start = App(f, (start,))
         assert nf(trs, start) == App(a)
 
+    def test_matching_work_is_linear_in_the_lhs_depth(self, monkeypatch):
+        # f^n(x) -> x cannot match the smaller f^k(a), k < n, which the
+        # innermost walk offers first: trying it there walks up to k
+        # levels each time, about n^2/2 lhs nodes in all
+        n = 300
+        trs = parse_trs("sig: a/0 f/1\nvars: x\nrules:\n  "
+                        + "f(" * n + "x" + ")" * n + " -> x\n")
+        a, f = trs.symbol("a"), trs.symbol("f")
+        start = App(a)
+        for _ in range(n):
+            start = App(f, (start,))
+        match, offered = rewriting.match_term, []
+
+        def counting(pattern, subject):
+            offered.append(term_size(pattern))
+            return match(pattern, subject)
+        monkeypatch.setattr(rewriting, "match_term", counting)
+        assert nf(trs, start) == App(a)
+        assert sum(offered) <= 2 * n
+
     def test_matcher_values_are_not_walked_again(self, monkeypatch):
         # each step's matcher value is the whole normal tail g^k(a): walking
         # it again would try the root about n^2/2 times
