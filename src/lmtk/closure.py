@@ -177,7 +177,7 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
     index = RuleIndex(current)
     for gen in range(1, max_generations + 1):
         fresh: list[FcCandidate] = []
-        keys = {rule_key(r) for r in current}
+        keys: set[tuple[Term, Term]] = set()
         for cand in compositions(current, trs.rules):
             if is_redundant_approx(cand.rule, index):
                 continue

@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
@@ -120,14 +121,6 @@ def parse_machine(text: str) -> MinskyMachine:
     if not initial or not final:
         raise ValueError("missing 'initial:' or 'final:' line")
     return MinskyMachine(tuple(states), initial, final, tuple(transitions))
-
-
-def render_machine(m: MinskyMachine) -> str:
-    lines = [f"states: {' '.join(m.states)}",
-             f"initial: {m.initial}",
-             f"final: {m.final}"]
-    lines.extend(str(t) for t in m.transitions)
-    return "\n".join(lines) + "\n"
 
 
 def validate_machine(m: MinskyMachine
@@ -369,6 +362,7 @@ class Deduction:
     via: str                      # 'knowledge' or symbol name
     parents: tuple[tuple[Term, bool], ...] = ()
     knowledge_index: int = -1
+    depth: int = 1                # construction height
 
 
 @dataclass
@@ -377,11 +371,15 @@ class CapSearchResult:
     derivation: list[Deduction]
     rounds_used: int
     deduced: int
-    complete: bool    # no bound was hit before closure or success
+    complete: bool    # no bound was hit and no combination was skipped
 
     @property
     def found(self) -> bool:
         return self.cap is not None
+
+
+class _Stop(Exception):
+    """Ends `cap_search`: the goal is deduced or `max_apps` is spent."""
 
 
 def cap_search(instance: CapInstance, max_term_size: int = 30,
@@ -392,9 +390,10 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
     Deduction closes the knowledge set under application of public
     symbols followed by normalization, keeping normal forms up to
     `max_term_size` and construction height up to `max_rounds` (height r
-    terms are exactly what r rounds of naive saturation would add). A
-    construction only counts as a cap when at least one knowledge term
-    occurs in it: the goal is itself built from public symbols, so a
+    terms are exactly what r rounds of naive saturation would add).
+    Deduction is modulo the theory, so the goal is matched by its normal
+    form. A construction only counts as a cap when at least one knowledge
+    term occurs in it: the goal is itself built from public symbols, so a
     context that ignored its holes would make every instance trivially
     solvable. Purely public terms are still deduced and usable as
     arguments inside a cap.
@@ -407,112 +406,104 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
     of machine encodings ahead of the junk flood. At most `max_apps`
     applications are tried overall, and a popped item contributes at most
     `TUPLE_BUDGET_PER_ITEM` argument tuples per symbol of arity two or
-    more. Exhausting any bound without success is a bounded "not found".
+    more, taking each earlier popped argument by its public construction
+    when it has one. `complete` is true only if no bound was hit and no
+    knowledge-using construction was skipped that way: only then is a
+    miss a proof that no cap exists.
     """
     theory = instance.theory
-    goal = instance.goal
     nf = NormalForms(theory, fuel)
+    goal = nf(instance.goal)
     # per term: construction by taint (True = uses a knowledge leaf)
     known: dict[Term, dict[bool, Deduction]] = {}
-    depth: dict[tuple[Term, bool], int] = {}
     heap: list[tuple[int, int, int, Term, bool]] = []
-    processed: list[Term] = []
-    processed_seen: set[Term] = set()
+    processed: dict[Term, None] = {}    # popped terms, in pop order
     seq = itertools.count()
     found = False
     complete = True
     apps = 0
 
-    def admit(term: Term, tainted: bool, ded: Deduction, d: int,
+    def admit(term: Term, tainted: bool, ded: Deduction,
               rewrote: bool) -> None:
         nonlocal found, complete
-        if term_size(term) > max_term_size or d > max_rounds:
+        if term_size(term) > max_term_size or ded.depth > max_rounds:
             complete = False
             return
         slot = known.setdefault(term, {})
         if tainted in slot:
             return
         slot[tainted] = ded
-        depth[(term, tainted)] = d
         heapq.heappush(heap, (0 if rewrote else 1, 0 if tainted else 1,
                               next(seq), term, tainted))
         if tainted and term == goal:
             found = True
 
-    for i, kt in enumerate(instance.knowledge):
-        t = nf(kt)
-        admit(t, True, Deduction(t, "knowledge", (), i), 1, True)
-
-    unary = [s for s in theory.symbols if s.arity == 1]
-    wide = [s for s in theory.symbols if s.arity >= 2]
-    for sym in theory.symbols:
-        if sym.arity == 0 and not found:
-            apps += 1
-            t = App(sym)
-            admit(nf(t), False,
-                  Deduction(t, sym.name, ()), 1, False)
-
-    def consider(sym: Symbol, args: tuple[Term, ...],
-                 taints: tuple[bool, ...]) -> Term:
+    def spend() -> None:    # the stop rule, checked before each application
         nonlocal apps
+        if found or apps >= max_apps:
+            raise _Stop
         apps += 1
+
+    def step(sym: Symbol, args: tuple[Term, ...], taints: tuple[bool, ...],
+             rewriting_only: bool = False) -> Optional[Term]:
+        """Admit the normal form of `sym(args)` (with `rewriting_only`, only
+        if it rewrote); return it if it is an inert wrap, else None."""
+        spend()
         raw = App(sym, args)
         t = nf(raw)
-        tainted = any(taints)
-        d = 1 + max(depth[(a, f)] for a, f in zip(args, taints))
-        admit(t, tainted, Deduction(t, sym.name, tuple(zip(args, taints))),
-              d, t != raw)
-        return t
+        rewrote = t != raw
+        if rewrote or not rewriting_only:
+            parents = tuple(zip(args, taints))
+            d = 1 + max(known[a][f].depth for a, f in parents)
+            admit(t, any(taints), Deduction(t, sym.name, parents, depth=d),
+                  rewrote)
+        return None if rewrote else t
 
-    while heap and not found and apps < max_apps:
-        _, _, _, t, tainted = heapq.heappop(heap)
-        for sym in unary:
-            if found or apps >= max_apps:
-                break
-            u = consider(sym, (t,), (tainted,))
-            if u != App(sym, (t,)) or (u, tainted) not in depth:
-                continue
-            # inert wrap: probe one more unary level, keep what rewrites
-            for sym2 in unary:
-                if found or apps >= max_apps:
-                    break
-                apps += 1
-                raw2 = App(sym2, (u,))
-                t2 = nf(raw2)
-                if t2 != raw2:
-                    admit(t2, tainted,
-                          Deduction(t2, sym2.name, ((u, tainted),)),
-                          depth[(u, tainted)] + 1, True)
-        if t not in processed_seen:
-            processed_seen.add(t)
-            processed.append(t)
-        for sym in wide:
-            if found or apps >= max_apps:
-                break
-            budget = TUPLE_BUDGET_PER_ITEM
-            for slot in range(sym.arity):
-                if budget < 0 or found or apps >= max_apps:
-                    break
-                for rest in itertools.product(processed, repeat=sym.arity - 1):
-                    budget -= 1
-                    complete = complete and budget >= 0
-                    if budget < 0 or found or apps >= max_apps:
+    for i, kt in enumerate(instance.knowledge):
+        t = nf(kt)
+        admit(t, True, Deduction(t, "knowledge", (), i), True)
+
+    constants = [App(s) for s in theory.symbols if s.arity == 0]
+    unary = [s for s in theory.symbols if s.arity == 1]
+    wide = [s for s in theory.symbols if s.arity >= 2]
+    with suppress(_Stop):
+        for t in constants:
+            spend()
+            admit(nf(t), False, Deduction(t, t.sym.name), False)
+        while heap:
+            _, _, _, t, tainted = heapq.heappop(heap)
+            for sym in unary:
+                u = step(sym, (t,), (tainted,))
+                if u is not None and tainted in known.get(u, ()):
+                    # inert wrap: probe one more unary level
+                    for sym2 in unary:
+                        step(sym2, (u,), (tainted,), rewriting_only=True)
+            processed[t] = None
+            for sym in wide:
+                tuples = ((slot, rest) for slot in range(sym.arity)
+                          for rest in itertools.product(
+                              processed, repeat=sym.arity - 1))
+                for n, (slot, rest) in enumerate(tuples):
+                    if n == TUPLE_BUDGET_PER_ITEM:
+                        complete = False
                         break
                     args = rest[:slot] + (t,) + rest[slot:]
                     if 1 + sum(term_size(a) for a in args) > max_term_size:
                         complete = False
                         continue
-                    taints = tuple(
-                        tainted if i == slot
-                        else (False if False in known[a] else True)
-                        for i, a in enumerate(args))
-                    consider(sym, args, taints)
-    if not found and (heap or apps >= max_apps):
+                    taints = tuple(tainted if i == slot
+                                   else False not in known[a]
+                                   for i, a in enumerate(args))
+                    step(sym, args, taints)
+                    if not any(taints) and any(True in known[a] for a in args):
+                        complete = False
+    if not found and apps >= max_apps:
         complete = False
 
     if not found:
-        max_depth = max(depth.values(), default=0)
-        return CapSearchResult(None, [], max_depth, len(known), complete)
+        rounds = max((ded.depth for slot in known.values()
+                      for ded in slot.values()), default=0)
+        return CapSearchResult(None, [], rounds, len(known), complete)
 
     derivation: list[Deduction] = []
     assignment: list[tuple[str, Term]] = []
@@ -531,5 +522,5 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
     body = build(goal, True)
     derivation.reverse()
     cap = Cap(body, tuple(assignment))
-    return CapSearchResult(cap, derivation, depth[(goal, True)],
+    return CapSearchResult(cap, derivation, known[goal][True].depth,
                            len(known), complete)

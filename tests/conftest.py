@@ -197,6 +197,15 @@ MACHINE_STARTS = {
 }
 
 
+def render_machine(m: MinskyMachine) -> str:
+    """The machine in the `lmtk minsky` file format."""
+    lines = [f"states: {' '.join(m.states)}",
+             f"initial: {m.initial}",
+             f"final: {m.final}"]
+    lines.extend(str(t) for t in m.transitions)
+    return "\n".join(lines) + "\n"
+
+
 def load(source: str) -> Trs:
     return parse_trs(source)
 

@@ -7,7 +7,6 @@ import pytest
 
 from lmtk import cli
 from lmtk.cli import run_command
-from lmtk.minsky import render_machine
 
 from conftest import (
     BRANCHING_MACHINE,
@@ -16,6 +15,7 @@ from conftest import (
     ROOT_OVERLAP_TRUNCATED,
     TINY_MACHINE,
     UNARY_CHAIN,
+    render_machine,
 )
 
 
@@ -283,6 +283,13 @@ class TestMinskyCommands:
                            "--goal", "c(e,0,0,0)")
         assert code == 0
         assert "cap:" in out
+
+    def test_cap_matches_the_goal_modulo_the_theory(self, write, capsys):
+        # the knowledge b is the goal's normal form
+        path = write("ab.trs", "sig: a/0 b/0\nrules:\n  a -> b\n")
+        code, out, err = run(capsys, "cap", path,
+                             "--knowledge", "b", "--goal", "a")
+        assert (code, out, err) == (0, "cap: hole1\n", "")
 
 
 class TestFuelOverride:

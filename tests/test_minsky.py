@@ -1,9 +1,19 @@
 """Counter machines: validation, simulation, encoding, caps."""
 
+import heapq
+import itertools
+import random
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
 import pytest
 
 from lmtk.minsky import (
+    TUPLE_BUDGET_PER_ITEM,
+    Cap,
     CapInstance,
+    CapSearchResult,
     Config,
     MinskyMachine,
     Transition,
@@ -11,15 +21,29 @@ from lmtk.minsky import (
     cap_search,
     encode,
     parse_machine,
-    render_machine,
     simulate,
     validate_machine,
 )
-from lmtk.rewriting import apply_rule, nf
-from lmtk.terms import render_term
+from lmtk.rewriting import (
+    DEFAULT_FUEL,
+    FuelExhausted,
+    NormalForms,
+    apply_rule,
+    nf,
+)
+from lmtk.terms import App, Term, Var, enumerate_terms, render_term, term_size
 from lmtk.trs_format import parse_term, render_trs, parse_trs
 
-from conftest import BRANCHING_MACHINE, SINGLE_STEP_MACHINE, TINY_MACHINE
+from conftest import (
+    BRANCHING_MACHINE,
+    SINGLE_STEP_MACHINE,
+    TINY_MACHINE,
+    render_machine,
+)
+from random_systems import random_system
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import cap_bounds  # noqa: E402
 
 
 class TestValidate:
@@ -249,6 +273,17 @@ class TestCapSearch:
             res = cap_search(inst, **bounds)
             assert (res.found, res.complete) == (False, False), bounds
 
+    def test_untainted_application_of_a_knowledge_term_is_not_complete(self):
+        # k is both knowledge and a public constant, and f(b,hole1) is a
+        # cap; but k is popped before b, so f(b,k) is only built from the
+        # public k, and the search must not call its miss complete
+        trs = parse_trs("sig: k/0 b/0 f/2\nvars: x y z\nrules:\n"
+                        "  f(f(x,y),z) -> k\n  f(x,f(y,z)) -> k\n")
+        inst = CapInstance(trs, (parse_term("k", trs),),
+                           parse_term("f(b,k)", trs))
+        res = cap_search(inst)
+        assert res.found or not res.complete
+
     def test_non_halting_machine_reports_bounds(self):
         m = MinskyMachine(("q0", "qL"), "q0", "qL",
                           (Transition("q0", 1, "+", "q0"),))
@@ -286,3 +321,206 @@ class TestCapSearch:
             assert render_term(config_term) == expect
 
 
+
+
+@dataclass
+class ReferenceDeduction:
+    term: Term
+    via: str
+    parents: tuple[tuple[Term, bool], ...] = ()
+    knowledge_index: int = -1
+
+
+def reference_cap_search(instance, max_term_size=30, max_rounds=12,
+                         fuel=DEFAULT_FUEL, max_apps=60_000):
+    """The differential oracle: `cap_search` as it was with the heights
+    in a `depth` dict, a hand copy of the application step for the
+    inert-wrap probe, and the stop test in every loop."""
+    theory = instance.theory
+    goal = instance.goal
+    nf = NormalForms(theory, fuel)
+    known: dict[Term, dict[bool, ReferenceDeduction]] = {}
+    depth: dict[tuple[Term, bool], int] = {}
+    heap: list[tuple[int, int, int, Term, bool]] = []
+    processed: list[Term] = []
+    processed_seen: set[Term] = set()
+    seq = itertools.count()
+    found = False
+    complete = True
+    apps = 0
+
+    def admit(term, tainted, ded, d, rewrote):
+        nonlocal found, complete
+        if term_size(term) > max_term_size or d > max_rounds:
+            complete = False
+            return
+        slot = known.setdefault(term, {})
+        if tainted in slot:
+            return
+        slot[tainted] = ded
+        depth[(term, tainted)] = d
+        heapq.heappush(heap, (0 if rewrote else 1, 0 if tainted else 1,
+                              next(seq), term, tainted))
+        if tainted and term == goal:
+            found = True
+
+    for i, kt in enumerate(instance.knowledge):
+        t = nf(kt)
+        admit(t, True, ReferenceDeduction(t, "knowledge", (), i), 1, True)
+
+    unary = [s for s in theory.symbols if s.arity == 1]
+    wide = [s for s in theory.symbols if s.arity >= 2]
+    for sym in theory.symbols:
+        if sym.arity == 0 and not found:
+            apps += 1
+            t = App(sym)
+            admit(nf(t), False, ReferenceDeduction(t, sym.name, ()), 1, False)
+
+    def consider(sym, args, taints):
+        nonlocal apps
+        apps += 1
+        raw = App(sym, args)
+        t = nf(raw)
+        tainted = any(taints)
+        d = 1 + max(depth[(a, f)] for a, f in zip(args, taints))
+        admit(t, tainted,
+              ReferenceDeduction(t, sym.name, tuple(zip(args, taints))),
+              d, t != raw)
+        return t
+
+    while heap and not found and apps < max_apps:
+        _, _, _, t, tainted = heapq.heappop(heap)
+        for sym in unary:
+            if found or apps >= max_apps:
+                break
+            u = consider(sym, (t,), (tainted,))
+            if u != App(sym, (t,)) or (u, tainted) not in depth:
+                continue
+            for sym2 in unary:
+                if found or apps >= max_apps:
+                    break
+                apps += 1
+                raw2 = App(sym2, (u,))
+                t2 = nf(raw2)
+                if t2 != raw2:
+                    admit(t2, tainted,
+                          ReferenceDeduction(t2, sym2.name, ((u, tainted),)),
+                          depth[(u, tainted)] + 1, True)
+        if t not in processed_seen:
+            processed_seen.add(t)
+            processed.append(t)
+        for sym in wide:
+            if found or apps >= max_apps:
+                break
+            budget = TUPLE_BUDGET_PER_ITEM
+            for slot in range(sym.arity):
+                if budget < 0 or found or apps >= max_apps:
+                    break
+                for rest in itertools.product(processed, repeat=sym.arity - 1):
+                    budget -= 1
+                    complete = complete and budget >= 0
+                    if budget < 0 or found or apps >= max_apps:
+                        break
+                    args = rest[:slot] + (t,) + rest[slot:]
+                    if 1 + sum(term_size(a) for a in args) > max_term_size:
+                        complete = False
+                        continue
+                    taints = tuple(
+                        tainted if i == slot
+                        else (False if False in known[a] else True)
+                        for i, a in enumerate(args))
+                    consider(sym, args, taints)
+    if not found and (heap or apps >= max_apps):
+        complete = False
+
+    if not found:
+        max_depth = max(depth.values(), default=0)
+        return CapSearchResult(None, [], max_depth, len(known), complete)
+
+    derivation: list[ReferenceDeduction] = []
+    assignment: list[tuple[str, Term]] = []
+    counter = itertools.count(1)
+
+    def build(t, taint_flag):
+        ded = known[t][taint_flag]
+        derivation.append(ded)
+        if ded.via == "knowledge":
+            hole = f"hole{next(counter)}"
+            assignment.append((hole, instance.knowledge[ded.knowledge_index]))
+            return Var(hole)
+        return App(theory.symbol(ded.via),
+                   tuple(build(a, flag) for a, flag in ded.parents))
+
+    body = build(goal, True)
+    derivation.reverse()
+    cap = Cap(body, tuple(assignment))
+    return CapSearchResult(cap, derivation, depth[(goal, True)],
+                           len(known), complete)
+
+
+SELF_LOOP_MACHINE = MinskyMachine(("q0", "qL"), "q0", "qL",
+                                  (Transition("q0", 1, "+", "q0"),))
+
+
+def compared_with_reference(inst, **bounds):
+    """Run both searches; the result must be the reference's, except that
+    `complete` may turn from true to false. Returns the reference's, or
+    None when both run out of fuel."""
+    try:
+        old = reference_cap_search(inst, **bounds)
+    except FuelExhausted:
+        with pytest.raises(FuelExhausted):
+            cap_search(inst, **bounds)
+        return None
+    new = cap_search(inst, **bounds)
+
+    def seen(res):
+        return (str(res.cap) if res.found else None,
+                [(d.term, d.via, d.parents) for d in res.derivation],
+                res.rounds_used, res.deduced)
+    assert seen(new) == seen(old)
+    assert new.complete <= old.complete
+    return old
+
+
+class TestReferenceCapSearch:
+    @pytest.mark.parametrize("machine", [BRANCHING_MACHINE, TINY_MACHINE,
+                                         SELF_LOOP_MACHINE],
+                             ids=["branching", "tiny", "self_loop"])
+    def test_encoded_machines(self, machine):
+        for k, p in itertools.product(range(7), range(3)):
+            run = simulate(machine, Config(machine.initial, k, p))
+            if run.halted:
+                res = compared_with_reference(
+                    encode(machine, k, p), **cap_bounds(run.step_count, k))
+                assert res.found, (k, p)
+            else:
+                res = compared_with_reference(
+                    encode(machine, k, p, kp=0, pp=0), max_term_size=20,
+                    max_rounds=8, max_apps=15_000)
+                assert not res.found, (k, p)
+
+    def test_random_systems(self):
+        # a constant as knowledge, small normal terms as goals
+        outcomes = set()
+        for seed in range(200):
+            trs = random_system(random.Random(seed))
+            if trs is None:
+                continue
+            knowledge = next(App(s) for s in trs.symbols if s.arity == 0)
+            goals = [t for t in itertools.islice(
+                         enumerate_terms(trs.symbols, (), 2), 12)
+                     if is_normal(trs, t)]
+            for goal in goals[:4]:
+                res = compared_with_reference(
+                    CapInstance(trs, (knowledge,), goal), max_term_size=8,
+                    max_rounds=5, max_apps=3_000, fuel=50)
+                outcomes.add(res and (res.found, res.complete))
+        assert {(True, True), (False, False), None} <= outcomes
+
+
+def is_normal(trs, t: Term) -> bool:
+    try:
+        return nf(trs, t, 50) == t
+    except FuelExhausted:
+        return False

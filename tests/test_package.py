@@ -1,4 +1,5 @@
-"""The package's public surface: every exported name has a caller."""
+"""The package's public surface: every exported name, and every public
+top-level name of a module, has a caller."""
 
 import ast
 from pathlib import Path
@@ -13,6 +14,20 @@ def exported_names() -> set[str]:
     tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     return {alias.asname or alias.name for node in tree.body
             if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def defined_names(path: Path) -> set[str]:
+    """The public top-level functions, classes and constants of `path`."""
+    names: set[str] = set()
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names.add(stmt.name)
+        elif isinstance(stmt, ast.Assign):
+            names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+        elif (isinstance(stmt, ast.AnnAssign)
+              and isinstance(stmt.target, ast.Name)):
+            names.add(stmt.target.id)
+    return {n for n in names if not n.startswith("_")}
 
 
 def used_names(path: Path) -> set[str]:
@@ -41,3 +56,13 @@ def test_every_export_has_a_caller():
     callers += bench
     used = set().union(*(used_names(p) for p in callers))
     assert sorted(exported_names() - used) == []
+
+
+def test_every_public_module_name_has_a_caller():
+    # a name only tests read belongs in the tests, as `render_machine` does
+    modules = sorted(PACKAGE.glob("*.py"))
+    used = set().union(*(used_names(p)
+                         for p in modules + sorted(BENCH.glob("*.py"))))
+    unread = [f"{p.stem}.{name}" for p in modules
+              for name in sorted(defined_names(p) - used)]
+    assert unread == []
