@@ -13,7 +13,7 @@ import operator
 from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .terms import (
     App,
@@ -143,11 +143,21 @@ class FuelExhausted(Exception):
     sequence of steps that led there from the start term. `normalize`
     passes a read-only sequence whose steps are built on first read (its
     length costs nothing); it compares equal to the list of the same
-    steps."""
+    steps.
+
+    The message names the bound that stopped rewriting. A step that leaves
+    the term over MAX_TERM_NODES stops it at once, and the fuel is checked
+    before a step, with the term as the last step left it; so a stuck term
+    over MAX_TERM_NODES after at least one step means the size bound."""
 
     def __init__(self, term: Term, trace: Sequence[RewriteStep]):
+        steps = len(trace)
         # the stuck term can be enormous; keep it off the message
-        super().__init__(f"fuel exhausted after {len(trace)} steps")
+        if steps and term_size(term) > MAX_TERM_NODES:
+            bound = f"term outgrew {MAX_TERM_NODES} nodes"
+        else:
+            bound = "fuel exhausted"
+        super().__init__(f"{bound} after {steps} steps")
         self.term = term
         self.trace = trace
 
@@ -169,24 +179,24 @@ def _steps(t: Term, records: list[_Record]) -> list[RewriteStep]:
 
 class _LazyTrace(abc.Sequence):
     """The trace of a normalization that ran out of fuel, built on first
-    read. Callers that catch FuelExhausted mostly drop the trace unread,
-    and building it costs a whole-term rebuild per step."""
+    read by `build`. Callers that catch FuelExhausted mostly drop the trace
+    unread, and building it costs a whole-term rebuild per step."""
 
-    __slots__ = ("_start", "_records", "_built")
+    __slots__ = ("_length", "_build", "_built")
     __hash__ = None  # like the list it stands for
 
-    def __init__(self, start: Term, records: list[_Record]):
-        self._start = start
-        self._records = records
+    def __init__(self, length: int, build: Callable[[], list[RewriteStep]]):
+        self._length = length
+        self._build = build
         self._built: Optional[list[RewriteStep]] = None
 
     def _list(self) -> list[RewriteStep]:
         if self._built is None:
-            self._built = _steps(self._start, self._records)
+            self._built = self._build()
         return self._built
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._length
 
     def __getitem__(self, i):
         return self._list()[i]
@@ -274,7 +284,8 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
         for (node, args), i in zip(reversed(spine), reversed(path)):
             args[i - 1] = whole
             whole = _rebuilt(node, args)
-        return FuelExhausted(whole, _LazyTrace(t, records))
+        return FuelExhausted(whole, _LazyTrace(len(records),
+                                               lambda: _steps(t, records)))
 
     while True:
         if entering and id(u) in normal_ids:
@@ -320,47 +331,144 @@ def nf(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
 
 
 class NormalForms:
-    """`nf(trs, t, fuel)` for many terms of one run, remembering normal
-    forms (Efficient Annotated Terms, van den Brand et al., SP&E 2000).
+    """`nf(trs, t, fuel)` for many terms of one run, built from the normal
+    forms of their subterms (Efficient Annotated Terms, van den Brand et
+    al., SP&E 2000).
 
-    A query the memo does not hold is first walked in pre-order, skipping
-    every subterm already known normal, up to the first redex. With none
-    the query is normal: it took zero steps, so neither the fuel nor the
-    size check could have fired. Otherwise `normalize` runs, and only a
-    successful result is kept, so every normal form and every
-    FuelExhausted is the one `nf` gives. Normal top-level queries are not
-    kept: searches reject most of them at once. Build one per call that
-    normalizes many terms; nothing outlives it.
+    The memo maps each query that took steps, each normal form, and each
+    normal proper subterm a query walked to its normal form. For a query
+    that took steps it also keeps the step count and the peak term size,
+    both as `normalize` counts them on that term alone. A normal query is
+    not kept: searches reject most of them at once, and one that turns up
+    again inside a later query is recorded then.
+
+    A query walks its term in post-order, which is the leftmost-innermost
+    order, keeping the step count and the size of the whole term as
+    `normalize` does. A memoized subterm is replaced by its normal form and
+    adds its steps; if that crosses the fuel, or its peak plus the size of
+    the rest of the term crosses MAX_TERM_NODES, `normalize` runs on the
+    query and raises the identical FuelExhausted. A node whose arguments
+    are normal and whose root is no redex is recorded as normal. At the
+    first root redex the walk hands the whole term over to `normalize`
+    with the fuel that is left. The parts left of the redex are normalized
+    and the parts right of it still raw: that is exactly the term
+    `normalize` reaches from the query after those steps, so the normal
+    form, the size checks and the stuck term are the same. A FuelExhausted
+    from there is raised again with the same term and a trace that counts
+    the steps before the hand-over; that trace is built only if read, by
+    running `normalize` on the query.
+
+    The root phase stays in the public `normalize`: perfbench counts its
+    calls and steps there, and its traced `cap` run requires every cap
+    search normalization to be such a call. A normal form that took steps
+    is returned as the memo's own object, so a later query that contains
+    it finds it by identity. Build one per call that normalizes many
+    terms; nothing outlives it.
     """
 
     def __init__(self, trs: Trs, fuel: int = DEFAULT_FUEL):
         self.trs = trs
         self.fuel = fuel
         self.memo: dict[Term, Term] = {}
+        # (steps, peak size) of the memoized terms that took steps
+        self.cost: dict[Term, tuple[int, int]] = {}
 
     def __call__(self, t: Term) -> Term:
         memo = self.memo
         known = memo.get(t)
         if known is not None:
             return known
-        fresh: list[Term] = []
-        stack = [t]
-        while stack:
-            u = stack.pop()
-            if u is not t:
-                v = memo.get(u)
-                if v is not None and (v is u or v == u):
+        if t.__class__ is not App:
+            return t  # a variable is normal
+        for a in t.args:
+            if memo.get(a) is not a:
+                return self._walk(t)
+        # the common query: its arguments are known normal
+        if _root_step(self.trs, t) is None:
+            return t
+        return self._hand_over(t, t, 0, 0)
+
+    def _walk(self, t: Term) -> Term:
+        memo, cost, trs = self.memo, self.cost, self.trs
+        # spine frames and `path` as in `normalize`; left of the walk the
+        # arguments are normal, right of it raw
+        spine: list[tuple[App, list[Term]]] = []
+        path: list[int] = []
+        steps = peak = 0
+        size = term_size(t)
+        u, entering = t, True
+        while True:
+            v = memo.get(u) if entering and spine else None
+            if v is None:
+                if entering and u.__class__ is App and u.args:
+                    spine.append((u, list(u.args)))
+                    path.append(1)
+                    u = u.args[0]
                     continue
-                fresh.append(u)
-            if _root_step(self.trs, u) is not None:
-                out = normalize(self.trs, t, self.fuel)[0]
-                memo[t] = memo[out] = out
-                return out
-            if isinstance(u, App):
-                stack.extend(u.args)
-        for u in fresh:
-            memo[u] = u
-        return t
+                # every argument of u is normal: try the root
+                if _root_step(trs, u) is not None:
+                    break
+                if spine:
+                    u = memo.setdefault(u, u)
+            elif v is not u and u in cost:
+                taken, top = cost[u]
+                rest = size - term_size(u)
+                if steps + taken > self.fuel or rest + top > MAX_TERM_NODES:
+                    # `normalize` stops inside u
+                    return self._hand_over(t, t, 0, 0)
+                steps += taken
+                peak = max(peak, rest + top)
+                size = rest + term_size(v)
+                u = v
+            if not spine:
+                if steps:
+                    u = memo.setdefault(u, u)
+                    memo[t] = u
+                    cost[t] = steps, peak
+                return u
+            node, args = spine[-1]
+            i = path[-1]
+            args[i - 1] = u
+            if i < len(args):
+                path[-1] = i + 1
+                u, entering = args[i], True
+            else:
+                spine.pop()
+                path.pop()
+                u, entering = _rebuilt(node, args), False
+        # the whole term at its first root redex
+        for (node, args), i in zip(reversed(spine), reversed(path)):
+            args[i - 1] = u
+            u = _rebuilt(node, args)
+        return self._hand_over(t, u, steps, peak)
+
+    def _hand_over(self, t: Term, whole: Term, steps: int, peak: int) -> Term:
+        """Normalize `t` from `whole`, the term its normalization reaches
+        after `steps` steps with sizes up to `peak`, and memoize it."""
+        trs, fuel, memo = self.trs, self.fuel, self.memo
+        try:
+            out, trace = normalize(trs, whole, fuel - steps)
+        except FuelExhausted as e:
+            if not steps:
+                raise
+            raise FuelExhausted(e.term, _LazyTrace(
+                steps + len(e.trace), lambda: _trace_of_stuck(trs, t, fuel))
+            ) from None
+        # a root redex was found, so the trace is not empty
+        out = memo.setdefault(out, out)
+        memo[t] = out
+        self.cost[t] = (steps + len(trace),
+                        max(peak, *(term_size(s.target) for s in trace)))
+        return out
+
+
+def _trace_of_stuck(trs: Trs, t: Term, fuel: int) -> list[RewriteStep]:
+    """The trace `normalize` gives when `t` runs out of fuel."""
+    try:
+        normalize(trs, t, fuel)
+    except FuelExhausted as e:
+        return list(e.trace)
+    raise RuntimeError(f"{render_term(t)} normalizes within fuel {fuel}")
 
 
 def replay(trs: Trs, t: Term, trace: Sequence[RewriteStep]) -> Term:
@@ -417,9 +525,28 @@ def subterm_collapse_search(trs: Trs, max_depth: int = 5,
     Enumerates terms with at most two distinct variables up to `max_depth`,
     capped at `max_terms` (arity-4 signatures explode well before depth 5).
     Absence of a witness is a verdict *up to these bounds* only.
+
+    A term collapses iff its normal form is among those of its proper
+    subterms. Every argument of an enumerated term was enumerated and
+    checked before it, so that set is the union, over the arguments, of
+    each argument's normal form and set. Only a term that collapses has
+    its subterms walked, in pre-order, for the first witness position.
     """
     vars_ = enumeration_variables(trs, 2)
     nf = NormalForms(trs, fuel)
+    # the sets of the terms that turned up as arguments; terms of the
+    # last depth never do
+    below: dict[Term, set[Term]] = {}
+
+    def nfs_below(a: Term) -> set[Term]:
+        out = below.get(a)
+        if out is None:
+            out = below[a] = set()
+            for b in (a.args if isinstance(a, App) else ()):
+                out.add(nf(b))
+                out.update(below.get(b, ()))
+        return out
+
     checked = 0
     exhausted = True
     for u in enumerate_terms(trs.symbols, vars_, max_depth):
@@ -430,9 +557,10 @@ def subterm_collapse_search(trs: Trs, max_depth: int = 5,
         if isinstance(u, Var):
             continue
         u_nf = nf(u)
-        for p, sub in subterms(u):
-            if p and nf(sub) == u_nf:
-                return CollapseSearchResult((u, p), max_depth, checked, exhausted)
+        if any(nf(a) == u_nf or u_nf in nfs_below(a) for a in u.args):
+            for p, sub in subterms(u):
+                if p and nf(sub) == u_nf:
+                    return CollapseSearchResult((u, p), max_depth, checked, exhausted)
     return CollapseSearchResult(None, max_depth, checked, exhausted)
 
 

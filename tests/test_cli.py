@@ -328,6 +328,19 @@ class TestFuelOverride:
         assert code == 2
         assert err.strip() == "fuel exhausted after 50 steps"
 
+    @pytest.mark.parametrize("argv", [
+        ("normalize", "f(a)", "--fuel", "100000"),
+        ("cap", "--knowledge", "b", "--goal", "f(a)"),
+    ])
+    def test_the_size_bound_is_named(self, write, capsys, argv):
+        # each step adds a node, so the term outgrows MAX_TERM_NODES long
+        # before the fuel runs out
+        path = write("grow.trs", "sig: a/0 b/0 f/1\nvars: x\nrules:\n"
+                                 "  f(x) -> f(f(x))\n")
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.strip() == "term outgrew 5000 nodes after 4999 steps"
+
 
 class TestUsage:
     def test_no_command(self, capsys):

@@ -1,7 +1,9 @@
 """Rewriting relation, normal forms, traces, and bounded searches."""
 
+import collections
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -9,6 +11,7 @@ import pytest
 from lmtk import rewriting
 from lmtk.rewriting import (
     DEFAULT_FUEL,
+    CollapseSearchResult,
     MAX_TERM_NODES,
     FuelExhausted,
     NormalForms,
@@ -24,7 +27,7 @@ from lmtk.rewriting import (
     subterm_collapse_search,
 )
 from lmtk.terms import App, Symbol, Var, enumerate_terms, render_term, subterms, term_size
-from lmtk.trs_format import parse_term, parse_trs
+from lmtk.trs_format import parse_term, parse_trs, render_trs
 
 from conftest import (
     FC_SOURCES,
@@ -32,8 +35,10 @@ from conftest import (
     ROOT_OVERLAP,
     ROOT_OVERLAP_TRUNCATED,
     UNARY_CHAIN,
+    corpus_systems,
     odp,
 )
+from random_systems import random_system
 
 
 @pytest.fixture(scope="module")
@@ -319,9 +324,113 @@ class TestNormalFormsCache:
                         cached(u)
                     e = exc.value
                     assert ("fuel", e.term, len(e.trace), e.trace) == expected, where
+                    with pytest.raises(FuelExhausted) as ref:
+                        normalize(trs, u, fuel)
+                    assert str(e) == str(ref.value), where
                     outgrown += term_size(e.term) > MAX_TERM_NODES
         assert cases > 12000
         assert outgrown > 0
+
+    @staticmethod
+    def same_outcome(cached, trs, u, fuel):
+        """`cached(u)` ends as `normalize(trs, u, fuel)` does, message
+        included; returns the FuelExhausted, if any."""
+        expected = outcome(normalize, trs, u, fuel)
+        if expected[0] != "fuel":
+            assert cached(u) == expected[0]
+            return None
+        with pytest.raises(FuelExhausted) as exc:
+            cached(u)
+        with pytest.raises(FuelExhausted) as ref:
+            normalize(trs, u, fuel)
+        e = exc.value
+        assert ("fuel", e.term, len(e.trace), e.trace) == expected
+        assert str(e) == str(ref.value)
+        return e
+
+    def test_fuel_runs_out_inside_a_memoized_argument(self):
+        trs = parse_trs("sig: a/0 b/0 c/0 d/0 h/2\n"
+                        "rules:\n  a -> b\n  b -> c\n  c -> d\n")
+        for fuel in range(7):
+            cached = NormalForms(trs, fuel)
+            if fuel >= 3:
+                assert cached(t("a", trs)) == t("d", trs)
+            # three steps per argument: the second one crosses fuel 3 to 5
+            e = self.same_outcome(cached, trs, t("h(a,a)", trs), fuel)
+            assert (e is None) == (fuel >= 6)
+
+    def test_the_size_bound_crossed_only_in_context(self):
+        # dup(s^1999(0)) peaks at 4001 nodes alone, then shrinks back; with
+        # 1500 more nodes beside it, the whole term goes over at that peak
+        trs = parse_trs("sig: 0/0 s/1 dup/1 p/2 h/2\nvars: x y\nrules:\n"
+                        "  dup(x) -> p(x,x)\n  p(x,y) -> x\n")
+        s, zero = trs.symbol("s"), App(trs.symbol("0"))
+        long, beside = zero, zero
+        for _ in range(1999):
+            long = App(s, (long,))
+        for _ in range(1499):
+            beside = App(s, (beside,))
+        arg = App(trs.symbol("dup"), (long,))
+        cached = NormalForms(trs)
+        assert cached(arg) == long
+        assert cached.cost[arg] == (2, 4001)
+        for args in ((arg, beside), (beside, arg)):
+            whole = App(trs.symbol("h"), args)
+            assert 4001 + term_size(beside) + 1 > MAX_TERM_NODES
+            e = self.same_outcome(cached, trs, whole, DEFAULT_FUEL)
+            assert str(e) == f"term outgrew {MAX_TERM_NODES} nodes after 1 steps"
+
+    def test_the_first_redex_below_the_root(self, monkeypatch):
+        trs = parse_trs("sig: a/0 b/0 c/0 d/0 g/1 h/2\n"
+                        "rules:\n  a -> b\n  c -> d\n")
+        handed = []
+        original = rewriting.normalize
+
+        def counting(trs, u, fuel=DEFAULT_FUEL):
+            handed.append((render_term(u), fuel))
+            return original(trs, u, fuel)
+        monkeypatch.setattr(rewriting, "normalize", counting)
+        for fuel in (0, 1, 2, 5):
+            cached = NormalForms(trs, fuel)
+            if fuel:
+                assert cached(t("a", trs)) == t("b", trs)
+            handed.clear()
+            # a is known, g(c) is not: the walk hands h(b,g(c)) over at c
+            self.same_outcome(cached, trs, t("h(a,g(c))", trs), fuel)
+            if fuel:
+                assert handed[0] == ("h(b,g(c))", fuel - 1)
+
+    def test_an_exhausted_query_runs_normalize_once(self, monkeypatch):
+        trs = parse_trs("sig: a/0 b/0 c/0 f/1 g/2\n"
+                        "rules:\n  a -> f(a)\n  c -> b\n")
+        fuel, calls, steps = 200, [], []
+        original = rewriting.normalize
+
+        def counting(trs, u, fuel=DEFAULT_FUEL):
+            calls.append(u)
+            try:
+                out = original(trs, u, fuel)
+            except FuelExhausted as e:
+                steps.append(len(e.trace))
+                raise
+            steps.append(len(out[1]))
+            return out
+        monkeypatch.setattr(rewriting, "normalize", counting)
+        cached = NormalForms(trs, fuel)
+        for known in ("c", "f(c)", "g(c,c)"):
+            cached(t(known, trs))
+        for query in ("g(c,a)", "g(f(c),g(g(c,c),a))", "f(g(g(c,c),f(a)))"):
+            calls.clear()
+            steps.clear()
+            with pytest.raises(FuelExhausted) as exc:
+                cached(t(query, trs))
+            assert len(calls) == 1, query
+            assert sum(steps) <= fuel, query
+            assert len(exc.value.trace) == fuel
+            assert len(calls) == 1
+            # reading the trace runs the whole query once more
+            assert exc.value.trace[-1].target == exc.value.term
+            assert len(calls) == 2
 
 
 def eps_normal_form(trs, t, fuel=DEFAULT_FUEL):
@@ -390,6 +499,11 @@ class TestJoinable:
         assert nf(trs, t("a", trs)) != nf(trs, t("c", trs))
 
 
+# the first witness is three levels below its term: a search that looked
+# only at arguments and their arguments would miss it
+DEEP_COLLAPSE = "sig: a/0 f/1 g/1 h/1\nvars: x\nrules:\n  f(g(h(x))) -> x\n"
+
+
 class TestCollapseSearch:
     def test_collapsing_witness(self):
         trs = parse_trs("sig: f/1 g/1\nvars: x\nrules:\n  f(g(x)) -> x\n")
@@ -398,6 +512,12 @@ class TestCollapseSearch:
         u, p = res.witness
         assert render_term(u) == "f(g(x))"
         assert p == (1, 1)
+
+    def test_witness_three_levels_down(self):
+        trs = parse_trs(DEEP_COLLAPSE)
+        res = subterm_collapse_search(trs, 4)
+        u, p = res.witness
+        assert (render_term(u), p) == ("f(g(h(a)))", (1, 1, 1))
 
     def test_non_collapsing_chain(self):
         trs = parse_trs(UNARY_CHAIN)
@@ -415,6 +535,75 @@ class TestCollapseSearch:
         assert res.collapsing
         u, p = res.witness
         assert nf(trs, u) == nf(trs, App(Symbol("0", 0)))
+
+
+def reference_collapse_search(trs, max_depth=5, max_terms=4000,
+                              fuel=DEFAULT_FUEL):
+    """The collapse search with one `nf` call per subterm: the oracle for
+    the search that builds each term's set from its arguments' sets."""
+    vars_ = enumeration_variables(trs, 2)
+    nf = NormalForms(trs, fuel)
+    checked = 0
+    exhausted = True
+    for u in enumerate_terms(trs.symbols, vars_, max_depth):
+        if checked >= max_terms:
+            exhausted = False
+            break
+        checked += 1
+        if isinstance(u, Var):
+            continue
+        u_nf = nf(u)
+        for p, sub in subterms(u):
+            if p and nf(sub) == u_nf:
+                return CollapseSearchResult((u, p), max_depth, checked, exhausted)
+    return CollapseSearchResult(None, max_depth, checked, exhausted)
+
+
+# certified late by the permutation LPO search; its collapse search stops
+# at the term cap
+PAIRS7 = """
+sig: d/0 s5/2 s4/2 s3/2 s2/2 s1/2 c/0
+vars: x
+rules:
+  s1(x, c) -> s2(x, d)
+  s2(x, c) -> s3(x, d)
+  s3(x, c) -> s4(x, d)
+  s4(x, c) -> s5(x, d)
+"""
+
+
+class TestCollapseOracle:
+    def test_search_agrees_with_the_reference(self):
+        # every depth 3-5 and fuel 0, 3 and 200 occurs; the named systems,
+        # eight of which stop at the term cap at depth 5, run at fewer
+        # pairs because they are the slow ones
+        named = [trs for _, trs, _ in corpus_systems()]
+        named += [parse_trs(PAIRS7), parse_trs(DEEP_COLLAPSE)]
+        drawn = list(filter(None, (random_system(random.Random(seed))
+                                   for seed in range(120))))
+        plan = [(named, [(5, 200), (3, 3), (4, 0)]),
+                (drawn, [(3, 0), (3, 3), (3, 200), (4, 3), (5, 200)])]
+        ends = collections.Counter()
+        for systems, pairs in plan:
+            for trs, (depth, fuel) in itertools.product(systems, pairs):
+                got, expected = (outcome_of(search, trs, depth, fuel)
+                                 for search in (subterm_collapse_search,
+                                                reference_collapse_search))
+                assert got == expected, (render_trs(trs), depth, fuel)
+                ends[("fuel" if got[0] == "fuel" else "found" if got[0]
+                      else "exhausted" if got[-1] else "capped"),
+                     systems is named and (depth, fuel) == (5, 200)] += 1
+        assert ends["capped", True] == 8
+        for kind in ("fuel", "found", "exhausted", "capped"):
+            assert ends[kind, False] + ends[kind, True] > 10, ends
+
+
+def outcome_of(search, trs, depth, fuel):
+    try:
+        r = search(trs, depth, fuel=fuel)
+    except FuelExhausted as e:
+        return "fuel", e.term, len(e.trace), str(e)
+    return r.witness, r.max_depth, r.terms_checked, r.exhausted
 
 
 class TestStrategyIndependence:
