@@ -160,21 +160,18 @@ class Deletion:
 
 
 def almost_left_reduce(trs: Trs) -> tuple[Trs, list[Deletion]]:
-    """Repeatedly drop rules whose lhs properly contains an instance of
-    another remaining rule's lhs. Root overlaps are left alone."""
+    """Drop, in rule order, each rule whose lhs properly contains an
+    instance of another remaining rule's lhs. Root overlaps are left alone.
+    One pass suffices: a deletion only shrinks the set later rules are
+    checked against, so a rule kept earlier would stay kept."""
     rules = list(trs.rules)
     log: list[Deletion] = []
-    changed = True
-    while changed:
-        changed = False
-        for i, r in enumerate(rules):
-            hit = _proper_lhs_instance(r, [x for x in rules if x is not r])
-            if hit is not None:
-                p, other = hit
-                log.append(Deletion(r, p, other.label))
-                del rules[i]
-                changed = True
-                break
+    for r in trs.rules:
+        hit = _proper_lhs_instance(r, [x for x in rules if x is not r])
+        if hit is not None:
+            p, other = hit
+            log.append(Deletion(r, p, other.label))
+            rules.remove(r)
     return trs.with_rules(rules), log
 
 

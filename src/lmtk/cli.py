@@ -163,7 +163,8 @@ def cmd_fc_check(args) -> int:
                "one_step": one_step.ok,
                "one_step_witness": (render_term(one_step.witness)
                                     if one_step.witness else None),
-               "one_step_bound": one_step.bound_note()}
+               "one_step_bound": one_step.bound_note(),
+               "one_step_redexes": one_step.redexes_checked}
     lines = ["forward-closed: " + ("yes" if ok else f"no ({witness})"),
              "innermost one-step: "
              + (f"yes ({one_step.bound_note()})" if one_step.ok

@@ -32,19 +32,20 @@ from typing import Iterable, Optional, Sequence
 from .overlaps import overlap_sites, rule_key
 from .rewriting import (
     DEFAULT_FUEL,
-    NormalForms,
     Rule,
     Trs,
+    apply_rule,
     enumerate_ground_irreducible,
     is_eps_irreducible,
     is_innermost_redex,
+    nf,
 )
 from .terms import (
+    ROOT,
     Position,
     Term,
     Var,
     match_many,
-    match_term,
     mgu,
     render_position,
     replace_at,
@@ -137,12 +138,13 @@ def compositions(sources: Sequence[Rule], base: Sequence[Rule]) -> list[FcCandid
     """All defined compositions source ~> base rule, in deterministic order."""
     out = []
     for r1 in sources:
-        for r2, r2r, p, sub in overlap_sites(r1.rhs, r1.variables(), base):
-            sigma = mgu(sub, r2r.lhs)
+        for r2, lhs2, rhs2, p, sub in overlap_sites(r1.rhs, r1.variables(),
+                                                    base):
+            sigma = mgu(sub, lhs2)
             if sigma is None:
                 continue
             lhs = substitute(r1.lhs, sigma)
-            rhs = substitute(replace_at(r1.rhs, p, r2r.rhs), sigma)
+            rhs = substitute(replace_at(r1.rhs, p, rhs2), sigma)
             label = f"{r1.label}~{r2.label}@{render_position(p)}"
             out.append(FcCandidate(Rule(lhs, rhs, label), r1.label, r2.label, p))
     return out
@@ -237,8 +239,8 @@ def _one_step_reaches(trs: Trs, t: Term, target: Term) -> bool:
     redex, so its proper subterms are irreducible and no other step
     exists."""
     for rule in trs.rules:
-        sigma = match_term(rule.lhs, t)
-        if sigma is not None and substitute(rule.rhs, sigma) == target:
+        hit = apply_rule(rule, t, ROOT)
+        if hit is not None and hit[0] == target:
             return True
     return False
 
@@ -255,7 +257,6 @@ def innermost_one_step_check(trs: Trs, depth: int = 3,
     the caps are part of the reported bound.
     """
     pool = enumerate_ground_irreducible(trs, depth, ONE_STEP_POOL)
-    nf = NormalForms(trs, fuel)
     checked = 0
 
     def check_redex(t: Term) -> bool:
@@ -263,8 +264,9 @@ def innermost_one_step_check(trs: Trs, depth: int = 3,
         if not is_innermost_redex(trs, t):
             return True
         checked += 1
-        target = nf(t)
-        return _one_step_reaches(trs, t, target)
+        # plain `nf`: every redex is a new term with normal arguments, so
+        # a memo of normal forms would save nothing
+        return _one_step_reaches(trs, t, nf(trs, t, fuel))
 
     for rule in trs.rules:
         if is_eps_irreducible(trs, rule.lhs) and not check_redex(rule.lhs):

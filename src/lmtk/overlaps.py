@@ -24,6 +24,7 @@ from .terms import (
     mgu,
     render_position,
     render_term,
+    rename_pair_apart,
     replace_at,
     substitute,
     subterms,
@@ -97,18 +98,18 @@ def rule_key(rule: Rule) -> tuple[Term, Term]:
 
 def overlap_sites(host: Term, avoid: set[str], rules: Sequence[Rule],
                   trivial: Optional[str] = None
-                  ) -> Iterator[tuple[Rule, Rule, Position, Term]]:
-    """Per rule in order: the rule, its copy renamed apart from `avoid`,
-    and each non-variable position of `host` in pre-order with its subterm,
-    except the root site of the rule labelled `trivial`. Callers unify
-    subterm and renamed lhs themselves: the `mgu` argument order decides
-    whose variable names survive."""
+                  ) -> Iterator[tuple[Rule, Term, Term, Position, Term]]:
+    """Per rule in order: the rule, its lhs and rhs renamed apart from
+    `avoid`, and each non-variable position of `host` in pre-order with its
+    subterm, except the root site of the rule labelled `trivial`. Callers
+    unify subterm and renamed lhs themselves: the `mgu` argument order
+    decides whose variable names survive."""
     sites = [(p, sub) for p, sub in subterms(host) if isinstance(sub, App)]
     for rule in rules:
-        renamed = rule.renamed_apart(avoid)
+        lhs, rhs = rename_pair_apart(rule.lhs, rule.rhs, avoid)
         for p, sub in sites:
             if not (p == ROOT and rule.label == trivial):
-                yield rule, renamed, p, sub
+                yield rule, lhs, rhs, p, sub
 
 
 def critical_pairs(trs: Trs) -> list[CriticalPair]:
@@ -118,13 +119,13 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
     overlaps between distinct rules are kept."""
     out: list[CriticalPair] = []
     for outer in trs.rules:
-        for inner, inner_r, p, sub in overlap_sites(
+        for inner, lhs, rhs, p, sub in overlap_sites(
                 outer.lhs, outer.variables(), trs.rules, trivial=outer.label):
-            sigma = mgu(sub, inner_r.lhs)
+            sigma = mgu(sub, lhs)
             if sigma is None:
                 continue
             peak = substitute(outer.lhs, sigma)
-            left = replace_at(peak, p, substitute(inner_r.rhs, sigma))
+            left = replace_at(peak, p, substitute(rhs, sigma))
             right = substitute(outer.rhs, sigma)
             out.append(CriticalPair(left, right, outer.label, inner.label, p,
                                     peak))
@@ -152,12 +153,12 @@ def rhs_critical_pairs(trs: Trs) -> list[Equation]:
     seen: set[frozenset[tuple[Term, Term]]] = set()
     for r1 in trs.rules:
         for r2 in trs.rules:
-            r2r = r2.renamed_apart(r1.variables())
-            sigma = mgu(r1.rhs, r2r.rhs)
+            lhs, rhs = rename_pair_apart(r2.lhs, r2.rhs, r1.variables())
+            sigma = mgu(r1.rhs, rhs)
             if sigma is None:
                 continue
             l1 = substitute(r1.lhs, sigma)
-            l2 = substitute(r2r.lhs, sigma)
+            l2 = substitute(lhs, sigma)
             if l1 == l2:
                 continue
             eq = Equation(l1, l2, origin=f"rhs-cp({r1.label},{r2.label})")
@@ -191,7 +192,6 @@ class ParamodCandidate:
     side: str        # 'lhs' or 'rhs': which side of that equation
     rule: str        # label of the rule used left-to-right
     position: Position
-    subst_items: tuple[tuple[str, Term], ...]
 
     def __str__(self) -> str:
         return (f"{self.conclusion}  [{self.rule} into {self.side} of "
@@ -206,18 +206,17 @@ def paramodulation_candidates(trs: Trs) -> list[ParamodCandidate]:
     for src in trs.rules:
         for side_name, u, v, trivial in (("lhs", src.lhs, src.rhs, src.label),
                                          ("rhs", src.rhs, src.lhs, None)):
-            for rule, rule_r, p, sub in overlap_sites(
+            for rule, lhs, rhs, p, sub in overlap_sites(
                     u, src.variables(), trs.rules, trivial):
-                sigma = mgu(rule_r.lhs, sub)
+                sigma = mgu(lhs, sub)
                 if sigma is None:
                     continue
-                new_side = substitute(replace_at(u, p, rule_r.rhs), sigma)
+                new_side = substitute(replace_at(u, p, rhs), sigma)
                 other = substitute(v, sigma)
                 conclusion = Equation(
                     new_side, other,
                     origin=f"paramod({rule.label}->{src.label}.{side_name})")
-                out.append(ParamodCandidate(
-                    conclusion, src.label, side_name, rule.label, p,
-                    tuple(sorted(sigma.items()))))
+                out.append(ParamodCandidate(conclusion, src.label, side_name,
+                                            rule.label, p))
     return out
 

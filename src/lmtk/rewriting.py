@@ -26,7 +26,6 @@ from .terms import (
     match_term,
     render_position,
     render_term,
-    rename_pair_apart,
     replace_at,
     substitute,
     subterm_at,
@@ -65,10 +64,6 @@ class Rule:
 
     def variables(self) -> set[str]:
         return variables_of(self.lhs) | variables_of(self.rhs)
-
-    def renamed_apart(self, avoid: set[str]) -> "Rule":
-        lhs, rhs = rename_pair_apart(self.lhs, self.rhs, avoid)
-        return Rule(lhs, rhs, self.label)
 
 
 @dataclass(frozen=True)
@@ -128,7 +123,6 @@ class Trs:
 class RewriteStep:
     rule_label: str
     position: Position
-    subst_items: tuple[tuple[str, Term], ...]
     source: Term
     target: Term
 
@@ -162,17 +156,17 @@ class FuelExhausted(Exception):
         self.trace = trace
 
 
-# one step as `normalize` records it: rule label, position, sorted matcher
-# items and the rewritten subterm; the whole terms come from `_steps`
-_Record = tuple[str, Position, tuple[tuple[str, Term], ...], Term]
+# one step as `normalize` records it: rule label, position and the
+# rewritten subterm; the whole terms come from `_steps`
+_Record = tuple[str, Position, Term]
 
 
 def _steps(t: Term, records: list[_Record]) -> list[RewriteStep]:
     """The trace of `records` from start term `t`, in one pass."""
     out: list[RewriteStep] = []
-    for label, p, items, r in records:
+    for label, p, r in records:
         target = replace_at(t, p, r)
-        out.append(RewriteStep(label, p, items, t, target))
+        out.append(RewriteStep(label, p, t, target))
         t = target
     return out
 
@@ -260,12 +254,13 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
     arguments left of it are normal, so the first redex the walk meets is
     the leftmost-innermost one. After a step the walk re-enters the new
     subterm, but not the matcher's values: they lie below an innermost
-    redex, so they are normal, and the step records keep them alive, so
-    their ids cannot be reused.
+    redex, so they are normal, and `sigma` keeps them alive until the next
+    step replaces it and `normal_ids` together, so their ids cannot be
+    reused.
 
-    A step records only its rule, position, matcher and rewritten subterm,
-    and the whole term's size is kept by difference, so a step costs no
-    rebuild of the term. On success the trace's source and target terms
+    A step records only its rule, position and rewritten subterm, and the
+    whole term's size is kept by difference, so a step costs no rebuild of
+    the term. On success the trace's source and target terms
     are built from the records in one pass. Raises FuelExhausted if a
     redex remains after `fuel` steps, or the term outgrows MAX_TERM_NODES;
     its term is built once from the spine, and its trace is built only if
@@ -305,8 +300,7 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
             normal_ids = {id(v) for v in sigma.values()}
             r = substitute(rule.rhs, sigma)
             size += term_size(r) - term_size(u)
-            records.append((rule.label, tuple(path),
-                            tuple(sorted(sigma.items())), r))
+            records.append((rule.label, tuple(path), r))
             u, entering = r, True
             if size > MAX_TERM_NODES:
                 raise stuck()

@@ -245,12 +245,6 @@ def match_many(pairs: Sequence[tuple[Term, Term]]) -> Optional[Subst]:
     return subst
 
 
-def occurs_in(name: str, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.name == name
-    return any(occurs_in(name, a) for a in t.args)
-
-
 def mgu(s: Term, t: Term) -> Optional[Subst]:
     """Most general unifier of s and t (idempotent), or None.
 
@@ -267,7 +261,7 @@ def mgu(s: Term, t: Term) -> Optional[Subst]:
         if a == b:
             continue
         if isinstance(a, Var):
-            if occurs_in(a.name, b):
+            if a.name in variables_of(b):
                 return None
             binding = {a.name: b}
             for x in list(subst):

@@ -12,7 +12,8 @@ caught at parse time:
 
 Rule labels are optional; unlabeled rules get r1, r2, ... in order. A
 legacy parenthesized style `(VAR x y) (RULES l -> r ...)` is accepted as
-an import convenience; its signature is inferred from usage.
+an import convenience; its signature is read off the rules as they are
+parsed.
 """
 
 from __future__ import annotations
@@ -48,8 +49,9 @@ class _TermParser:
         self.line = line
         self.col_offset = col_offset
 
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col_offset + self.pos + 1)
+    def error(self, message: str, at: Optional[int] = None) -> ParseError:
+        at = self.pos if at is None else at
+        return ParseError(message, self.line, self.col_offset + at + 1)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -74,29 +76,28 @@ class _TermParser:
 
     def term(self) -> Term:
         # iterative: input terms may nest deeper than the interpreter
-        # recursion limit. Each open frame is a symbol name and the arguments
-        # parsed so far.
-        frames: list[tuple[str, list[Term]]] = []
+        # recursion limit. Each open frame is a symbol name, the offset of
+        # its '(' and the arguments parsed so far.
+        frames: list[tuple[str, int, list[Term]]] = []
         while True:
             name = self.ident()
             self.skip_ws()
             if self.peek() == "(":
                 if name in self.variables:
                     raise self.error(f"variable {name} applied to arguments")
-                if name not in self.symbols:
-                    raise self.error(f"undeclared symbol {name}")
+                at = self.pos
                 self.pos += 1
                 self.skip_ws()
                 if self.peek() != ")":
-                    frames.append((name, []))
+                    frames.append((name, at, []))
                     continue
                 self.pos += 1
-                done = self.application(name, [])
+                done = self.application(name, at, [])
             else:
                 done = self.leaf(name)
             # hand the finished term to the frames it completes
             while frames:
-                name, args = frames[-1]
+                name, at, args = frames[-1]
                 args.append(done)
                 self.skip_ws()
                 if self.peek() == ",":
@@ -104,12 +105,15 @@ class _TermParser:
                     break
                 self.expect(")")
                 frames.pop()
-                done = self.application(name, args)
+                done = self.application(name, at, args)
             else:
                 return done
 
-    def application(self, name: str, args: list[Term]) -> Term:
-        sym = self.symbols[name]
+    def application(self, name: str, at: int, args: list[Term]) -> Term:
+        """`name` applied to `args`; `at` is the offset of its '('."""
+        sym = self.symbols.get(name)
+        if sym is None:
+            raise self.error(f"undeclared symbol {name}", at)
         if len(args) != sym.arity:
             raise self.error(
                 f"arity mismatch: {name} declared /{sym.arity}, "
@@ -127,18 +131,20 @@ class _TermParser:
                 f"arity mismatch: {name} declared /{sym.arity}, used as constant")
         return App(sym)
 
-    def finished(self) -> bool:
+    def whole(self, trailing: str) -> Term:
+        """The whole text as one term; `trailing` is the error for input
+        left after it."""
+        t = self.term()
         self.skip_ws()
-        return self.pos >= len(self.text)
+        if self.pos < len(self.text):
+            raise self.error(trailing)
+        return t
 
 
 def parse_term(text: str, trs: Trs) -> Term:
     """Parse a single term in the context of a system's signature."""
-    p = _TermParser(text, {s.name: s for s in trs.symbols}, set(trs.variables))
-    t = p.term()
-    if not p.finished():
-        raise p.error("trailing input after term")
-    return t
+    return _TermParser(text, {s.name: s for s in trs.symbols},
+                       set(trs.variables)).whole("trailing input after term")
 
 
 def _strip_comment(line: str) -> str:
@@ -201,15 +207,11 @@ def parse_trs(text: str) -> Trs:
             if "->" not in line:
                 raise ParseError("expected 'lhs -> rhs'", lineno, col)
             lhs_s, _, rhs_s = line.partition("->")
-            parser = _TermParser(lhs_s, symbols, set(variables), lineno, col - 1)
-            lhs = parser.term()
-            if not parser.finished():
-                raise parser.error("trailing input before '->'")
-            parser = _TermParser(rhs_s, symbols, set(variables), lineno,
-                                 col - 1 + len(lhs_s) + 2)
-            rhs = parser.term()
-            if not parser.finished():
-                raise parser.error("trailing input after rhs")
+            lhs = _TermParser(lhs_s, symbols, set(variables), lineno,
+                              col - 1).whole("trailing input before '->'")
+            rhs = _TermParser(rhs_s, symbols, set(variables), lineno,
+                              col - 1 + len(lhs_s) + 2
+                              ).whole("trailing input after rhs")
             if not label:
                 label = f"r{len(rules) + 1}"
                 while label in pending_labels:
@@ -228,6 +230,23 @@ def parse_trs(text: str) -> Trs:
     return Trs(tuple(sym_order), tuple(variables), tuple(rules))
 
 
+class _LegacyTermParser(_TermParser):
+    """Declares each symbol with the arity of its first application to
+    close; a constant may be written `a` or `a()`."""
+
+    def application(self, name: str, at: int, args: list[Term]) -> Term:
+        sym = self.symbols.setdefault(name, Symbol(name, len(args)))
+        if sym.arity != len(args):
+            raise self.error(f"symbol {name} used with arities "
+                             f"{sym.arity} and {len(args)}")
+        return App(sym, tuple(args))
+
+    def leaf(self, name: str) -> Term:
+        if name in self.variables:
+            return Var(name)
+        return self.application(name, self.pos, [])
+
+
 def parse_legacy_trs(text: str) -> Trs:
     """Parenthesized legacy style:
 
@@ -237,64 +256,30 @@ def parse_legacy_trs(text: str) -> Trs:
           g(b) -> c
         )
 
-    The signature is inferred from how symbols are applied; inconsistent
-    arities are an error.
+    The signature, sorted by name, holds each symbol with the arity it is
+    applied with; inconsistent arities are an error.
     """
     var_m = re.search(r"\(VAR([^)]*)\)", text)
     variables = var_m.group(1).split() if var_m else []
     rules_m = re.search(r"\(RULES(.*)\)", text, re.DOTALL)
     if not rules_m:
         raise ParseError("missing (RULES ...) section")
-    body = rules_m.group(1)
 
-    arities: dict[str, int] = {}
-    rule_srcs: list[tuple[str, str]] = []
-    for chunk in body.splitlines():
+    symbols: dict[str, Symbol] = {}
+    rules: list[Rule] = []
+    for chunk in rules_m.group(1).splitlines():
         chunk = _strip_comment(chunk).strip()
         if not chunk:
             continue
         if "->" not in chunk:
             raise ParseError(f"expected 'lhs -> rhs' in '{chunk}'")
         lhs_s, _, rhs_s = chunk.partition("->")
-        rule_srcs.append((lhs_s.strip(), rhs_s.strip()))
-        for side in (lhs_s, rhs_s):
-            _infer_arities(side, set(variables), arities)
-
-    signature = Trs(tuple(Symbol(n, a) for n, a in sorted(arities.items())),
-                    tuple(variables), ())
-    rules = [Rule(parse_term(lhs_s, signature), parse_term(rhs_s, signature),
-                  f"r{i}")
-             for i, (lhs_s, rhs_s) in enumerate(rule_srcs, start=1)]
-    return signature.with_rules(rules)
-
-
-def _infer_arities(src: str, variables: set[str], arities: dict[str, int]) -> None:
-    pos = 0
-    while True:
-        m = TOKEN_RE.search(src, pos)
-        if not m:
-            return
-        name = m.group()
-        pos = m.end()
-        if name in variables:
-            continue
-        arity = 0
-        if pos < len(src) and src[pos:].lstrip().startswith("("):
-            depth = 0
-            arity = 1
-            for ch in src[src.index("(", pos):]:
-                if ch == "(":
-                    depth += 1
-                elif ch == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                elif ch == "," and depth == 1:
-                    arity += 1
-        if name in arities and arities[name] != arity:
-            raise ParseError(f"symbol {name} used with arities "
-                             f"{arities[name]} and {arity}")
-        arities[name] = arity
+        lhs, rhs = (_LegacyTermParser(side, symbols, set(variables))
+                    .whole("trailing input after term")
+                    for side in (lhs_s, rhs_s))
+        rules.append(Rule(lhs, rhs, f"r{len(rules) + 1}"))
+    return Trs(tuple(sorted(symbols.values(), key=lambda s: s.name)),
+               tuple(variables), tuple(rules))
 
 
 def render_trs(trs: Trs) -> str:

@@ -8,6 +8,10 @@ on top by `corpus_systems`.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from lmtk.checker import CheckOptions, lm_verdict
@@ -221,6 +225,29 @@ def corpus_systems() -> list[tuple[str, Trs, CheckOptions]]:
         opts = CheckOptions(precedence=encoding_precedence(machine))
         out.append((f"encoded_{name}", inst.theory, opts))
     return out
+
+
+@functools.cache
+def _pool_generator():
+    spec = importlib.util.spec_from_file_location(
+        "lmtk_pool_gen", Path(__file__).resolve().parents[1] / "perfbench"
+        / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.random_system_text
+
+
+def pool_text(seed: int) -> str:
+    """The benchmark's pool system of `seed` (`perfbench/gen.py`), as
+    system-file text."""
+    return _pool_generator()(seed)
+
+
+def sweep_sources(pool_seeds) -> dict[str, str]:
+    """`LM_SOURCES`, `FC_SOURCES` and the pool systems of `pool_seeds`, by
+    name: the systems the differential sweeps run on."""
+    return {**LM_SOURCES, **FC_SOURCES,
+            **{f"pool{seed}": pool_text(seed) for seed in pool_seeds}}
 
 
 # variable right sides, first and last in rule order: such a rhs unifies

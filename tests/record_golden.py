@@ -13,12 +13,17 @@ systems of seeds 0-119 from `perfbench/gen.py`, which run at `--fuel 200
 and `fc-check`, in text form. An entry keeps the exit code, a sha256 of
 stdout and of stderr, and the first line of stdout, so that a failure
 names what changed.
+
+`tests/golden/cli_sample.json` holds a sample of two more forms, recorded
+the same way: `collapse --depth 3` in text and `check --json`, on the
+same systems but only pool seeds 0-19. JSON output is recorded without
+its `seconds`, which differ run to run, and its first line is the first
+line inside the braces.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import io
 import json
 import sys
@@ -28,39 +33,43 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden" / "cli.json"
+SAMPLE = HERE / "golden" / "cli_sample.json"
 POOL_SEEDS = range(120)
+SAMPLE_POOL_SEEDS = range(20)
 
 
-def _pool_generator():
-    spec = importlib.util.spec_from_file_location(
-        "lmtk_golden_gen", HERE.parent / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen.random_system_text
-
-
-def systems() -> list[tuple[str, str, list[list[str]]]]:
-    """Name, system text and the argument lists (after the file) to run."""
-    from conftest import FC_SOURCES, LM_SOURCES, MACHINE_STARTS
+def _sources() -> list[tuple[str, str, list[str], list[str]]]:
+    """Name, system text, the flags of `check` and the fuel flags."""
+    from conftest import FC_SOURCES, LM_SOURCES, MACHINE_STARTS, pool_text
     from lmtk.minsky import encode, encoding_precedence
     from lmtk.trs_format import render_trs
 
-    def commands(check: list[str], fuel: list[str]) -> list[list[str]]:
-        return [["check", *check], ["cps"], ["nosup"], ["rhs"],
-                ["fc", "--fc-max-gen", "3"], ["fc-check", *fuel]]
-
-    out = [(name, src, commands([], []))
+    out = [(name, src, [], [])
            for name, src in {**LM_SOURCES, **FC_SOURCES}.items()]
     for name, (machine, k, p) in MACHINE_STARTS.items():
         text = render_trs(encode(machine, k, p).theory)
         precedence = ",".join(encoding_precedence(machine))
-        out.append((f"encoded_{name}", text,
-                    commands(["--precedence", precedence], [])))
-    pool, pool_text = ["--fuel", "200"], _pool_generator()
-    out.extend((f"pool{seed}", pool_text(seed),
-                commands([*pool, "--depth", "3"], pool))
+        out.append((f"encoded_{name}", text, ["--precedence", precedence], []))
+    pool = ["--fuel", "200"]
+    out.extend((f"pool{seed}", pool_text(seed), [*pool, "--depth", "3"], pool)
                for seed in POOL_SEEDS)
     return out
+
+
+def systems() -> list[tuple[str, str, list[list[str]]]]:
+    """Name, system text and the argument lists (after the file) to run."""
+    return [(name, text, [["check", *check], ["cps"], ["nosup"], ["rhs"],
+                          ["fc", "--fc-max-gen", "3"], ["fc-check", *fuel]])
+            for name, text, check, fuel in _sources()]
+
+
+def samples() -> list[tuple[str, str, list[list[str]]]]:
+    """The sampled systems and argument lists of `cli_sample.json`."""
+    sampled = {f"pool{seed}" for seed in SAMPLE_POOL_SEEDS}
+    return [(name, text, [["collapse", "--depth", "3", *fuel],
+                          ["check", "--json", *check]])
+            for name, text, check, fuel in _sources()
+            if not name.startswith("pool") or name in sampled]
 
 
 def _sha(text: str) -> str:
@@ -80,26 +89,37 @@ def outputs(name: str, text: str, argvs: list[list[str]],
         with redirect_stdout(out), redirect_stderr(err):
             code = run_command([argv[0], str(path), *argv[1:]])
         stdout = out.getvalue()
+        first_line = stdout.split("\n", 1)[0]
+        if "--json" in argv:
+            payload = json.loads(stdout)
+            payload.pop("seconds", None)
+            stdout = json.dumps(payload, indent=2) + "\n"
+            first_line = stdout.split("\n", 2)[1].strip()
         entries[" ".join([name, *argv])] = {
             "exit": code,
             "stdout_sha256": _sha(stdout),
             "stderr_sha256": _sha(err.getvalue()),
-            "first_line": stdout.split("\n", 1)[0],
+            "first_line": first_line,
         }
     return entries
 
 
-def main() -> None:
+def _record(path: Path, runs: list[tuple[str, str, list[list[str]]]]) -> None:
     entries: dict[str, dict] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text, argvs in systems():
+        for name, text, argvs in runs:
             entries.update(outputs(name, text, argvs, Path(tmp)))
     # one entry per line, so that a re-record diffs by entry
     lines = [f"{json.dumps(key)}: {json.dumps(entries[key], sort_keys=True)}"
              for key in sorted(entries)]
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
-    print(f"{len(entries)} entries written to {GOLDEN}")
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+    print(f"{len(entries)} entries written to {path}")
+
+
+def main() -> None:
+    _record(GOLDEN, systems())
+    _record(SAMPLE, samples())
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 """Termination, confluence, reduction transforms, and the LM pipeline."""
 
+import itertools
+
 import pytest
 
 from lmtk.checker import (
     INTERNAL_INCONSISTENCY,
     CheckOptions,
+    Deletion,
     SignatureTooLarge,
     almost_left_reduce,
     check_confluence,
@@ -19,7 +22,17 @@ from lmtk.checker import (
 from lmtk.minsky import encode, encoding_precedence
 from lmtk.overlaps import Equation, overlap_sites, rhs_closure
 from lmtk.rewriting import nf
-from lmtk.terms import ROOT, Var, enumerate_terms, mgu, render_term
+from lmtk.terms import (
+    ROOT,
+    App,
+    Var,
+    enumerate_terms,
+    match_term,
+    mgu,
+    rename_pair_apart,
+    render_term,
+    subterms,
+)
 from lmtk.trs_format import parse_term, parse_trs
 
 from conftest import (
@@ -32,6 +45,7 @@ from conftest import (
     UNARY_CHAIN,
     VARIABLE_RHS,
     overlap_systems,
+    sweep_sources,
 )
 
 
@@ -144,6 +158,57 @@ class TestAlmostLeftReduce:
         reduced, _ = almost_left_reduce(trs)
         for t in enumerate_terms(trs.symbols, ("x",), 4):
             assert nf(trs, t) == nf(reduced, t)
+
+
+def reference_almost_left_reduce(trs):
+    """`almost_left_reduce` as a restart loop: after every deletion the
+    scan starts again from the first rule (the differential oracle of the
+    single pass)."""
+    rules = list(trs.rules)
+    log = []
+    changed = True
+    while changed:
+        changed = False
+        for i, r in enumerate(rules):
+            hit = next(((p, other) for p, sub in subterms(r.lhs)
+                        if p and isinstance(sub, App)
+                        for other in rules
+                        if other is not r
+                        and match_term(other.lhs, sub) is not None), None)
+            if hit is not None:
+                p, other = hit
+                log.append(Deletion(r, p, other.label))
+                del rules[i]
+                changed = True
+                break
+    return trs.with_rules(rules), log
+
+
+# lhs chains: each lhs holds an instance of the next one's at a proper
+# position, so the rule order decides which deletions come first and
+# which rule and position each one names
+LHS_CHAINS = (("f(g(h(k(a)), a))", "g(h(k(a)), a)", "h(k(a))", "k(a)"),
+              ("f(g(h(k(a)), y))", "g(h(k(x)), y)", "h(k(z))", "k(w)"))
+
+
+def chain_systems():
+    return [parse_trs("sig: f/1 g/2 h/1 k/1 a/0 b/0\nvars: x y z w\nrules:\n"
+                      + "".join(f"  {lhs} -> b\n" for lhs in order))
+            for chain in LHS_CHAINS for order in itertools.permutations(chain)]
+
+
+class TestAlmostLeftReduceOracle:
+    def test_agrees_with_the_restart_loop(self):
+        systems = [parse_trs(src) for src in sweep_sources(range(240)).values()]
+        systems += chain_systems()
+        deletions = 0
+        for trs in systems:
+            reduced, log = almost_left_reduce(trs)
+            expected, expected_log = reference_almost_left_reduce(trs)
+            assert reduced == expected
+            assert [str(d) for d in log] == [str(d) for d in expected_log]
+            deletions += len(log)
+        assert deletions > 100
 
 
 class TestQuasiDeterminism:
@@ -363,9 +428,9 @@ def lhs_unifiable_oracle(trs):
     """Consequence (a) as its own rename-apart-and-unify loop."""
     return [f"{outer.label}/{inner.label}"
             for i, outer in enumerate(trs.rules)
-            for inner, inner_r, p, sub in overlap_sites(
+            for inner, inner_lhs, _, p, sub in overlap_sites(
                 outer.lhs, outer.variables(), trs.rules[i + 1:])
-            if p == ROOT and mgu(sub, inner_r.lhs) is not None]
+            if p == ROOT and mgu(sub, inner_lhs) is not None]
 
 
 def rhs_lhs_unifiable_oracle(trs):
@@ -373,7 +438,8 @@ def rhs_lhs_unifiable_oracle(trs):
     return [f"{r1.label}->{r2.label}"
             for r1 in trs.rules for r2 in trs.rules
             if r1.label != r2.label and mgu(
-                r1.rhs, r2.renamed_apart(r1.variables()).lhs) is not None]
+                r1.rhs, rename_pair_apart(r2.lhs, r2.rhs,
+                                          r1.variables())[0]) is not None]
 
 
 class TestConsequenceOverlaps:

@@ -7,6 +7,8 @@ import pytest
 
 from lmtk import cli
 from lmtk.cli import run_command
+from lmtk.closure import innermost_one_step_check
+from lmtk.trs_format import parse_trs
 
 from conftest import (
     BRANCHING_MACHINE,
@@ -176,6 +178,14 @@ class TestFc:
         assert code == 0
         assert "forward-closed: yes" in out
         assert "innermost one-step: yes" in out
+
+    def test_fc_check_json_counts_the_redexes(self, write, capsys):
+        path = write("full.trs", ROOT_OVERLAP)
+        code, out, _ = run(capsys, "fc-check", path, "--json")
+        payload = json.loads(out)
+        report = innermost_one_step_check(parse_trs(ROOT_OVERLAP))
+        assert code == 0
+        assert payload["one_step_redexes"] == report.redexes_checked > 0
 
 
 class TestSmallCommands:

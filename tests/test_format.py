@@ -1,12 +1,21 @@
 """Parsing and rendering of systems and terms."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from lmtk.trs_format import ParseError, parse_term, parse_trs, render_trs
-from lmtk.terms import App, Symbol, Var, render_term
+from lmtk.rewriting import Rule, Trs
+from lmtk.trs_format import (
+    TOKEN_RE,
+    ParseError,
+    parse_term,
+    parse_trs,
+    render_trs,
+)
+from lmtk.terms import App, Symbol, Term, Var, render_term
 
-from conftest import ROOT_OVERLAP, corpus_systems
+from conftest import ROOT_OVERLAP, corpus_systems, sweep_sources
 
 
 class TestParse:
@@ -122,3 +131,130 @@ class TestLegacyFormat:
     def test_missing_rules_section(self):
         with pytest.raises(ParseError, match="RULES"):
             parse_trs("(VAR x)")
+
+    def test_constant_written_as_a_call(self):
+        trs = parse_trs("(VAR x) (RULES f(a(), x) -> x)")
+        assert trs.symbol("a").arity == 0
+        assert render_term(trs.rules[0].lhs) == "f(a,x)"
+
+    def test_both_constant_spellings_are_one_constant(self):
+        mixed = parse_trs("(VAR x)\n(RULES\n  f(a, x) -> g(a(), x)\n)")
+        assert mixed == parse_trs("(VAR x)\n(RULES\n  f(a, x) -> g(a, x)\n)")
+        assert [s.name for s in mixed.symbols] == ["a", "f", "g"]
+
+    def test_constant_spelling_conflicts_with_a_unary_use(self):
+        with pytest.raises(ParseError,
+                           match="symbol a used with arities 0 and 1"):
+            parse_trs("(VAR x)\n(RULES\n  f(a(), x) -> a(x)\n)")
+
+    def test_deep_term(self):
+        depth = 4000
+        trs = parse_trs("(VAR x)\n(RULES\n  " + "g(" * depth + "x"
+                        + ")" * depth + " -> x\n)")
+        assert trs.symbol("g").arity == 1
+        assert trs.rules[0].lhs._size == depth + 1
+
+
+def reference_legacy_trs(text: str) -> Trs:
+    """The legacy importer that infers the signature from a scan of the
+    parentheses and then parses each side a second time (the differential
+    oracle of `parse_legacy_trs`)."""
+    var_m = re.search(r"\(VAR([^)]*)\)", text)
+    variables = var_m.group(1).split() if var_m else []
+    rules_m = re.search(r"\(RULES(.*)\)", text, re.DOTALL)
+    if not rules_m:
+        raise ParseError("missing (RULES ...) section")
+    arities: dict[str, int] = {}
+    rule_srcs: list[tuple[str, str]] = []
+    for chunk in rules_m.group(1).splitlines():
+        chunk = chunk.split("#", 1)[0].strip()
+        if not chunk:
+            continue
+        if "->" not in chunk:
+            raise ParseError(f"expected 'lhs -> rhs' in '{chunk}'")
+        lhs_s, _, rhs_s = chunk.partition("->")
+        rule_srcs.append((lhs_s.strip(), rhs_s.strip()))
+        for side in (lhs_s, rhs_s):
+            _reference_infer_arities(side, set(variables), arities)
+    signature = Trs(tuple(Symbol(n, a) for n, a in sorted(arities.items())),
+                    tuple(variables), ())
+    rules = [Rule(parse_term(lhs_s, signature), parse_term(rhs_s, signature),
+                  f"r{i}")
+             for i, (lhs_s, rhs_s) in enumerate(rule_srcs, start=1)]
+    return signature.with_rules(rules)
+
+
+def _reference_infer_arities(src: str, variables: set[str],
+                             arities: dict[str, int]) -> None:
+    pos = 0
+    while True:
+        m = TOKEN_RE.search(src, pos)
+        if not m:
+            return
+        name = m.group()
+        pos = m.end()
+        if name in variables:
+            continue
+        arity = 0
+        if pos < len(src) and src[pos:].lstrip().startswith("("):
+            depth = 0
+            arity = 1
+            for ch in src[src.index("(", pos):]:
+                if ch == "(":
+                    depth += 1
+                elif ch == ")":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                elif ch == "," and depth == 1:
+                    arity += 1
+        if name in arities and arities[name] != arity:
+            raise ParseError(f"symbol {name} used with arities "
+                             f"{arities[name]} and {arity}")
+        arities[name] = arity
+
+
+def _called(t: Term) -> str:
+    """`t` with every constant written as a call, `a()`."""
+    if isinstance(t, Var):
+        return t.name
+    return f"{t.sym.name}({','.join(_called(a) for a in t.args)})"
+
+
+def legacy_text(trs: Trs, calls: bool = False) -> str:
+    """`trs` in the legacy format; `calls` writes constants as `a()`."""
+    side = _called if calls else render_term
+    rules = "".join(f"  {side(r.lhs)} -> {side(r.rhs)}\n" for r in trs.rules)
+    return f"(VAR {' '.join(trs.variables)})\n(RULES\n{rules})\n"
+
+
+class TestLegacyImportOracle:
+    """The importer against the reference importer it replaced."""
+
+    def test_agrees_on_the_sweep_in_both_constant_spellings(self):
+        sources = sweep_sources(range(200))
+        assert len(sources) == 220
+        for name, src in sources.items():
+            trs = parse_trs(src)
+            expected = render_trs(reference_legacy_trs(legacy_text(trs)))
+            assert render_trs(parse_trs(legacy_text(trs))) == expected, name
+            assert render_trs(parse_trs(legacy_text(trs, calls=True))) \
+                == expected, name
+
+    @pytest.mark.parametrize("text", [
+        "(VAR x)\n(RULES\n  f(x) -> f(x, x)\n)",
+        "(VAR x)\n(RULES\n  f(x) -> g(x)\n  g(x, x) -> x\n)",
+        "(VAR x)\n(RULES\n  f(a) -> b\n  a(x) -> b\n)",
+        "(VAR x)\n(RULES\n  f(x) -> x(b)\n)",
+        "(VAR x)\n(RULES\n  x -> b\n)",
+        "(VAR x y)\n(RULES\n  f(x) -> g(y)\n)",
+        "(VAR x)\n(RULES\n  f(x) g(x)\n)",
+        "(VAR x)",
+    ])
+    def test_same_error(self, text):
+        with pytest.raises(ValueError) as expected:
+            reference_legacy_trs(text)
+        with pytest.raises(ValueError) as got:
+            parse_trs(text)
+        assert (type(got.value), str(got.value)) == \
+            (type(expected.value), str(expected.value))

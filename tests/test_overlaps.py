@@ -12,7 +12,14 @@ from lmtk.overlaps import (
     rhs_critical_pairs,
 )
 from lmtk.rewriting import apply_rule
-from lmtk.terms import ROOT, mgu, render_term, substitute, subterm_at
+from lmtk.terms import (
+    ROOT,
+    mgu,
+    rename_pair_apart,
+    render_term,
+    substitute,
+    subterm_at,
+)
 from lmtk.trs_format import parse_trs
 
 from conftest import DUPLICATING, TINY_MACHINE, UNARY_CHAIN, overlap_systems
@@ -55,9 +62,11 @@ class TestCriticalPairs:
         trs = parse_trs(NESTED)
         for cp in critical_pairs(trs):
             outer = trs.rule(cp.outer)
-            inner = trs.rule(cp.inner).renamed_apart(outer.variables())
+            inner = trs.rule(cp.inner)
+            inner_lhs, _ = rename_pair_apart(inner.lhs, inner.rhs,
+                                             outer.variables())
             from lmtk.terms import mgu
-            sigma = mgu(subterm_at(outer.lhs, cp.position), inner.lhs)
+            sigma = mgu(subterm_at(outer.lhs, cp.position), inner_lhs)
             peak = substitute(outer.lhs, sigma)
             one = apply_rule(trs.rule(cp.inner), peak, cp.position)
             other = apply_rule(outer, peak, ())
@@ -91,11 +100,11 @@ class TestNosup:
         def oracle(trs):
             seen, out = set(), []
             for outer in trs.rules:
-                for _, inner_r, p, sub in overlap_sites(
+                for _, inner_lhs, _, p, sub in overlap_sites(
                         outer.lhs, outer.variables(), trs.rules):
                     if p == ROOT:
                         continue
-                    sigma = mgu(sub, inner_r.lhs)
+                    sigma = mgu(sub, inner_lhs)
                     if sigma is None:
                         continue
                     t = substitute(outer.lhs, sigma)

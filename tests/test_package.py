@@ -1,5 +1,5 @@
 """The package's public surface: every exported name, and every public
-top-level name of a module, has a caller."""
+top-level name of a module, has a caller, and every class field is read."""
 
 import ast
 from pathlib import Path
@@ -49,6 +49,24 @@ def used_names(path: Path) -> set[str]:
     return used
 
 
+def class_fields(path: Path) -> set[str]:
+    """`Class.field` for every annotated field of a class in `path`."""
+    return {f"{node.name}.{stmt.target.id}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)}
+
+
+def read_attributes(path: Path) -> set[str]:
+    """The attribute names that code in `path` reads."""
+    return {node.attr
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_export_has_a_caller():
     callers = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     bench = sorted(BENCH.glob("*.py"))
@@ -65,4 +83,15 @@ def test_every_public_module_name_has_a_caller():
                          for p in modules + sorted(BENCH.glob("*.py"))))
     unread = [f"{p.stem}.{name}" for p in modules
               for name in sorted(defined_names(p) - used)]
+    assert unread == []
+
+
+def test_every_class_field_is_read():
+    # a field nothing reads is kept up to date for no one
+    modules = sorted(PACKAGE.glob("*.py"))
+    read = set().union(*(read_attributes(p)
+                         for p in modules + sorted(BENCH.glob("*.py"))))
+    unread = [f"{p.stem}.{field}" for p in modules
+              for field in sorted(class_fields(p))
+              if field.split(".")[1] not in read]
     assert unread == []

@@ -241,9 +241,8 @@ def innermost_oracle(trs, t, fuel):
             return t, trace
         if len(trace) >= fuel:
             raise FuelExhausted(t, trace)
-        rule, p, target, sigma = hit
-        trace.append(RewriteStep(rule.label, p, tuple(sorted(sigma.items())),
-                                 t, target))
+        rule, p, target, _ = hit
+        trace.append(RewriteStep(rule.label, p, t, target))
         t = target
         if term_size(t) > MAX_TERM_NODES:
             raise FuelExhausted(t, trace)

@@ -17,6 +17,7 @@ from lmtk.terms import (
     is_ground,
     match_term,
     mgu,
+    rename_pair_apart,
     render_term,
     replace_at,
     substitute,
@@ -271,22 +272,24 @@ class TestVariables:
 class TestRenameApart:
     def test_clash_gets_suffix(self):
         rule = Rule(f(x, x), App(Symbol("0", 0)), "r1")
-        renamed = rule.renamed_apart({"x"})
-        assert render_term(renamed.lhs) == "f(x1,x1)"
+        lhs, _ = rename_pair_apart(rule.lhs, rule.rhs, {"x"})
+        assert render_term(lhs) == "f(x1,x1)"
 
     def test_no_clash_unchanged(self):
         rule = Rule(g(y), App(Symbol("c", 0)), "r1")
-        assert rule.renamed_apart({"x"}) == rule
+        assert rename_pair_apart(rule.lhs, rule.rhs, {"x"}) == \
+            (rule.lhs, rule.rhs)
 
     def test_deterministic(self):
         rule = Rule(f(x, y), g(x), "r1")
         avoid = {"x", "y"}
-        assert rule.renamed_apart(avoid) == rule.renamed_apart(avoid)
+        assert rename_pair_apart(rule.lhs, rule.rhs, avoid) == \
+            rename_pair_apart(rule.lhs, rule.rhs, avoid)
 
     def test_fresh_name_avoids_rule_variables(self):
         rule = Rule(f(x, Var("x1")), g(x), "r1")
-        renamed = rule.renamed_apart({"x"})
-        names = variables_of(renamed.lhs)
+        lhs, _ = rename_pair_apart(rule.lhs, rule.rhs, {"x"})
+        names = variables_of(lhs)
         assert len(names) == 2  # bijective renaming
 
     @given(terms)
@@ -294,10 +297,10 @@ class TestRenameApart:
         if isinstance(t, Var):
             return
         rule = Rule(f(t, t), f(t, t), "r")
-        renamed = rule.renamed_apart(variables_of(t) | {"q"})
+        lhs, _ = rename_pair_apart(rule.lhs, rule.rhs, variables_of(t) | {"q"})
         assert match_term(rule.lhs, rule.lhs) is not None
-        back = match_term(renamed.lhs, rule.lhs)
-        fwd = match_term(rule.lhs, renamed.lhs)
+        back = match_term(lhs, rule.lhs)
+        fwd = match_term(rule.lhs, lhs)
         assert back is not None and fwd is not None
         assert all(isinstance(v, Var) for v in fwd.values())
 
