@@ -18,14 +18,13 @@ than a property of the input. The suite reads its overlaps off
 `critical_pairs` and `compositions`; the checker unifies nothing itself.
 
 Conditions and consequences alike are settled by `_condition`, the one
-place where a hit bound (rewrite fuel, the precedence search's signature
-limit) turns into an UNKNOWN entry instead of ending the report. An open
-consequence never changes the verdict.
+place where a hit bound (rewrite fuel) turns into an UNKNOWN entry
+instead of ending the report. An open consequence never changes the
+verdict.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -61,33 +60,124 @@ from .terms import (
 )
 
 Precedence = Sequence[str]  # symbol names, greatest first
-SEARCH_LIMIT = 8  # symbols; the precedence search tries every ordering
+Atom = tuple[str, str]  # (f, g): f is above g in the precedence
 
 
-def lpo_greater(s: Term, t: Term, rank: dict[str, int]) -> bool:
-    """Lexicographic path order induced by a total precedence (smaller
-    rank = greater symbol)."""
+def _closed(atoms: frozenset[Atom]) -> Optional[frozenset[Atom]]:
+    """`atoms` with every atom that transitivity adds to them; None when
+    they form a cycle, which no order satisfies."""
+    out = set(atoms)
+    while True:
+        new = {(f, h) for f, g in out for g2, h in out if g == g2} - out
+        if not new:
+            return frozenset(out)
+        if any(f == h for f, h in new):
+            return None
+        out |= new
+
+
+def _minimal(alternatives: list[frozenset[Atom]]) -> list[frozenset[Atom]]:
+    """The satisfiable alternatives, closed under transitivity, without
+    repeats or supersets of another (which imply it), smallest first.
+    Closed, implication is plain subset, so wide terms, which relate many
+    symbol pairs, do not multiply out alternatives that differ only in
+    implied atoms."""
+    kept: list[frozenset[Atom]] = []
+    closed = dict.fromkeys(c for c in map(_closed, alternatives)
+                           if c is not None)
+    for alt in sorted(closed, key=len):
+        if not any(k <= alt for k in kept):
+            kept.append(alt)
+    return kept
+
+
+def _lpo_constraints(s: Term, t: Term, rank: dict[str, int],
+                     memo: dict[tuple[Term, Term], list[frozenset[Atom]]]
+                     ) -> list[frozenset[Atom]]:
+    """The total precedences with the ranked symbols on top, in rank
+    order, under which s is above t in the lexicographic path order, as a
+    minimal list of alternatives: s > t holds iff every atom of some
+    alternative holds. `[]` is never, `[frozenset()]` always; an atom the
+    ranking decides is never kept. The branches are those of the
+    definition: an argument of s is t or above it; or the root of s is
+    above the root of t, or equal to it with the first differing
+    arguments decreasing, and s is above every argument of t."""
+    key = (s, t)
+    if key in memo:
+        return memo[key]
     if isinstance(s, Var):
-        return False
-    if isinstance(t, Var):
-        return t.name in variables_of(s)
-    if any(a == t or lpo_greater(a, t, rank) for a in s.args):
+        out = []
+    elif isinstance(t, Var):
+        out = [frozenset()] if t.name in variables_of(s) else []
+    elif t in s.args:
+        out = [frozenset()]
+    else:
+        out = []
+        for a in s.args:
+            out += _lpo_constraints(a, t, rank, memo)
+        head: list[frozenset[Atom]] = []
+        if s.sym.name != t.sym.name:
+            head = _residuals([frozenset({(s.sym.name, t.sym.name)})], rank)
+        elif s.sym == t.sym:
+            for a, b in zip(s.args, t.args):
+                if a != b:
+                    head = _lpo_constraints(a, b, rank, memo)
+                    break
+        for c in t.args:
+            if not head:
+                break
+            # one frame per level of recursion, as deep as the terms
+            below = _lpo_constraints(s, c, rank, memo)
+            head = _minimal([p | q for p in head for q in below])
+        out = _minimal(out + head)
+    memo[key] = out
+    return out
+
+
+def _residuals(alternatives: list[frozenset[Atom]], rank: dict[str, int]
+               ) -> list[frozenset[Atom]]:
+    """The alternatives a precedence with the ranked symbols on top, in
+    rank order (smaller rank = greater symbol), can still satisfy, each cut
+    down to its atoms between unranked symbols. With every symbol ranked,
+    these are the satisfied alternatives, each empty."""
+    below = len(rank)  # the rank every unranked symbol shares
+    out = []
+    for alt in alternatives:
+        undecided = frozenset((f, g) for f, g in alt
+                              if f not in rank and g not in rank)
+        if all(rank.get(f, below) < rank.get(g, below)
+               for f, g in alt - undecided):
+            out.append(undecided)
+    return out
+
+
+def _choose(choices: list[list[frozenset[Atom]]],
+            atoms: frozenset[Atom] = frozenset()) -> bool:
+    """Whether one alternative of each choice can join `atoms` with no
+    cycle among them all."""
+    if not choices:
         return True
-    rs, rt = rank[s.sym.name], rank[t.sym.name]
-    if rs < rt:
-        return all(lpo_greater(s, b, rank) for b in t.args)
-    if s.sym == t.sym:
-        for a, b in zip(s.args, t.args):
-            if a == b:
-                continue
-            return lpo_greater(a, b, rank) and \
-                all(lpo_greater(s, c, rank) for c in t.args)
-        return False
+    for alt in choices[0]:
+        grown = _closed(atoms | alt)
+        if grown is not None and _choose(choices[1:], grown):
+            return True
     return False
 
 
-class SignatureTooLarge(ValueError):
-    pass
+def _feasible(constraints: list[list[frozenset[Atom]]],
+              rank: dict[str, int]) -> bool:
+    """Whether some total precedence with the ranked symbols on top, in
+    rank order, satisfies every rule's constraints: exactly when each rule
+    has an alternative the ranking leaves satisfiable and the chosen
+    alternatives' undecided atoms are acyclic together."""
+    choices = []
+    for alternatives in constraints:
+        rest = _residuals(alternatives, rank)
+        if not rest:
+            return False
+        if frozenset() not in rest:
+            choices.append(rest)
+    return _choose(sorted(choices, key=len))
 
 
 @dataclass
@@ -99,11 +189,16 @@ class TerminationResult:
 
 def check_termination(trs: Trs, precedence: Optional[Precedence] = None
                       ) -> TerminationResult:
-    """LPO termination: with a precedence, which must name each symbol of
+    """LPO termination. With a precedence, which must name each symbol of
     the signature once (ValueError otherwise), check lhs > rhs for every
-    rule; without one, search all total precedences (only for small
-    signatures)."""
+    rule and name the first rule that fails. Without one, find the first
+    total precedence orienting every rule, ordering precedences
+    lexicographically by the symbols' places in the signature, at any
+    signature size: read each rule's constraints off the LPO definition,
+    then fill each place with the first symbol left whose placement keeps
+    them satisfiable, as `_feasible` decides exactly."""
     names = [s.name for s in trs.symbols]
+    memo: dict[tuple[Term, Term], list[frozenset[Atom]]] = {}
     if precedence is not None:
         missing = set(names) - set(precedence)
         if missing:
@@ -113,17 +208,30 @@ def check_termination(trs: Trs, precedence: Optional[Precedence] = None
                              f"once, got {','.join(precedence)}")
         rank = {n: i for i, n in enumerate(precedence)}
         for r in trs.rules:
-            if not lpo_greater(r.lhs, r.rhs, rank):
+            if not _lpo_constraints(r.lhs, r.rhs, rank, memo):
                 return TerminationResult(False, failing_rule=r.label)
         return TerminationResult(True, list(precedence))
-    if len(names) > SEARCH_LIMIT:
-        raise SignatureTooLarge(
-            f"{len(names)} symbols; supply a precedence explicitly")
-    for perm in itertools.permutations(names):
-        rank = {n: i for i, n in enumerate(perm)}
-        if all(lpo_greater(r.lhs, r.rhs, rank) for r in trs.rules):
-            return TerminationResult(True, list(perm))
-    return TerminationResult(False)
+    constraints = []
+    for r in trs.rules:
+        constraints.append(_lpo_constraints(r.lhs, r.rhs, {}, memo))
+        if not constraints[-1]:  # no precedence orients r
+            return TerminationResult(False)
+    if not _feasible(constraints, {}):
+        return TerminationResult(False)
+    order: list[str] = []
+    rest = names
+    while rest:
+        # a feasible prefix extends by some symbol, so the last one left
+        # needs no test
+        for f in rest[:-1]:
+            if _feasible(constraints,
+                         {n: i for i, n in enumerate([*order, f])}):
+                break
+        else:
+            f = rest[-1]
+        order.append(f)
+        rest = [n for n in rest if n != f]
+    return TerminationResult(True, order)
 
 
 @dataclass
@@ -295,15 +403,13 @@ class CheckOptions:
 def _condition(name: str, decide: Callable[[], tuple],
                fuel_note: str = "fuel exhausted") -> Condition:
     """The condition `name` as `decide()` settles it, from the rest of the
-    `Condition` fields it returns. A hit bound leaves the condition open:
-    running out of rewrite fuel with `fuel_note`, a signature too large for
-    the precedence search with that error's message."""
+    `Condition` fields it returns. Running out of rewrite fuel, the one
+    bound that can stop a decision, leaves the condition open with
+    `fuel_note`."""
     try:
         return Condition(name, *decide())
     except FuelExhausted:
         return Condition(name, "unknown", fuel_note)
-    except SignatureTooLarge as e:
-        return Condition(name, "unknown", str(e))
 
 
 def lm_verdict(trs: Trs, opts: Optional[CheckOptions] = None) -> LmReport:

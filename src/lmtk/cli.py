@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subterm-collapse search depth, 1 or more")
     p.add_argument("--precedence",
                    help="comma-separated symbols, greatest first, each "
-                        "symbol once")
+                        "symbol once (default: search for one, at any "
+                        "signature size)")
     common(p)
     p.set_defaults(func=cmd_check)
 

@@ -247,6 +247,20 @@ class _LegacyTermParser(_TermParser):
         return self.application(name, self.pos, [])
 
 
+def _section(text: str, name: str) -> Optional[str]:
+    """The body of the first `(name ...)` section of `text`, read to its
+    own closing parenthesis; None when there is none."""
+    start = text.find("(" + name)
+    if start < 0:
+        return None
+    depth = 0
+    for i in range(start, len(text)):
+        depth += {"(": 1, ")": -1}.get(text[i], 0)
+        if not depth:
+            return text[start + len(name) + 1:i]
+    raise ParseError(f"unclosed ({name} ...) section")
+
+
 def parse_legacy_trs(text: str) -> Trs:
     """Parenthesized legacy style:
 
@@ -257,18 +271,20 @@ def parse_legacy_trs(text: str) -> Trs:
         )
 
     The signature, sorted by name, holds each symbol with the arity it is
-    applied with; inconsistent arities are an error.
+    applied with; inconsistent arities are an error. A variable declared
+    twice is declared once; other sections, such as `(COMMENT ...)`, are
+    skipped.
     """
-    var_m = re.search(r"\(VAR([^)]*)\)", text)
-    variables = var_m.group(1).split() if var_m else []
-    rules_m = re.search(r"\(RULES(.*)\)", text, re.DOTALL)
-    if not rules_m:
+    text = "\n".join(_strip_comment(line) for line in text.splitlines())
+    variables = list(dict.fromkeys((_section(text, "VAR") or "").split()))
+    body = _section(text, "RULES")
+    if body is None:
         raise ParseError("missing (RULES ...) section")
 
     symbols: dict[str, Symbol] = {}
     rules: list[Rule] = []
-    for chunk in rules_m.group(1).splitlines():
-        chunk = _strip_comment(chunk).strip()
+    for chunk in body.splitlines():
+        chunk = chunk.strip()
         if not chunk:
             continue
         if "->" not in chunk:

@@ -215,8 +215,8 @@ def load(source: str) -> Trs:
 
 
 def corpus_systems() -> list[tuple[str, Trs, CheckOptions]]:
-    """Name, system, and checker options (encodings need their precedence
-    supplied; everything else is searched)."""
+    """Name, system, and checker options (encodings are checked under
+    their encoding precedence; everything else is searched)."""
     out = []
     for name, src in {**LM_SOURCES, **FC_SOURCES}.items():
         out.append((name, load(src), CheckOptions()))

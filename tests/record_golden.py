@@ -7,7 +7,8 @@ entry with a fresh run. Record on purpose only: a change that alters an
 output re-records the file and names each changed entry and its reason.
 
 The systems are the hand-written `LM_SOURCES` and `FC_SOURCES`, the three
-encoded machines (checked with `encoding_precedence`), and the pool
+encoded machines (checked with `encoding_precedence`, and once more
+without a precedence, under the one the search finds), and the pool
 systems of seeds 0-119 from `perfbench/gen.py`, which run at `--fuel 200
 --depth 3`. Each runs `check`, `cps`, `nosup`, `rhs`, `fc --fc-max-gen 3`
 and `fc-check`, in text form. An entry keeps the exit code, a sha256 of
@@ -58,7 +59,9 @@ def _sources() -> list[tuple[str, str, list[str], list[str]]]:
 
 def systems() -> list[tuple[str, str, list[list[str]]]]:
     """Name, system text and the argument lists (after the file) to run."""
-    return [(name, text, [["check", *check], ["cps"], ["nosup"], ["rhs"],
+    return [(name, text, [["check", *check],
+                          *([["check"]] if "--precedence" in check else []),
+                          ["cps"], ["nosup"], ["rhs"],
                           ["fc", "--fc-max-gen", "3"], ["fc-check", *fuel]])
             for name, text, check, fuel in _sources()]
 

@@ -1,6 +1,7 @@
 """Termination, confluence, reduction transforms, and the LM pipeline."""
 
 import itertools
+import random
 
 import pytest
 
@@ -8,7 +9,7 @@ from lmtk.checker import (
     INTERNAL_INCONSISTENCY,
     CheckOptions,
     Deletion,
-    SignatureTooLarge,
+    TerminationResult,
     almost_left_reduce,
     check_confluence,
     check_termination,
@@ -16,9 +17,9 @@ from lmtk.checker import (
     is_quasi_deterministic,
     is_variable_preserving,
     lm_verdict,
-    lpo_greater,
     right_reduce,
 )
+from lmtk import checker
 from lmtk.minsky import encode, encoding_precedence
 from lmtk.overlaps import Equation, overlap_sites, rhs_closure
 from lmtk.rewriting import nf
@@ -32,12 +33,14 @@ from lmtk.terms import (
     rename_pair_apart,
     render_term,
     subterms,
+    variables_of,
 )
 from lmtk.trs_format import parse_term, parse_trs
 
 from conftest import (
     BRANCHING_MACHINE,
     DUPLICATING,
+    MACHINE_STARTS,
     NEEDS_LEFT_REDUCE,
     NEEDS_RIGHT_REDUCE,
     ROOT_OVERLAP,
@@ -47,6 +50,58 @@ from conftest import (
     overlap_systems,
     sweep_sources,
 )
+from random_systems import random_system
+
+
+def lpo_greater(s, t, rank):
+    """Lexicographic path order induced by a total precedence (smaller
+    rank = greater symbol), straight from the definition."""
+    if isinstance(s, Var):
+        return False
+    if isinstance(t, Var):
+        return t.name in variables_of(s)
+    if any(a == t or lpo_greater(a, t, rank) for a in s.args):
+        return True
+    rs, rt = rank[s.sym.name], rank[t.sym.name]
+    if rs < rt:
+        return all(lpo_greater(s, b, rank) for b in t.args)
+    if s.sym == t.sym:
+        for a, b in zip(s.args, t.args):
+            if a == b:
+                continue
+            return lpo_greater(a, b, rank) and \
+                all(lpo_greater(s, c, rank) for c in t.args)
+        return False
+    return False
+
+
+def termination_oracle(trs, precedence=None):
+    """`check_termination` as the permutation search: the first total
+    precedence in `itertools.permutations` order that orients every rule,
+    or the first rule a given precedence does not orient."""
+    if precedence is not None:
+        rank = {n: i for i, n in enumerate(precedence)}
+        for r in trs.rules:
+            if not lpo_greater(r.lhs, r.rhs, rank):
+                return TerminationResult(False, failing_rule=r.label)
+        return TerminationResult(True, list(precedence))
+    for perm in itertools.permutations(s.name for s in trs.symbols):
+        rank = {n: i for i, n in enumerate(perm)}
+        if all(lpo_greater(r.lhs, r.rhs, rank) for r in trs.rules):
+            return TerminationResult(True, list(perm))
+    return TerminationResult(False)
+
+
+def assert_termination_matches_oracle(trs, rng, precedences=3):
+    """The search agrees with the permutation oracle, and a given
+    precedence with the oracle's check, on `precedences` random ones."""
+    if len(trs.symbols) <= 8:
+        assert check_termination(trs) == termination_oracle(trs)
+    names = [s.name for s in trs.symbols]
+    for _ in range(precedences):
+        order = rng.sample(names, len(names))
+        assert check_termination(trs, order) == \
+            termination_oracle(trs, order)
 
 
 class TestLpo:
@@ -78,10 +133,64 @@ class TestTermination:
         res = check_termination(theory, encoding_precedence(TINY_MACHINE))
         assert res.ok
 
-    def test_large_signature_needs_precedence(self):
-        theory = encode(TINY_MACHINE, 0, 0).theory
-        with pytest.raises(SignatureTooLarge):
-            check_termination(theory)
+    @pytest.mark.parametrize("name", sorted(MACHINE_STARTS))
+    def test_encoded_machines_certify_without_precedence(self, name):
+        machine, k, p = MACHINE_STARTS[name]
+        theory = encode(machine, k, p).theory
+        assert len(theory.symbols) > 8
+        res = check_termination(theory)
+        assert res.ok
+        assert check_termination(theory, res.precedence) == res
+
+    def test_matches_the_permutation_search_on_the_corpus(self, corpus):
+        rng = random.Random(0)
+        for _, trs, opts in corpus:
+            assert_termination_matches_oracle(trs, rng)
+            if opts.precedence is not None:
+                assert check_termination(trs, opts.precedence) == \
+                    termination_oracle(trs, opts.precedence)
+
+    @pytest.mark.parametrize("max_symbols,seeds", [(5, range(400)),
+                                                   (8, range(80))])
+    def test_matches_the_permutation_search_on_random_systems(
+            self, max_symbols, seeds):
+        rng = random.Random(1)
+        for seed in seeds:
+            trs = random_system(random.Random(seed), max_symbols=max_symbols)
+            if trs is not None:
+                assert_termination_matches_oracle(trs, rng)
+
+    def test_wide_ground_rule_keeps_few_alternatives(self):
+        # "s above each argument of t" multiplies out one alternative per
+        # way to put some symbol of s above each constant of t; kept
+        # closed under transitivity, most of them imply another
+        trs = parse_trs(
+            "sig: f0/1 f1/3 f2/1 f3/3 a0/0 a1/0 a2/0 a3/0\nrules:\n"
+            "  f1(f1(f1(a3,a3,a1),f1(a1,a3,a1),f1(a1,a1,a0)),"
+            "f3(f1(a0,a0,a3),f2(a1),f1(a2,a1,a3)),"
+            "f1(f1(a0,a2,a2),f0(a2),f0(a3))) -> "
+            "f1(f1(f2(a0),f0(a3),f3(a2,a1,a3)),f2(f3(a1,a1,a1)),"
+            "f2(f1(a3,a0,a1)))\n")
+        rule = trs.rules[0]
+        assert len(checker._lpo_constraints(rule.lhs, rule.rhs, {}, {})) < 100
+        assert check_termination(trs) == termination_oracle(trs)
+
+    def test_search_makes_at_most_quadratic_feasibility_calls(
+            self, monkeypatch):
+        # an unorientable cycle and seven constants no rule mentions: only
+        # an exact feasibility test sees at once that no order works
+        trs = parse_trs("sig: a/0 b/0 c/0 d/0 e/0 f/0 g/0 h/0 i/0 j/0\n"
+                        "rules:\n  a -> b\n  b -> c\n  c -> a\n")
+        calls = []
+        feasible = checker._feasible
+
+        def spy(constraints, rank):
+            calls.append(dict(rank))
+            return feasible(constraints, rank)
+        monkeypatch.setattr(checker, "_feasible", spy)
+        n = len(trs.symbols)
+        assert check_termination(trs) == TerminationResult(False)
+        assert 1 <= len(calls) <= n * (n + 1) // 2 + 1
 
     def test_precedence_must_cover_signature(self):
         trs = parse_trs(UNARY_CHAIN)
@@ -416,12 +525,6 @@ class TestBoundsLeaveConditionsOpen:
                          "non-subterm-collapsing":
                              "fuel exhausted during search"}
         assert report.verdict == "fail" and report.consequences == []
-
-    def test_oversized_signature_is_unknown(self):
-        theory = encode(TINY_MACHINE, 0, 0).theory
-        term = lm_verdict(theory).condition("terminating")
-        assert term.verdict == "unknown"
-        assert term.detail.endswith("supply a precedence explicitly")
 
 
 def lhs_unifiable_oracle(trs):

@@ -60,14 +60,24 @@ class TestCheck:
                          "forward-closed", "rhs quasi-deterministic"]
         assert payload["consequences"]
 
-    def test_unknown_exit_two_without_precedence(self, write, capsys):
-        # encoded machines have too many symbols for precedence search
+    def test_encoded_machine_certifies_without_precedence(self, write,
+                                                          capsys):
+        # 15 symbols: the precedence search has no signature limit
         from lmtk.minsky import encode
         from lmtk.trs_format import render_trs
         inst = encode(TINY_MACHINE, 0, 0)
         path = write("enc.trs", render_trs(inst.theory))
         code, out, _ = run(capsys, "check", path)
+        assert code == 0
+        assert out.startswith("terminating                 PASS (LPO "
+                              "precedence: f_q0 > fp_q0 > q0 > ")
+
+    def test_open_verdict_exits_two(self, write, capsys):
+        # the collapse search needs a rewrite step that --fuel 0 denies
+        path = write("chain.trs", UNARY_CHAIN)
+        code, out, _ = run(capsys, "check", path, "--fuel", "0")
         assert code == 2
+        assert "LM-system: UNKNOWN (non-subterm-collapsing)" in out
 
     def test_precedence_flag(self, write, capsys):
         from lmtk.minsky import encode, encoding_precedence

@@ -147,6 +147,19 @@ class TestLegacyFormat:
                            match="symbol a used with arities 0 and 1"):
             parse_trs("(VAR x)\n(RULES\n  f(a(), x) -> a(x)\n)")
 
+    @pytest.mark.parametrize("text", [
+        "(VAR x y) (RULES f(x) -> x) (COMMENT a TPDB comment)",
+        "(VAR x y)\n(RULES\n  f(x) -> x\n)\n(COMMENT a TPDB comment)\n",
+    ])
+    def test_rules_section_ends_at_its_own_parenthesis(self, text):
+        assert parse_trs(text) == parse_trs(
+            "sig: f/1\nvars: x y\nrules:\n  f(x) -> x\n")
+
+    def test_repeated_variable_is_declared_once(self):
+        trs = parse_trs("(VAR x x) (RULES f(x) -> x)")
+        assert trs.variables == ("x",)
+        assert parse_trs(render_trs(trs)) == trs
+
     def test_deep_term(self):
         depth = 4000
         trs = parse_trs("(VAR x)\n(RULES\n  " + "g(" * depth + "x"

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from conftest import MACHINE_STARTS
 from record_golden import GOLDEN, SAMPLE, outputs, samples, systems
 
 SYSTEMS = systems()
@@ -18,7 +19,8 @@ def test_every_entry_is_run():
     run = {" ".join([name, *argv]) for name, _, argvs in SYSTEMS
            for argv in argvs}
     assert run == set(RECORDED)
-    assert len(run) == 6 * len(SYSTEMS)
+    # the encoded machines run `check` with and without a precedence
+    assert len(run) == 6 * len(SYSTEMS) + len(MACHINE_STARTS)
 
 
 @pytest.mark.parametrize("name,text,argvs", SYSTEMS,
