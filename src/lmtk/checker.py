@@ -151,16 +151,28 @@ def _residuals(alternatives: list[frozenset[Atom]], rank: dict[str, int]
     return out
 
 
-def _choose(choices: list[list[frozenset[Atom]]],
-            atoms: frozenset[Atom] = frozenset()) -> bool:
-    """Whether one alternative of each choice can join `atoms` with no
-    cycle among them all."""
+def _choose(choices: list[list[frozenset[Atom]]]) -> bool:
+    """Whether one alternative of each choice can be taken with no cycle
+    among them all. Depth first, the choices in order and each one's
+    alternatives in order, on an explicit stack: a system can leave more
+    choices open than the interpreter allows frames."""
     if not choices:
         return True
-    for alt in choices[0]:
-        grown = _closed(atoms | alt)
-        if grown is not None and _choose(choices[1:], grown):
-            return True
+    # per choice entered: the closed atoms of the choices before it and
+    # its alternatives not yet tried
+    stack = [(frozenset(), iter(choices[0]))]
+    while stack:
+        atoms, untried = stack[-1]
+        for alt in untried:
+            grown = _closed(atoms | alt)
+            if grown is None:
+                continue
+            if len(stack) == len(choices):
+                return True
+            stack.append((grown, iter(choices[len(stack)])))
+            break
+        else:
+            stack.pop()
     return False
 
 

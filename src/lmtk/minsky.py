@@ -25,7 +25,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
-from .rewriting import DEFAULT_FUEL, NormalForms, Rule, Trs
+from .rewriting import DEFAULT_FUEL, NormalForms, Rule, Trs, is_redex
 from .terms import (
     App,
     Symbol,
@@ -402,12 +402,13 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
     a rewrite are expanded before inert applications, and an inert unary
     wrap is immediately probed one more unary level for compositions that
     do fire (so reduce-construct-reduce chains advance without waiting on
-    the inert middle term). This keeps the reachable-configuration chain
-    of machine encodings ahead of the junk flood. At most `max_apps`
-    applications are tried overall, and a popped item contributes at most
-    `TUPLE_BUDGET_PER_ITEM` argument tuples per symbol of arity two or
-    more, taking each earlier popped argument by its public construction
-    when it has one. `complete` is true only if no bound was hit and no
+    the inert middle term). A probe costs one application like any other;
+    one that cannot rewrite at the root is never normalized. This keeps
+    the reachable-configuration chain of machine encodings ahead of the
+    junk flood. At most `max_apps` applications are tried overall, and a
+    popped item contributes at most `TUPLE_BUDGET_PER_ITEM` argument
+    tuples per symbol of arity two or more, taking each earlier popped
+    argument by its public construction when it has one. `complete` is true only if no bound was hit and no
     knowledge-using construction was skipped that way: only then is a
     miss a proof that no cap exists.
     """
@@ -447,11 +448,15 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
     def step(sym: Symbol, args: tuple[Term, ...], taints: tuple[bool, ...],
              rewriting_only: bool = False) -> Optional[Term]:
         """Admit the normal form of `sym(args)` (with `rewriting_only`, only
-        if it rewrote); return it if it is an inert wrap, else None."""
+        if it rewrote); return it if it is an inert wrap, else None. The
+        arguments are normal forms, so a probe that is no root redex is
+        normal: it is dropped without normalizing."""
         spend()
         raw = App(sym, args)
+        if rewriting_only and not is_redex(theory, raw):
+            return raw
         t = nf(raw)
-        rewrote = t != raw
+        rewrote = t is not raw and t != raw
         if rewrote or not rewriting_only:
             parents = tuple(zip(args, taints))
             d = 1 + max(known[a][f].depth for a, f in parents)

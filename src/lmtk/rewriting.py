@@ -66,6 +66,11 @@ class Rule:
         return variables_of(self.lhs) | variables_of(self.rhs)
 
 
+# a rule as `Trs.rules_by_root` files it: lhs size, the root symbol
+# names of the lhs arguments (None for a variable), the rule
+_RootEntry = tuple[int, tuple[Optional[str], ...], Rule]
+
+
 @dataclass(frozen=True)
 class Trs:
     """An ordered rewrite system with its signature."""
@@ -85,13 +90,18 @@ class Trs:
             raise ValueError("rule labels are not unique")
 
     @cached_property
-    def rules_by_root(self) -> dict[str, tuple[tuple[int, Rule], ...]]:
+    def rules_by_root(self) -> dict[str, tuple[_RootEntry, ...]]:
         """Rules grouped by lhs root symbol, file order preserved, each
-        with its lhs size; lets matching skip rules that cannot apply."""
-        out: dict[str, list[tuple[int, Rule]]] = {}
+        with its lhs size and the root symbol names of its lhs arguments
+        (None for a variable argument); lets matching skip rules that
+        cannot apply before it calls the matcher."""
+        out: dict[str, list[_RootEntry]] = {}
         for r in self.rules:
             assert isinstance(r.lhs, App)
-            out.setdefault(r.lhs.sym.name, []).append((term_size(r.lhs), r))
+            heads = tuple(None if isinstance(a, Var) else a.sym.name
+                          for a in r.lhs.args)
+            out.setdefault(r.lhs.sym.name, []).append(
+                (term_size(r.lhs), heads, r))
         return {k: tuple(v) for k, v in out.items()}
 
     @cached_property
@@ -221,21 +231,36 @@ def apply_rule(rule: Rule, t: Term, p: Position) -> Optional[tuple[Term, Subst]]
 def _root_step(trs: Trs, u: Term) -> Optional[tuple[Rule, Subst]]:
     """The first rule in file order whose lhs matches `u` at the root, with
     its matcher; None when `u` is no redex. The only place that decides
-    which rule fires."""
+    which rule fires.
+
+    Before matching, a rule is skipped when its lhs is larger than `u`
+    (a matcher maps the lhs nodes onto distinct nodes of `u`) or when an
+    argument of `u` lacks the root symbol of the lhs argument opposite
+    it, where that is no variable (Graf, Term Indexing, LNAI 1053)."""
     if isinstance(u, Var):
         return None
-    # a matcher maps the lhs nodes onto distinct nodes of `u`, so a
-    # larger lhs cannot match
-    for size, rule in trs.rules_by_root.get(u.sym.name, ()):
-        if size <= u._size:
+    args = u.args
+    for size, heads, rule in trs.rules_by_root.get(u.sym.name, ()):
+        if size > u._size:
+            continue
+        for a, head in zip(args, heads):
+            if head is not None and (a.__class__ is not App
+                                     or a.sym.name != head):
+                break
+        else:
             sigma = match_term(rule.lhs, u)
             if sigma is not None:
                 return rule, sigma
     return None
 
 
+def is_redex(trs: Trs, t: Term) -> bool:
+    """Whether some rule rewrites `t` at the root."""
+    return _root_step(trs, t) is not None
+
+
 def is_reducible(trs: Trs, t: Term) -> bool:
-    return any(_root_step(trs, u) is not None for _, u in subterms(t))
+    return any(is_redex(trs, u) for _, u in subterms(t))
 
 
 def _rebuilt(node: App, args: list[Term]) -> Term:
@@ -479,11 +504,11 @@ def replay(trs: Trs, t: Term, trace: Sequence[RewriteStep]) -> Term:
 
 def is_eps_irreducible(trs: Trs, t: Term) -> bool:
     """Every proper subterm irreducible (the root may still be a redex)."""
-    return all(_root_step(trs, u) is None for p, u in subterms(t) if p)
+    return not any(is_redex(trs, u) for p, u in subterms(t) if p)
 
 
 def is_innermost_redex(trs: Trs, t: Term) -> bool:
-    return _root_step(trs, t) is not None and is_eps_irreducible(trs, t)
+    return is_redex(trs, t) and is_eps_irreducible(trs, t)
 
 
 def enumeration_variables(trs: Trs, count: int = 2) -> list[str]:

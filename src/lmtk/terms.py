@@ -45,23 +45,30 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class App:
     sym: Symbol
     args: tuple["Term", ...] = ()
     _hash: int = field(init=False, repr=False, compare=False)
     _size: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.sym.arity:
+    def __init__(self, sym: Symbol, args: tuple["Term", ...] = ()) -> None:
+        # written by hand: every rewrite step and search builds terms, and
+        # the generated __init__ plus __post_init__ cost twice as much
+        if len(args) != sym.arity:
             raise ValueError(
-                f"symbol {self.sym.name}/{self.sym.arity} applied to "
-                f"{len(self.args)} arguments"
+                f"symbol {sym.name}/{sym.arity} applied to "
+                f"{len(args)} arguments"
             )
+        size = 1
+        for a in args:
+            size += a._size if a.__class__ is App else 1
         # terms are compared, hashed and measured constantly; cache both
-        object.__setattr__(self, "_hash", hash((self.sym, self.args)))
-        object.__setattr__(self, "_size", 1 + sum(
-            a._size if isinstance(a, App) else 1 for a in self.args))
+        setattr_ = object.__setattr__
+        setattr_(self, "sym", sym)
+        setattr_(self, "args", args)
+        setattr_(self, "_hash", hash((sym, args)))
+        setattr_(self, "_size", size)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -238,7 +245,7 @@ def match_many(pairs: Sequence[tuple[Term, Term]]) -> Optional[Subst]:
                 return None
         elif isinstance(sub, Var):
             return None
-        elif pat.sym != sub.sym:
+        elif pat.sym is not sub.sym and pat.sym != sub.sym:
             return None
         else:
             stack.extend(zip(pat.args, sub.args))
@@ -269,7 +276,7 @@ def mgu(s: Term, t: Term) -> Optional[Subst]:
             subst[a.name] = b
         elif isinstance(b, Var):
             stack.append((b, a))
-        elif a.sym != b.sym:
+        elif a.sym is not b.sym and a.sym != b.sym:
             return None
         else:
             stack.extend(zip(a.args, b.args))

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -206,6 +207,42 @@ class TestTermination:
         trs = parse_trs(UNARY_CHAIN)
         with pytest.raises(ValueError, match="exactly once"):
             check_termination(trs, precedence)
+
+
+def reference_choose(choices, atoms=frozenset()):
+    """`checker._choose` as it recursed, one frame per choice."""
+    if not choices:
+        return True
+    for alt in choices[0]:
+        grown = checker._closed(atoms | alt)
+        if grown is not None and reference_choose(choices[1:], grown):
+            return True
+    return False
+
+
+class TestChoose:
+    def test_matches_the_recursive_search(self):
+        rng = random.Random(0)
+        names = "abcde"
+        answers = set()
+        for _ in range(2000):
+            choices = [[frozenset(tuple(rng.sample(names, 2))
+                                  for _ in range(rng.randint(0, 3)))
+                        for _ in range(rng.randint(0, 3))]
+                       for _ in range(rng.randint(0, 6))]
+            answer = checker._choose(choices)
+            assert answer == reference_choose(choices), choices
+            answers.add(answer)
+        assert answers == {True, False}
+
+    def test_more_choices_than_frames(self):
+        # every choice after the first tries the alternative that closes
+        # a cycle with it first
+        n = 3 * sys.getrecursionlimit()
+        first, back = frozenset({("a", "b")}), frozenset({("b", "a")})
+        choices = [[first]] + [[back, first]] * n
+        assert checker._choose(choices)
+        assert not checker._choose(choices + [[back]])
 
 
 class TestConfluence:

@@ -371,7 +371,7 @@ def reference_cap_search(instance, max_term_size=30, max_rounds=12,
     unary = [s for s in theory.symbols if s.arity == 1]
     wide = [s for s in theory.symbols if s.arity >= 2]
     for sym in theory.symbols:
-        if sym.arity == 0 and not found:
+        if sym.arity == 0 and not found and apps < max_apps:
             apps += 1
             t = App(sym)
             admit(nf(t), False, ReferenceDeduction(t, sym.name, ()), 1, False)
@@ -499,6 +499,24 @@ class TestReferenceCapSearch:
                     encode(machine, k, p, kp=0, pp=0), max_term_size=20,
                     max_rounds=8, max_apps=15_000)
                 assert not res.found, (k, p)
+
+    @pytest.mark.parametrize("machine, k, last", [
+        (TINY_MACHINE, 0, 420), (BRANCHING_MACHINE, 2, 300),
+        (SELF_LOOP_MACHINE, 0, 300)], ids=["tiny", "branching", "self_loop"])
+    def test_every_application_budget(self, machine, k, last):
+        # each application, a probe dropped before `nf` too, spends one
+        # unit of `max_apps`, so every budget stops both searches at the
+        # same point; the tiny machine's cap is found at 409
+        run = simulate(machine, Config(machine.initial, k, 0))
+        if run.halted:
+            inst, bounds = encode(machine, k, 0), cap_bounds(run.step_count, k)
+        else:
+            inst = encode(machine, k, 0, kp=0, pp=0)
+            bounds = dict(max_term_size=20, max_rounds=8)
+        found = [compared_with_reference(inst, **{**bounds, "max_apps": n})
+                 .found for n in range(1, last + 1)]
+        assert found == sorted(found)
+        assert found[-1] == (machine is TINY_MACHINE)
 
     def test_random_systems(self):
         # a constant as knowledge, small normal terms as goals

@@ -26,7 +26,18 @@ from lmtk.rewriting import (
     replay,
     subterm_collapse_search,
 )
-from lmtk.terms import App, Symbol, Var, enumerate_terms, render_term, subterms, term_size
+from lmtk.terms import (
+    App,
+    Symbol,
+    Var,
+    enumerate_terms,
+    match_term,
+    render_term,
+    substitute,
+    subterms,
+    term_size,
+    variables_of,
+)
 from lmtk.trs_format import parse_term, parse_trs, render_trs
 
 from conftest import (
@@ -71,6 +82,99 @@ class TestRewriteAt:
         term, sigma = result
         assert render_term(term) == "f(c,b)"
         assert sigma == {}
+
+
+def root_step_oracle(trs, u):
+    """The plain scan `_root_step` filters: the first rule in file order
+    whose lhs matches `u`, by `match_term` alone, with its matcher."""
+    for rule in trs.rules:
+        sigma = match_term(rule.lhs, u)
+        if sigma is not None:
+            return rule.label, sigma
+    return None
+
+
+def root_step_labelled(trs, u):
+    hit = rewriting._root_step(trs, u)
+    return hit and (hit[0].label, hit[1])
+
+
+# a variable lhs argument next to a non-variable one, on either side
+MIXED_ARGUMENTS = """
+sig: f/2 g/1 a/0 b/0
+vars: x y
+rules:
+  f(x, g(y)) -> y
+  f(g(x), a) -> x
+  f(x, y) -> g(y)
+"""
+
+# repeated lhs variables, one of them under a non-variable argument
+REPEATED_VARIABLE = """
+sig: f/2 g/1 a/0 b/0
+vars: x y
+rules:
+  f(g(x), x) -> a
+  f(x, x) -> b
+  g(f(x, x)) -> x
+"""
+
+
+class TestRootStepFilter:
+    """`_root_step` skips rules on the root symbols of the lhs arguments;
+    it must name the rule and matcher of the plain scan."""
+
+    @staticmethod
+    def agree(trs, terms):
+        """The labels of the rules that fired on `terms`."""
+        fired = set()
+        for u in terms:
+            hit = root_step_oracle(trs, u)
+            assert root_step_labelled(trs, u) == hit, render_term(u)
+            if hit is not None:
+                fired.add(hit[0])
+        return fired
+
+    def test_random_systems_up_to_depth_three(self):
+        fired = 0
+        for seed in range(200):
+            trs = random_system(random.Random(seed))
+            if trs is not None:
+                fired += len(self.agree(trs, enumerate_terms(
+                    trs.symbols, trs.variables, 3)))
+        assert fired > 200
+
+    def test_corpus(self, corpus):
+        for _, trs, _ in corpus:
+            ground = list(itertools.islice(
+                enumerate_terms(trs.symbols, (), 3), 2000))
+            # the lhs instances: enumeration from the constants up rarely
+            # reaches the encodings' redexes
+            lhs_instances = [
+                substitute(rule.lhs, dict.fromkeys(variables_of(rule.lhs), s))
+                for rule in trs.rules for s in ground[:20]]
+            lhs_subterms = [u for rule in trs.rules
+                            for _, u in subterms(rule.lhs)]
+            assert self.agree(trs, ground + lhs_instances + lhs_subterms)
+
+    @pytest.mark.parametrize("source", [MIXED_ARGUMENTS, REPEATED_VARIABLE],
+                             ids=["mixed_arguments", "repeated_variable"])
+    def test_small_systems(self, source):
+        trs = parse_trs(source)
+        fired = self.agree(trs, enumerate_terms(trs.symbols, trs.variables, 3))
+        assert fired == {r.label for r in trs.rules}
+
+    def test_a_root_mismatch_is_not_matched(self, monkeypatch):
+        trs = parse_trs(MIXED_ARGUMENTS)
+        match, offered = rewriting.match_term, []
+
+        def counting(pattern, subject):
+            offered.append(pattern)
+            return match(pattern, subject)
+        monkeypatch.setattr(rewriting, "match_term", counting)
+        # both earlier lhs are small enough to match f(f(a,b),b)
+        assert root_step_labelled(trs, t("f(f(a, b), b)", trs))[0] == "r3"
+        assert [render_term(p) for p in offered] == ["f(x,y)"]
 
 
 class TestNormalize:
@@ -177,12 +281,12 @@ class TestNormalize:
         stuck = App(h, (stuck,))
         for _ in range(d):
             start, stuck = App(g, (start,)), App(g, (stuck,))
-        post_init, built = App.__post_init__, []
+        init, built = App.__init__, []
 
-        def counting(self):
+        def counting(self, *args):
             built.append(self)
-            post_init(self)
-        monkeypatch.setattr(App, "__post_init__", counting)
+            init(self, *args)
+        monkeypatch.setattr(App, "__init__", counting)
         raised = []
         for normalizer in (lambda u: nf(trs, u, fuel), NormalForms(trs, fuel)):
             built.clear()

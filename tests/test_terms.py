@@ -1,5 +1,6 @@
 """Terms, positions, matching, unification, renaming."""
 
+import dataclasses
 import itertools
 import sys
 
@@ -89,6 +90,42 @@ def reference_positions(t, nonvar_only=False):
 
 def nonvar_positions(t):
     return {p for p, u in subterms(t) if isinstance(u, App)}
+
+
+class TestApp:
+    """The hand-written constructor keeps the dataclass's contract."""
+
+    apps = terms.filter(lambda t: isinstance(t, App))
+
+    @given(apps)
+    def test_size_counts_the_nodes(self, t):
+        assert t._size == len(list(subterms(t)))
+
+    @given(apps)
+    def test_hash_is_that_of_symbol_and_arguments(self, t):
+        assert hash(t) == hash((t.sym, t.args))
+
+    @given(apps)
+    def test_frozen(self, t):
+        for name, value in (("sym", G), ("args", ()), ("_hash", 0),
+                            ("_size", 0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, name, value)
+
+    def test_wrong_argument_count(self):
+        with pytest.raises(ValueError,
+                           match=r"^symbol f/2 applied to 1 arguments$"):
+            App(F, (a,))
+        with pytest.raises(ValueError,
+                           match=r"^symbol a/0 applied to 1 arguments$"):
+            App(A, (b,))
+        with pytest.raises(ValueError,
+                           match=r"^symbol g/1 applied to 0 arguments$"):
+            App(G)
+
+    def test_repr(self):
+        assert repr(f(a, x)) == (
+            "App(sym=f/2, args=(App(sym=a/0, args=()), Var(name='x')))")
 
 
 class TestPositions:
