@@ -35,7 +35,6 @@ from .rewriting import (
     Trs,
     apply_rule,
     is_eps_irreducible,
-    is_innermost_redex,
     nf,
     normalize,
     subterm_collapse_search,
@@ -54,7 +53,6 @@ from .closure import (
     FcTrace,
     RuleIndex,
     fc_iterate,
-    innermost_one_step_check,
     is_forward_closed,
     is_redundant_approx,
 )

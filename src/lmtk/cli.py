@@ -5,14 +5,17 @@ open at the configured bounds (also when a subcommand runs out of rewrite
 fuel; `check` reports that in the condition it hit, and an open
 consequence leaves its code alone), 3 bad input or usage (a `--precedence`
 that does not name each symbol once, too), 4 an internal error (a bug in
-lmtk; stderr names the exception). `--json` switches any subcommand to a
+lmtk; stderr names the exception). `fc-check` decides exactly, so on valid
+input it exits 0 or 1 only. `--json` switches any subcommand to a
 structured report on stdout.
 
-Every count flag takes a decimal number: the depths (`--depth`,
-`--fc-depth`) 1 or more, the rest (`--fuel`, the other bounds and the
-counter values) 0 or more. Anything else is a usage error, so a bound
-that allows no search never reads as a verdict. The rewrite step budget
-comes from `--fuel` alone, default 10000.
+Every count flag takes a decimal number: `--depth` 1 or more, the rest
+(`--fuel`, the other bounds and the counter values) 0 or more. Anything
+else is a usage error, so a bound that allows no search never reads as a
+verdict. The rewrite step budget comes from `--fuel` alone, default
+10000. Only the subcommands that rewrite take it: `check`, `reduce`,
+`normalize`, `collapse`, `cap` and `minsky`. The others (`fc`,
+`fc-check`, `rhs`, `cps`, `nosup`) never rewrite and reject it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .checker import (
     lm_verdict,
     right_reduce,
 )
-from .closure import fc_iterate, innermost_one_step_check, is_forward_closed
+from .closure import fc_iterate, is_forward_closed
 from .minsky import (
     CapInstance,
     Config,
@@ -156,21 +159,11 @@ def cmd_fc(args) -> int:
 def cmd_fc_check(args) -> int:
     trs = _load_trs(args.file)
     ok, witness = is_forward_closed(trs)
-    one_step = innermost_one_step_check(trs, depth=args.fc_depth,
-                                        fuel=args.fuel)
     payload = {"forward_closed": ok,
-               "witness": str(witness) if witness else None,
-               "one_step": one_step.ok,
-               "one_step_witness": (render_term(one_step.witness)
-                                    if one_step.witness else None),
-               "one_step_bound": one_step.bound_note(),
-               "one_step_redexes": one_step.redexes_checked}
-    lines = ["forward-closed: " + ("yes" if ok else f"no ({witness})"),
-             "innermost one-step: "
-             + (f"yes ({one_step.bound_note()})" if one_step.ok
-                else f"no (witness {render_term(one_step.witness)})")]
-    _emit(args, payload, lines)
-    return EXIT_PASS if ok and one_step.ok else EXIT_FAIL
+               "witness": str(witness) if witness else None}
+    _emit(args, payload,
+          ["forward-closed: " + ("yes" if ok else f"no ({witness})")])
+    return EXIT_PASS if ok else EXIT_FAIL
 
 
 def cmd_rhs(args) -> int:
@@ -329,12 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "closure, and cap-problem encodings.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, fuel: bool):
+        """`--json` on every subcommand, `--fuel` on those that rewrite."""
         p.add_argument("--json", action="store_true",
                        help="structured output")
-        p.add_argument("--fuel", type=_count(0), default=DEFAULT_FUEL,
-                       help="rewrite step budget, 0 or more (default "
-                            f"{DEFAULT_FUEL}; other values exit 3)")
+        if fuel:
+            p.add_argument("--fuel", type=_count(0), default=DEFAULT_FUEL,
+                           help="rewrite step budget, 0 or more (default "
+                                f"{DEFAULT_FUEL}; other values exit 3)")
 
     p = sub.add_parser("check", help="decide the LM-system conditions")
     p.add_argument("file")
@@ -344,55 +339,53 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated symbols, greatest first, each "
                         "symbol once (default: search for one, at any "
                         "signature size)")
-    common(p)
+    common(p, fuel=True)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("reduce",
                        help="right-reduce then almost-left-reduce, emit the system")
     p.add_argument("file")
-    common(p)
+    common(p, fuel=True)
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("fc", help="iterate the forward closure")
     p.add_argument("file")
     p.add_argument("--fc-max-gen", type=_count(0), default=16)
-    common(p)
+    common(p, fuel=False)
     p.set_defaults(func=cmd_fc)
 
     p = sub.add_parser("fc-check",
-                       help="one-layer forward-closedness and one-step test")
+                       help="decide forward-closedness: every composition "
+                            "of two rules is redundant")
     p.add_argument("file")
-    p.add_argument("--fc-depth", type=_count(1), default=3,
-                   help="instantiation depth for the one-step check, "
-                        "1 or more")
-    common(p)
+    common(p, fuel=False)
     p.set_defaults(func=cmd_fc_check)
 
     p = sub.add_parser("rhs", help="right-hand-side closure")
     p.add_argument("file")
-    common(p)
+    common(p, fuel=False)
     p.set_defaults(func=cmd_rhs)
 
     p = sub.add_parser("cps", help="critical pairs")
     p.add_argument("file")
-    common(p)
+    common(p, fuel=False)
     p.set_defaults(func=cmd_cps)
 
     p = sub.add_parser("nosup", help="non-overlay superpositions")
     p.add_argument("file")
-    common(p)
+    common(p, fuel=False)
     p.set_defaults(func=cmd_nosup)
 
     p = sub.add_parser("normalize", help="normalize a term, with trace")
     p.add_argument("file")
     p.add_argument("term")
-    common(p)
+    common(p, fuel=True)
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("collapse", help="bounded subterm-collapse search")
     p.add_argument("file")
     p.add_argument("--depth", type=_count(1), default=5)
-    common(p)
+    common(p, fuel=True)
     p.set_defaults(func=cmd_collapse)
 
     p = sub.add_parser("cap", help="bounded cap search over a system")
@@ -402,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal", required=True)
     p.add_argument("--max-size", type=_count(0), default=30)
     p.add_argument("--max-rounds", type=_count(0), default=12)
-    common(p)
+    common(p, fuel=True)
     p.set_defaults(func=cmd_cap)
 
     p = sub.add_parser("minsky", help="counter-machine commands")
@@ -416,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=_count(0), default=10_000)
     p.add_argument("--max-size", type=_count(0), default=30)
     p.add_argument("--max-rounds", type=_count(0), default=12)
-    common(p)
+    common(p, fuel=True)
     p.set_defaults(func=cmd_minsky)
 
     return ap

@@ -25,23 +25,12 @@ consistent substitution, which repeated variables need.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .overlaps import overlap_sites, rule_key
-from .rewriting import (
-    DEFAULT_FUEL,
-    Rule,
-    Trs,
-    apply_rule,
-    enumerate_ground_irreducible,
-    is_eps_irreducible,
-    is_innermost_redex,
-    nf,
-)
+from .rewriting import Rule, Trs
 from .terms import (
-    ROOT,
     Position,
     Term,
     Var,
@@ -214,71 +203,3 @@ def is_forward_closed(trs: Trs) -> tuple[bool, Optional[FcCandidate]]:
         if not is_redundant_approx(cand.rule, index):
             return False, cand
     return True, None
-
-
-# one-step check bounds: ground pool size, lhs instantiations per rule
-ONE_STEP_POOL = 512
-ONE_STEP_TUPLES_PER_RULE = 4096
-
-
-@dataclass
-class OneStepReport:
-    ok: bool
-    witness: Optional[Term]
-    depth: int
-    pool_size: int
-    redexes_checked: int
-
-    def bound_note(self) -> str:
-        return (f"depth {self.depth}, pool {self.pool_size}, "
-                f"<= {ONE_STEP_TUPLES_PER_RULE} instantiations per rule")
-
-
-def _one_step_reaches(trs: Trs, t: Term, target: Term) -> bool:
-    """Some rule rewrites `t` to `target` at the root. `t` is an innermost
-    redex, so its proper subterms are irreducible and no other step
-    exists."""
-    for rule in trs.rules:
-        hit = apply_rule(rule, t, ROOT)
-        if hit is not None and hit[0] == target:
-            return True
-    return False
-
-
-def innermost_one_step_check(trs: Trs, depth: int = 3,
-                             fuel: int = DEFAULT_FUEL) -> OneStepReport:
-    """Bounded check that every innermost redex reaches its normal form in
-    a single step.
-
-    Redexes are each rule's lhs itself (when its proper subterms are
-    irreducible) plus instantiations of the lhs variables with irreducible
-    ground terms up to `depth`. The ground pool and the instantiation
-    count per rule are capped so arity-heavy signatures stay tractable;
-    the caps are part of the reported bound.
-    """
-    pool = enumerate_ground_irreducible(trs, depth, ONE_STEP_POOL)
-    checked = 0
-
-    def check_redex(t: Term) -> bool:
-        nonlocal checked
-        if not is_innermost_redex(trs, t):
-            return True
-        checked += 1
-        # plain `nf`: every redex is a new term with normal arguments, so
-        # a memo of normal forms would save nothing
-        return _one_step_reaches(trs, t, nf(trs, t, fuel))
-
-    for rule in trs.rules:
-        if is_eps_irreducible(trs, rule.lhs) and not check_redex(rule.lhs):
-            return OneStepReport(False, rule.lhs, depth, len(pool), checked)
-        names = sorted(rule.variables())
-        if not names:
-            continue
-        assignments = itertools.islice(
-            itertools.product(pool, repeat=len(names)),
-            ONE_STEP_TUPLES_PER_RULE)
-        for combo in assignments:
-            t = substitute(rule.lhs, dict(zip(names, combo)))
-            if not check_redex(t):
-                return OneStepReport(False, t, depth, len(pool), checked)
-    return OneStepReport(True, None, depth, len(pool), checked)

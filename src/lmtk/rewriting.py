@@ -259,10 +259,6 @@ def is_redex(trs: Trs, t: Term) -> bool:
     return _root_step(trs, t) is not None
 
 
-def is_reducible(trs: Trs, t: Term) -> bool:
-    return any(is_redex(trs, u) for _, u in subterms(t))
-
-
 def _rebuilt(node: App, args: list[Term]) -> Term:
     """`node` with arguments `args`, or `node` itself if none changed."""
     if all(map(operator.is_, args, node.args)):
@@ -507,10 +503,6 @@ def is_eps_irreducible(trs: Trs, t: Term) -> bool:
     return not any(is_redex(trs, u) for p, u in subterms(t) if p)
 
 
-def is_innermost_redex(trs: Trs, t: Term) -> bool:
-    return is_redex(trs, t) and is_eps_irreducible(trs, t)
-
-
 def enumeration_variables(trs: Trs, count: int = 2) -> list[str]:
     """Up to `count` variable names usable for bounded term enumeration."""
     names = list(trs.variables)
@@ -581,16 +573,3 @@ def subterm_collapse_search(trs: Trs, max_depth: int = 5,
                 if p and nf(sub) == u_nf:
                     return CollapseSearchResult((u, p), max_depth, checked, exhausted)
     return CollapseSearchResult(None, max_depth, checked, exhausted)
-
-
-def enumerate_ground_irreducible(trs: Trs, max_depth: int,
-                                 limit: int) -> list[Term]:
-    """First `limit` irreducible ground terms up to `max_depth`, in
-    enumeration order."""
-    out: list[Term] = []
-    for t in enumerate_terms(trs.symbols, (), max_depth):
-        if not is_reducible(trs, t):
-            out.append(t)
-            if len(out) >= limit:
-                break
-    return out

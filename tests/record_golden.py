@@ -9,11 +9,12 @@ output re-records the file and names each changed entry and its reason.
 The systems are the hand-written `LM_SOURCES` and `FC_SOURCES`, the three
 encoded machines (checked with `encoding_precedence`, and once more
 without a precedence, under the one the search finds), and the pool
-systems of seeds 0-119 from `perfbench/gen.py`, which run at `--fuel 200
---depth 3`. Each runs `check`, `cps`, `nosup`, `rhs`, `fc --fc-max-gen 3`
-and `fc-check`, in text form. An entry keeps the exit code, a sha256 of
-stdout and of stderr, and the first line of stdout, so that a failure
-names what changed.
+systems of seeds 0-119 from `perfbench/gen.py`. Each runs `check`, `cps`,
+`nosup`, `rhs`, `fc --fc-max-gen 3` and `fc-check`, in text form; a pool
+system runs `check` at `--fuel 200 --depth 3`. Of these only `check`
+rewrites, so only it takes `--fuel`. An entry keeps the exit code, a
+sha256 of stdout and of stderr, and the first line of stdout, so that a
+failure names what changed.
 
 `tests/golden/cli_sample.json` holds a sample of two more forms, recorded
 the same way: `collapse --depth 3` in text and `check --json`, on the
@@ -62,8 +63,8 @@ def systems() -> list[tuple[str, str, list[list[str]]]]:
     return [(name, text, [["check", *check],
                           *([["check"]] if "--precedence" in check else []),
                           ["cps"], ["nosup"], ["rhs"],
-                          ["fc", "--fc-max-gen", "3"], ["fc-check", *fuel]])
-            for name, text, check, fuel in _sources()]
+                          ["fc", "--fc-max-gen", "3"], ["fc-check"]])
+            for name, text, check, _ in _sources()]
 
 
 def samples() -> list[tuple[str, str, list[list[str]]]]:

@@ -17,7 +17,7 @@ from lmtk.checker import (
     lm_verdict,
     right_reduce,
 )
-from lmtk.closure import fc_iterate, innermost_one_step_check, is_forward_closed
+from lmtk.closure import fc_iterate, is_forward_closed
 from lmtk.minsky import (
     Config,
     canonical_cap,
@@ -28,13 +28,7 @@ from lmtk.minsky import (
     validate_machine,
 )
 from lmtk.overlaps import rhs_closure
-from lmtk.rewriting import (
-    apply_rule,
-    enumeration_variables,
-    is_reducible,
-    nf,
-    normalize,
-)
+from lmtk.rewriting import apply_rule, enumeration_variables, nf, normalize
 from lmtk.terms import App, enumerate_terms, render_term, subterm_at
 from lmtk.trs_format import parse_trs
 
@@ -48,6 +42,7 @@ from conftest import (
     corpus_systems,
     odp,
 )
+from one_step import innermost_one_step_check, is_reducible
 from random_systems import convergent_quasi_deterministic_corpus
 
 SEED = 20260808

@@ -7,8 +7,6 @@ import pytest
 
 from lmtk import cli
 from lmtk.cli import run_command
-from lmtk.closure import innermost_one_step_check
-from lmtk.trs_format import parse_trs
 
 from conftest import (
     BRANCHING_MACHINE,
@@ -17,6 +15,7 @@ from conftest import (
     ROOT_OVERLAP_TRUNCATED,
     TINY_MACHINE,
     UNARY_CHAIN,
+    pool_text,
     render_machine,
 )
 
@@ -179,23 +178,37 @@ class TestFc:
         path = write("trunc.trs", ROOT_OVERLAP_TRUNCATED)
         code, out, _ = run(capsys, "fc-check", path)
         assert code == 1
-        assert "f(b,i(b))" in out
-        assert "innermost one-step: no" in out
+        assert out == ("forward-closed: no ([r1~r2@e] f(b,i(b)) -> c  "
+                       "(r1 ~> r2 at e, gen 0))\n")
 
     def test_fc_check_passes_on_closed_system(self, write, capsys):
         path = write("full.trs", ROOT_OVERLAP)
-        code, out, _ = run(capsys, "fc-check", path, "--fc-depth", "3")
-        assert code == 0
-        assert "forward-closed: yes" in out
-        assert "innermost one-step: yes" in out
+        code, out, _ = run(capsys, "fc-check", path)
+        assert (code, out) == (0, "forward-closed: yes\n")
 
-    def test_fc_check_json_counts_the_redexes(self, write, capsys):
-        path = write("full.trs", ROOT_OVERLAP)
+    def test_fc_check_json_carries_only_the_exact_answer(self, write,
+                                                         capsys):
+        path = write("trunc.trs", ROOT_OVERLAP_TRUNCATED)
         code, out, _ = run(capsys, "fc-check", path, "--json")
-        payload = json.loads(out)
-        report = innermost_one_step_check(parse_trs(ROOT_OVERLAP))
-        assert code == 0
-        assert payload["one_step_redexes"] == report.redexes_checked > 0
+        assert code == 1
+        assert json.loads(out) == {
+            "forward_closed": False,
+            "witness": "[r1~r2@e] f(b,i(b)) -> c  (r1 ~> r2 at e, gen 0)"}
+
+    def test_fc_check_answers_a_closed_pool_system(self, write, capsys):
+        # forward-closed, though normalizing its innermost redexes runs
+        # out of fuel
+        path = write("pool105.trs", pool_text(105))
+        code, out, err = run(capsys, "fc-check", path)
+        assert (code, out, err) == (0, "forward-closed: yes\n", "")
+
+    def test_fc_check_answers_a_non_terminating_rule(self, write, capsys):
+        # a -> f(a) has no normal forms, yet its composition is decided
+        path = write("grow.trs", "sig: a/0 f/1\nrules:\n  a -> f(a)\n")
+        code, out, err = run(capsys, "fc-check", path)
+        assert (code, err) == (1, "")
+        assert out == ("forward-closed: no ([r1~r1@1] a -> f(f(a))  "
+                       "(r1 ~> r1 at 1, gen 0))\n")
 
 
 class TestSmallCommands:
@@ -338,7 +351,6 @@ class TestFuelOverride:
     @pytest.mark.parametrize("argv", [
         ("reduce",),
         ("cap", "--knowledge", "a", "--goal", "f(a)"),
-        ("fc-check",),
         ("collapse",),
     ])
     def test_running_out_of_fuel_is_open(self, write, capsys, argv):
@@ -370,8 +382,6 @@ class TestUsage:
         ("check", "--depth", "0"),
         ("collapse", "--depth", "0"),
         ("fc", "--fc-max-gen", "-1"),
-        ("fc-check", "--fc-depth", "-3"),
-        ("fc-check", "--fc-depth", "0"),
         ("cap", "--knowledge", "g(a)", "--goal", "a", "--max-size", "-1"),
         ("cap", "--knowledge", "g(a)", "--goal", "a", "--max-rounds", "-1"),
         ("minsky", "encode", "--k", "-2"),
@@ -395,6 +405,15 @@ class TestUsage:
         code, out, err = run(capsys, *head, path, *rest)
         assert (code, out) == (3, "")
         assert f"argument {argv[-2]}: expected a count of" in err
+
+    @pytest.mark.parametrize("command", ["fc", "fc-check", "rhs", "cps",
+                                         "nosup"])
+    def test_fuel_on_a_command_that_never_rewrites(self, write, capsys,
+                                                   command):
+        path = write("full.trs", ROOT_OVERLAP)
+        code, out, err = run(capsys, command, path, "--fuel", "7")
+        assert (code, out) == (3, "")
+        assert "unrecognized arguments: --fuel 7" in err
 
     def test_unknown_command(self, capsys):
         assert run_command(["bogus"]) == 3

@@ -1,4 +1,5 @@
-"""Forward closure: composition, redundancy, iteration, one-step checks."""
+"""Forward closure: composition, redundancy, iteration, and the one-step
+oracle of the closure decision."""
 
 import contextlib
 import itertools
@@ -6,12 +7,11 @@ import random
 
 import pytest
 
-from lmtk import closure
+from lmtk.checker import check_confluence, check_termination
 from lmtk.closure import (
     RuleIndex,
     compositions,
     fc_iterate,
-    innermost_one_step_check,
     is_forward_closed,
     is_redundant_approx,
     subsumes,
@@ -22,8 +22,6 @@ from lmtk.rewriting import (
     FuelExhausted,
     Rule,
     apply_rule,
-    enumerate_ground_irreducible,
-    is_innermost_redex,
     nf,
 )
 from lmtk.terms import (
@@ -42,6 +40,14 @@ from conftest import (
     ROOT_OVERLAP,
     ROOT_OVERLAP_TRUNCATED,
     TINY_MACHINE,
+    corpus_systems,
+    pool_text,
+)
+import one_step
+from one_step import (
+    enumerate_ground_irreducible,
+    innermost_one_step_check,
+    is_innermost_redex,
 )
 from random_systems import random_system
 
@@ -284,12 +290,31 @@ class TestInnermostOneStep:
                     with contextlib.suppress(FuelExhausted):
                         targets.append(nf(trs, t, 200))
                     for target in targets:
-                        answer = closure._one_step_reaches(trs, t, target)
+                        answer = one_step.one_step_reaches(trs, t, target)
                         assert answer == oracle(trs, t, target), (trs, t)
                         answers.append(answer)
         assert len(answers) > 500 and True in answers and False in answers
 
         systems = differential_systems()
         fast = [report(trs) for trs in systems]
-        monkeypatch.setattr(closure, "_one_step_reaches", oracle)
+        monkeypatch.setattr(one_step, "one_step_reaches", oracle)
         assert fast == [report(trs) for trs in systems]
+
+    def test_agrees_with_is_forward_closed_on_convergent_systems(self):
+        # on a convergent system forward closure is the same property as
+        # every innermost redex reaching its normal form in one step
+        systems = [(name, trs) for name, trs, _ in corpus_systems()]
+        systems += [(f"pool{seed}", parse_trs(pool_text(seed)))
+                    for seed in range(300)]
+        verdicts = []
+        for name, trs in systems:
+            try:
+                convergent = (check_termination(trs).ok
+                              and check_confluence(trs).ok)
+            except FuelExhausted:
+                convergent = False
+            if convergent:
+                closed = is_forward_closed(trs)[0]
+                assert innermost_one_step_check(trs).ok == closed, name
+                verdicts.append(closed)
+        assert len(verdicts) >= 80 and False in verdicts

@@ -19,8 +19,6 @@ from lmtk.rewriting import (
     apply_rule,
     enumeration_variables,
     is_eps_irreducible,
-    is_innermost_redex,
-    is_reducible,
     nf,
     normalize,
     replay,
@@ -49,6 +47,7 @@ from conftest import (
     corpus_systems,
     odp,
 )
+from one_step import is_innermost_redex, is_reducible
 from random_systems import random_system
 
 
