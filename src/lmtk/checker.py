@@ -326,9 +326,6 @@ class QdReport:
     ok: bool
     violations: list[QdViolation] = field(default_factory=list)
 
-    def has(self, kind: str) -> bool:
-        return any(v.kind == kind for v in self.violations)
-
 
 def is_quasi_deterministic(equations: Sequence[Equation]) -> QdReport:
     """No variable sides, no equation with equal root symbols, and no two

@@ -14,13 +14,16 @@ Every count flag takes a decimal number: `--depth` 1 or more, the rest
 else is a usage error, so a bound that allows no search never reads as a
 verdict. The rewrite step budget comes from `--fuel` alone, default
 10000. Only the subcommands that rewrite take it: `check`, `reduce`,
-`normalize`, `collapse`, `cap` and `minsky`. The others (`fc`,
-`fc-check`, `rhs`, `cps`, `nosup`) never rewrite and reject it.
+`normalize`, `collapse`, `cap` and `minsky cap`. The others (`fc`,
+`fc-check`, `rhs`, `cps`, `nosup` and the other `minsky` actions) never
+rewrite and reject it. Every subcommand takes only the flags it reads, so
+any other flag is a usage error too.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -226,8 +229,11 @@ def cmd_collapse(args) -> int:
     return EXIT_PASS
 
 
-def _cap_payload(result) -> dict:
-    return {
+def _report_cap(args, instance: CapInstance, lines: list[str]) -> int:
+    """Search `instance` for a cap at the bounds and fuel of `args`, and
+    print `lines` and then the result."""
+    result = cap_search(instance, args.max_size, args.max_rounds, args.fuel)
+    payload = {
         "found": result.found,
         "cap": str(result.cap) if result.found else None,
         "rounds": result.rounds_used,
@@ -239,19 +245,18 @@ def _cap_payload(result) -> dict:
             for d in result.derivation
         ],
     }
+    lines.append(f"cap: {result.cap}" if result.found
+                 else f"no cap within bounds (rounds {result.rounds_used}, "
+                      f"{result.deduced} terms deduced)")
+    _emit(args, payload, lines)
+    return EXIT_PASS if result.found else EXIT_UNKNOWN
 
 
 def cmd_cap(args) -> int:
     trs = _load_trs(args.file)
     knowledge = tuple(parse_term(t, trs) for t in args.knowledge)
     goal = parse_term(args.goal, trs)
-    instance = CapInstance(trs, knowledge, goal)
-    result = cap_search(instance, args.max_size, args.max_rounds, args.fuel)
-    lines = ([f"cap: {result.cap}"] if result.found
-             else [f"no cap within bounds (rounds {result.rounds_used}, "
-                   f"{result.deduced} terms deduced)"])
-    _emit(args, _cap_payload(result), lines)
-    return EXIT_PASS if result.found else EXIT_UNKNOWN
+    return _report_cap(args, CapInstance(trs, knowledge, goal), [])
 
 
 def cmd_minsky(args) -> int:
@@ -299,119 +304,85 @@ def cmd_minsky(args) -> int:
         _emit(args, payload, lines)
         return EXIT_PASS
 
-    if args.action == "cap":
-        result = cap_search(instance, args.max_size, args.max_rounds,
-                            args.fuel)
-        lines = []
-        run = simulate(machine, Config(machine.initial, args.k, args.p),
-                       args.max_steps)
-        if run.halted and run.step_count >= 1:
-            lines.append(f"canonical cap: {canonical_cap(machine, run, instance)}")
-        lines.extend([f"cap: {result.cap}"] if result.found
-                     else ["no cap within bounds"])
-        _emit(args, _cap_payload(result), lines)
-        return EXIT_PASS if result.found else EXIT_UNKNOWN
-
-    raise ValueError(f"unknown minsky action {args.action}")
+    run = simulate(machine, Config(machine.initial, args.k, args.p),
+                   args.max_steps)
+    lines = ([f"canonical cap: {canonical_cap(machine, run, instance)}"]
+             if run.halted and run.step_count >= 1 else [])
+    return _report_cap(args, instance, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # one parent parser per flag group; a subcommand lists the groups it reads
+    group = functools.partial(argparse.ArgumentParser, add_help=False)
+    io = group()
+    io.add_argument("file")
+    io.add_argument("--json", action="store_true", help="structured output")
+    fuel = group()
+    fuel.add_argument("--fuel", type=_count(0), default=DEFAULT_FUEL,
+                      help="rewrite step budget, 0 or more (default "
+                           f"{DEFAULT_FUEL}; other values exit 3)")
+    depth = group()
+    depth.add_argument("--depth", type=_count(1), default=5,
+                       help="subterm-collapse search depth, 1 or more")
+    bounds = group()
+    bounds.add_argument("--max-size", type=_count(0), default=30)
+    bounds.add_argument("--max-rounds", type=_count(0), default=12)
+    start = group()
+    start.add_argument("--k", type=_count(0), default=0,
+                       help="initial counter 1")
+    start.add_argument("--p", type=_count(0), default=0,
+                       help="initial counter 2")
+    start.add_argument("--max-steps", type=_count(0), default=10_000)
+    finals = group()
+    finals.add_argument("--kp", type=_count(0), help="final counter 1")
+    finals.add_argument("--pp", type=_count(0), help="final counter 2")
+
     ap = argparse.ArgumentParser(
         prog="lmtk",
         description="Term rewriting toolkit: LM-system checking, forward "
                     "closure, and cap-problem encodings.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, fuel: bool):
-        """`--json` on every subcommand, `--fuel` on those that rewrite."""
-        p.add_argument("--json", action="store_true",
-                       help="structured output")
-        if fuel:
-            p.add_argument("--fuel", type=_count(0), default=DEFAULT_FUEL,
-                           help="rewrite step budget, 0 or more (default "
-                                f"{DEFAULT_FUEL}; other values exit 3)")
+    def command(subparsers, name: str, func, summary: str, *parents):
+        p = subparsers.add_parser(name, help=summary, parents=[io, *parents])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", help="decide the LM-system conditions")
-    p.add_argument("file")
-    p.add_argument("--depth", type=_count(1), default=5,
-                   help="subterm-collapse search depth, 1 or more")
+    p = command(sub, "check", cmd_check, "decide the LM-system conditions",
+                depth, fuel)
     p.add_argument("--precedence",
                    help="comma-separated symbols, greatest first, each "
                         "symbol once (default: search for one, at any "
                         "signature size)")
-    common(p, fuel=True)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("reduce",
-                       help="right-reduce then almost-left-reduce, emit the system")
-    p.add_argument("file")
-    common(p, fuel=True)
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("fc", help="iterate the forward closure")
-    p.add_argument("file")
+    command(sub, "reduce", cmd_reduce,
+            "right-reduce then almost-left-reduce, emit the system", fuel)
+    p = command(sub, "fc", cmd_fc, "iterate the forward closure")
     p.add_argument("--fc-max-gen", type=_count(0), default=16)
-    common(p, fuel=False)
-    p.set_defaults(func=cmd_fc)
-
-    p = sub.add_parser("fc-check",
-                       help="decide forward-closedness: every composition "
-                            "of two rules is redundant")
-    p.add_argument("file")
-    common(p, fuel=False)
-    p.set_defaults(func=cmd_fc_check)
-
-    p = sub.add_parser("rhs", help="right-hand-side closure")
-    p.add_argument("file")
-    common(p, fuel=False)
-    p.set_defaults(func=cmd_rhs)
-
-    p = sub.add_parser("cps", help="critical pairs")
-    p.add_argument("file")
-    common(p, fuel=False)
-    p.set_defaults(func=cmd_cps)
-
-    p = sub.add_parser("nosup", help="non-overlay superpositions")
-    p.add_argument("file")
-    common(p, fuel=False)
-    p.set_defaults(func=cmd_nosup)
-
-    p = sub.add_parser("normalize", help="normalize a term, with trace")
-    p.add_argument("file")
+    command(sub, "fc-check", cmd_fc_check,
+            "decide forward-closedness: every composition of two rules is "
+            "redundant")
+    command(sub, "rhs", cmd_rhs, "right-hand-side closure")
+    command(sub, "cps", cmd_cps, "critical pairs")
+    command(sub, "nosup", cmd_nosup, "non-overlay superpositions")
+    p = command(sub, "normalize", cmd_normalize,
+                "normalize a term, with trace", fuel)
     p.add_argument("term")
-    common(p, fuel=True)
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("collapse", help="bounded subterm-collapse search")
-    p.add_argument("file")
-    p.add_argument("--depth", type=_count(1), default=5)
-    common(p, fuel=True)
-    p.set_defaults(func=cmd_collapse)
-
-    p = sub.add_parser("cap", help="bounded cap search over a system")
-    p.add_argument("file")
+    command(sub, "collapse", cmd_collapse, "bounded subterm-collapse search",
+            depth, fuel)
+    p = command(sub, "cap", cmd_cap, "bounded cap search over a system",
+                bounds, fuel)
     p.add_argument("--knowledge", nargs="+", required=True,
                    help="ground terms the intruder starts from")
     p.add_argument("--goal", required=True)
-    p.add_argument("--max-size", type=_count(0), default=30)
-    p.add_argument("--max-rounds", type=_count(0), default=12)
-    common(p, fuel=True)
-    p.set_defaults(func=cmd_cap)
 
-    p = sub.add_parser("minsky", help="counter-machine commands")
-    p.add_argument("action",
-                   choices=["validate", "simulate", "encode", "cap"])
-    p.add_argument("file")
-    p.add_argument("--k", type=_count(0), default=0, help="initial counter 1")
-    p.add_argument("--p", type=_count(0), default=0, help="initial counter 2")
-    p.add_argument("--kp", type=_count(0), help="final counter 1")
-    p.add_argument("--pp", type=_count(0), help="final counter 2")
-    p.add_argument("--max-steps", type=_count(0), default=10_000)
-    p.add_argument("--max-size", type=_count(0), default=30)
-    p.add_argument("--max-rounds", type=_count(0), default=12)
-    common(p, fuel=True)
-    p.set_defaults(func=cmd_minsky)
-
+    actions = sub.add_parser("minsky", help="counter-machine commands"
+                             ).add_subparsers(dest="action", required=True)
+    command(actions, "validate", cmd_minsky, "check the machine")
+    command(actions, "simulate", cmd_minsky, "run the machine", start)
+    command(actions, "encode", cmd_minsky, "emit the cap instance",
+            start, finals)
+    command(actions, "cap", cmd_minsky, "search for a cap",
+            start, finals, bounds, fuel)
     return ap
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
@@ -282,7 +281,6 @@ def encode(m: MinskyMachine, k: int, p: int,
              "unwind"),
     ]
 
-    seen_rules: set[tuple[Term, Term]] = set()
     for i, t in enumerate(m.transitions, start=1):
         head = fp_syms[t.source] if t.op == "Z" else f_syms[t.source]
         sx, sy = App(s, (x,)), App(s, (y,))
@@ -303,11 +301,6 @@ def encode(m: MinskyMachine, k: int, p: int,
             rargs = (x, y)
         lhs = App(head, (cfg(t.source, largs[0], largs[1], z),))
         rhs = cfg(t.target, rargs[0], rargs[1], App(s, (z,)))
-        if (lhs, rhs) in seen_rules:
-            # no-op transitions on different counters encode identically
-            warnings.warn(f"transition [{t}] encodes a duplicate rule; dropped")
-            continue
-        seen_rules.add((lhs, rhs))
         rules.append(Rule(lhs, rhs, f"t{i}"))
 
     theory = Trs(tuple(symbols), ("x", "y", "z"), tuple(rules))

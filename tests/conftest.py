@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from lmtk.checker import CheckOptions, lm_verdict
+from lmtk.checker import CheckOptions, QdReport, lm_verdict
 from lmtk.minsky import MinskyMachine, Transition, encode, encoding_precedence
 from lmtk.rewriting import Trs
 from lmtk.terms import ROOT, Position, Term, Var
@@ -208,6 +208,11 @@ def render_machine(m: MinskyMachine) -> str:
              f"final: {m.final}"]
     lines.extend(str(t) for t in m.transitions)
     return "\n".join(lines) + "\n"
+
+
+def has_violation(report: QdReport, kind: str) -> bool:
+    """Whether the quasi-determinism report names a violation of `kind`."""
+    return any(v.kind == kind for v in report.violations)
 
 
 def load(source: str) -> Trs:

@@ -9,12 +9,18 @@ output re-records the file and names each changed entry and its reason.
 The systems are the hand-written `LM_SOURCES` and `FC_SOURCES`, the three
 encoded machines (checked with `encoding_precedence`, and once more
 without a precedence, under the one the search finds), and the pool
-systems of seeds 0-119 from `perfbench/gen.py`. Each runs `check`, `cps`,
-`nosup`, `rhs`, `fc --fc-max-gen 3` and `fc-check`, in text form; a pool
-system runs `check` at `--fuel 200 --depth 3`. Of these only `check`
-rewrites, so only it takes `--fuel`. An entry keeps the exit code, a
-sha256 of stdout and of stderr, and the first line of stdout, so that a
-failure names what changed.
+systems of seeds 0-119 from `perfbench/gen.py`. Each runs `check`,
+`reduce`, `cps`, `nosup`, `rhs`, `fc --fc-max-gen 3` and `fc-check`, in
+text form; a pool system runs `check` at `--fuel 200 --depth 3` and
+`reduce` at `--fuel 200`. Of these only `check` and `reduce` rewrite, so
+only they take `--fuel`. A hand-written or encoded system also runs
+`normalize` on its first rule's lhs, and an encoded one runs `cap` from
+its machine's knowledge to its goal, in text and `--json`. The three
+`MACHINE_STARTS` machines, as machine files, run `minsky validate` and
+`minsky simulate|encode|cap` from their start counters, in text and
+`--json`. An entry keeps the exit code, a sha256 of stdout and of
+stderr, and the first line of stdout, so that a failure names what
+changed.
 
 `tests/golden/cli_sample.json` holds a sample of two more forms, recorded
 the same way: `collapse --depth 3` in text and `check --json`, on the
@@ -40,31 +46,60 @@ POOL_SEEDS = range(120)
 SAMPLE_POOL_SEEDS = range(20)
 
 
-def _sources() -> list[tuple[str, str, list[str], list[str]]]:
-    """Name, system text, the flags of `check` and the fuel flags."""
+def _sources() -> list[tuple[str, str, list[str], list[str],
+                            list[list[str]]]]:
+    """Name, system text, the flags of `check`, the fuel flags and the
+    argument lists of `normalize` and `cap`."""
     from conftest import FC_SOURCES, LM_SOURCES, MACHINE_STARTS, pool_text
     from lmtk.minsky import encode, encoding_precedence
-    from lmtk.trs_format import render_trs
+    from lmtk.terms import render_term
+    from lmtk.trs_format import parse_trs, render_trs
 
-    out = [(name, src, [], [])
+    def first_lhs(text: str) -> list[str]:
+        return ["normalize", render_term(parse_trs(text).rules[0].lhs)]
+
+    out = [(name, src, [], [], [first_lhs(src)])
            for name, src in {**LM_SOURCES, **FC_SOURCES}.items()]
     for name, (machine, k, p) in MACHINE_STARTS.items():
-        text = render_trs(encode(machine, k, p).theory)
+        instance = encode(machine, k, p)
+        text = render_trs(instance.theory)
         precedence = ",".join(encoding_precedence(machine))
-        out.append((f"encoded_{name}", text, ["--precedence", precedence], []))
+        cap = ["cap", "--knowledge",
+               *(render_term(t) for t in instance.knowledge),
+               "--goal", render_term(instance.goal)]
+        out.append((f"encoded_{name}", text, ["--precedence", precedence], [],
+                    [first_lhs(text), cap, [*cap, "--json"]]))
     pool = ["--fuel", "200"]
-    out.extend((f"pool{seed}", pool_text(seed), [*pool, "--depth", "3"], pool)
-               for seed in POOL_SEEDS)
+    out.extend((f"pool{seed}", pool_text(seed), [*pool, "--depth", "3"], pool,
+                []) for seed in POOL_SEEDS)
+    return out
+
+
+def _machines() -> list[tuple[str, str, list[list[str]]]]:
+    """The `MACHINE_STARTS` machine files and their `minsky` argument
+    lists (the action first, then the flags after the file)."""
+    from conftest import MACHINE_STARTS, render_machine
+
+    out = []
+    for name, (machine, k, p) in MACHINE_STARTS.items():
+        start = ["--k", str(k), "--p", str(p)]
+        argvs = [["minsky", "validate"],
+                 *(["minsky", action, *start]
+                   for action in ("simulate", "encode", "cap"))]
+        out.append((f"machine_{name}", render_machine(machine),
+                    [*argvs, *([*argv, "--json"] for argv in argvs)]))
     return out
 
 
 def systems() -> list[tuple[str, str, list[list[str]]]]:
-    """Name, system text and the argument lists (after the file) to run."""
+    """Name, file text and the argument lists to run (the file goes after
+    the subcommand, and after the action of `minsky`)."""
     return [(name, text, [["check", *check],
                           *([["check"]] if "--precedence" in check else []),
+                          ["reduce", *fuel],
                           ["cps"], ["nosup"], ["rhs"],
-                          ["fc", "--fc-max-gen", "3"], ["fc-check"]])
-            for name, text, check, _ in _sources()]
+                          ["fc", "--fc-max-gen", "3"], ["fc-check"], *extra])
+            for name, text, check, fuel, extra in _sources()] + _machines()
 
 
 def samples() -> list[tuple[str, str, list[list[str]]]]:
@@ -72,7 +107,7 @@ def samples() -> list[tuple[str, str, list[list[str]]]]:
     sampled = {f"pool{seed}" for seed in SAMPLE_POOL_SEEDS}
     return [(name, text, [["collapse", "--depth", "3", *fuel],
                           ["check", "--json", *check]])
-            for name, text, check, fuel in _sources()
+            for name, text, check, fuel, _ in _sources()
             if not name.startswith("pool") or name in sampled]
 
 
@@ -89,9 +124,10 @@ def outputs(name: str, text: str, argvs: list[list[str]],
     path.write_text(text, encoding="utf-8")
     entries = {}
     for argv in argvs:
+        head = 2 if argv[0] == "minsky" else 1
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            code = run_command([argv[0], str(path), *argv[1:]])
+            code = run_command([*argv[:head], str(path), *argv[head:]])
         stdout = out.getvalue()
         first_line = stdout.split("\n", 1)[0]
         if "--json" in argv:

@@ -284,6 +284,8 @@ class TestMinskyCommands:
         path = write("m.mm", render_machine(TINY_MACHINE))
         code, out, _ = run(capsys, "minsky", "validate", path)
         assert code == 0 and "valid" in out
+        # `--json` is a flag of the action, so it follows the action
+        assert run(capsys, "minsky", "--json", "validate", path)[0] == 3
 
     def test_simulate(self, write, capsys):
         path = write("m.mm", render_machine(BRANCHING_MACHINE))
@@ -305,6 +307,14 @@ class TestMinskyCommands:
         payload = json.loads(out)
         assert payload["found"]
         assert payload["cap"] == "gp(g(gp(f_qL(f_q1(f_q0(hole1))))))"
+
+    def test_cap_miss_reads_as_the_cap_subcommand_does(self, write, capsys):
+        path = write("m.mm", render_machine(TINY_MACHINE))
+        code, out, err = run(capsys, "minsky", "cap", path,
+                             "--max-rounds", "2")
+        assert (code, err) == (2, "")
+        assert out == ("canonical cap: gp(g(gp(f_qL(f_q1(f_q0(hole1))))))\n"
+                       "no cap within bounds (rounds 2, 75 terms deduced)\n")
 
     def test_cap_subcommand_on_system_file(self, write, capsys):
         from lmtk.minsky import encode
@@ -406,14 +416,28 @@ class TestUsage:
         assert (code, out) == (3, "")
         assert f"argument {argv[-2]}: expected a count of" in err
 
-    @pytest.mark.parametrize("command", ["fc", "fc-check", "rhs", "cps",
-                                         "nosup"])
+    @pytest.mark.parametrize("command", [
+        "fc", "fc-check", "rhs", "cps", "nosup",
+        *(f"minsky {action} {flag}" for action, flags in [
+            ("validate", "--k --p --kp --pp --max-steps --max-size "
+                         "--max-rounds --fuel"),
+            ("simulate", "--kp --pp --max-size --max-rounds --fuel"),
+            ("encode", "--max-size --max-rounds --fuel"),
+        ] for flag in flags.split()),
+    ])
     def test_fuel_on_a_command_that_never_rewrites(self, write, capsys,
                                                    command):
-        path = write("full.trs", ROOT_OVERLAP)
-        code, out, err = run(capsys, command, path, "--fuel", "7")
+        # `--fuel`, or a `minsky` flag the action does not read, is a usage
+        # error rather than ignored
+        if command.startswith("minsky"):
+            *head, flag = command.split()
+            path = write("m.mm", render_machine(TINY_MACHINE))
+        else:
+            head, flag = [command], "--fuel"
+            path = write("full.trs", ROOT_OVERLAP)
+        code, out, err = run(capsys, *head, path, flag, "7")
         assert (code, out) == (3, "")
-        assert "unrecognized arguments: --fuel 7" in err
+        assert f"unrecognized arguments: {flag} 7" in err
 
     def test_unknown_command(self, capsys):
         assert run_command(["bogus"]) == 3

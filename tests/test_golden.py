@@ -19,8 +19,14 @@ def test_every_entry_is_run():
     run = {" ".join([name, *argv]) for name, _, argvs in SYSTEMS
            for argv in argvs}
     assert run == set(RECORDED)
-    # the encoded machines run `check` with and without a precedence
-    assert len(run) == 6 * len(SYSTEMS) + len(MACHINE_STARTS)
+    # a system file runs seven subcommands, and `normalize` unless it is a
+    # pool system; an encoded machine runs `check` once more without a
+    # precedence and `cap` in two forms; a machine file runs four `minsky`
+    # actions in two forms
+    machines = len(MACHINE_STARTS)
+    files = len(SYSTEMS) - machines
+    pool = sum(name.startswith("pool") for name, _, _ in SYSTEMS)
+    assert len(run) == 8 * files - pool + 3 * machines + 8 * machines
 
 
 @pytest.mark.parametrize("name,text,argvs", SYSTEMS,

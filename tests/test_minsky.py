@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from lmtk.minsky import (
+    COUNTER_OPS,
     TUPLE_BUDGET_PER_ITEM,
     Cap,
     CapInstance,
@@ -164,6 +165,20 @@ class TestEncode:
     def test_encoding_parses_back(self):
         inst = encode(BRANCHING_MACHINE, 1, 0)
         assert parse_trs(render_trs(inst.theory)) == inst.theory
+
+    def test_valid_machines_encode_distinct_left_sides(self):
+        # two transitions share a source only as a Z/P pair on one counter,
+        # which encodes under fp_q and f_q: no rule is encoded twice
+        states = ("q0", "q1", "qL")
+        moves = [Transition(q, j, op, r) for q in states for j in (1, 2)
+                 for op in COUNTER_OPS for r in states]
+        machines = [MinskyMachine(states, "q0", "qL", ts) for n in (1, 2)
+                    for ts in itertools.combinations(moves, n)]
+        valid = [m for m in machines if validate_machine(m)[0]]
+        assert len(valid) == 1980
+        for m in valid:
+            lhss = [r.lhs for r in encode(m, 0, 0, 0, 0).theory.rules]
+            assert len(set(lhss)) == len(lhss), m
 
 
 class TestCanonicalCap:

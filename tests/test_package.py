@@ -1,5 +1,6 @@
 """The package's public surface: every exported name, and every public
-top-level name of a module, has a caller, and every class field is read."""
+top-level name of a module, has a caller, and every class field, method
+and property is read."""
 
 import ast
 from pathlib import Path
@@ -59,6 +60,17 @@ def class_fields(path: Path) -> set[str]:
             and isinstance(stmt.target, ast.Name)}
 
 
+def class_methods(path: Path) -> set[str]:
+    """`Class.method` for every public method and property of a class in
+    `path`."""
+    return {f"{node.name}.{stmt.name}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)
+            for stmt in node.body
+            if isinstance(stmt, ast.FunctionDef)
+            and not stmt.name.startswith("_")}
+
+
 def read_attributes(path: Path) -> set[str]:
     """The attribute names that code in `path` reads."""
     return {node.attr
@@ -86,12 +98,22 @@ def test_every_public_module_name_has_a_caller():
     assert unread == []
 
 
-def test_every_class_field_is_read():
-    # a field nothing reads is kept up to date for no one
+def unread_members(members) -> list[str]:
+    """`module.Class.member` for each of `members(module)` that no module
+    and no benchmark source reads."""
     modules = sorted(PACKAGE.glob("*.py"))
     read = set().union(*(read_attributes(p)
                          for p in modules + sorted(BENCH.glob("*.py"))))
-    unread = [f"{p.stem}.{field}" for p in modules
-              for field in sorted(class_fields(p))
-              if field.split(".")[1] not in read]
-    assert unread == []
+    return [f"{p.stem}.{member}" for p in modules
+            for member in sorted(members(p))
+            if member.split(".")[1] not in read]
+
+
+def test_every_class_field_is_read():
+    # a field nothing reads is kept up to date for no one
+    assert unread_members(class_fields) == []
+
+
+def test_every_class_method_is_read():
+    # a method or property only tests read belongs in the tests
+    assert unread_members(class_methods) == []
