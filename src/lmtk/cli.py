@@ -285,8 +285,15 @@ def cmd_minsky(args) -> int:
         _emit(args, payload, lines)
         return EXIT_PASS if run.halted else EXIT_UNKNOWN
 
-    instance = encode(machine, args.k, args.p, args.kp, args.pp,
-                      args.max_steps)
+    # `cap` needs the run for its canonical cap line; its halting counters
+    # spare `encode` a second simulation
+    kp, pp = args.kp, args.pp
+    if args.action == "cap":
+        run = simulate(machine, Config(machine.initial, args.k, args.p),
+                       args.max_steps)
+        if run.halted and (kp is None or pp is None):
+            kp, pp = run.final_config.c1, run.final_config.c2
+    instance = encode(machine, args.k, args.p, kp, pp, args.max_steps)
 
     if args.action == "encode":
         text = render_trs(instance.theory)
@@ -304,8 +311,6 @@ def cmd_minsky(args) -> int:
         _emit(args, payload, lines)
         return EXIT_PASS
 
-    run = simulate(machine, Config(machine.initial, args.k, args.p),
-                   args.max_steps)
     lines = ([f"canonical cap: {canonical_cap(machine, run, instance)}"]
              if run.halted and run.step_count >= 1 else [])
     return _report_cap(args, instance, lines)

@@ -5,6 +5,11 @@ rule l2 -> r2 whose left side unifies with r1 at p; the composed rule is
 the instantiated l1 -> r1[r2]_p. Iterating this against the base system
 and keeping the non-redundant results either reaches a fixpoint (the
 system's closure is finite) or runs into the generation bound.
+Composition is semi-naive: a generation composes only the rules the one
+before it added. A candidate depends only on its source and the base
+rules, so an older source would only repeat candidates that were already
+subsumed, added, or renamed duplicates of added rules, and the trace is
+the one that composing the whole set gives.
 
 Redundancy here is the computable approximation: a candidate is redundant
 when its sides are equal or some existing rule subsumes it outright. That
@@ -157,30 +162,45 @@ class FcTrace:
 
 def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
     """Iterate closure generations until nothing new appears or the bound
-    is hit. New rules at each generation come from composing the previous
-    whole set against the base system, filtered by redundancy in that set."""
+    is hit. Generation g composes only the rules generation g-1 added (the
+    base rules at g = 1) against the base system, and keeps the results
+    that no rule of the whole previous set subsumes.
+
+    Composing only the newest rules is semi-naive evaluation (Bancilhon
+    and Ramakrishnan, SIGMOD 1986), and its trace is the naive one: a
+    candidate depends only on its source and the base rules, so an older
+    source yields at g exactly what it yielded at g-1. There it was
+    subsumed, or added, or a renamed duplicate (`rule_key`) of an added
+    rule; each of those rules is in the index by g, and the index only
+    grows, so the candidate is redundant again and changes nothing."""
     trace = FcTrace(bound=max_generations)
     current: list[Rule] = list(trs.rules)
     trace.generations.append(list(current))
     labels = {r.label for r in current}
     # candidates are checked against the previous generation only; a
-    # generation's own duplicates are caught by `rule_key`
-    index = RuleIndex(current)
+    # generation's own duplicates are caught by `rule_key`. Each
+    # generation files its sources first, so the last generation's rules,
+    # which no query reads, are never filed
+    index = RuleIndex()
+    sources = current
     for gen in range(1, max_generations + 1):
+        for rule in sources:
+            index.add(rule)
         fresh: list[FcCandidate] = []
         keys: set[tuple[Term, Term]] = set()
-        for cand in compositions(current, trs.rules):
+        for cand in compositions(sources, trs.rules):
             if is_redundant_approx(cand.rule, index):
                 continue
             key = rule_key(cand.rule)
             if key in keys:
                 continue
             keys.add(key)
-            label = cand.rule.label
+            rule, label = cand.rule, cand.rule.label
             while label in labels:
                 label += "'"
+            if label != rule.label:
+                rule = Rule(rule.lhs, rule.rhs, label)
             labels.add(label)
-            rule = Rule(cand.rule.lhs, cand.rule.rhs, label)
             fresh.append(FcCandidate(rule, cand.first, cand.second,
                                      cand.position, gen))
         if not fresh:
@@ -188,9 +208,8 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
             trace.converged = True
             return trace
         trace.new_rules.append(fresh)
-        for c in fresh:
-            index.add(c.rule)
-        current = current + [c.rule for c in fresh]
+        sources = [c.rule for c in fresh]
+        current = current + sources
         trace.generations.append(list(current))
     return trace
 

@@ -19,6 +19,7 @@ from .terms import (
     Position,
     ROOT,
     Subst,
+    Symbol,
     Term,
     Var,
     mgu,
@@ -100,12 +101,22 @@ def overlap_sites(host: Term, avoid: set[str], rules: Sequence[Rule],
                   trivial: Optional[str] = None
                   ) -> Iterator[tuple[Rule, Term, Term, Position, Term]]:
     """Per rule in order: the rule, its lhs and rhs renamed apart from
-    `avoid`, and each non-variable position of `host` in pre-order with its
-    subterm, except the root site of the rule labelled `trivial`. Callers
-    unify subterm and renamed lhs themselves: the `mgu` argument order
-    decides whose variable names survive."""
-    sites = [(p, sub) for p, sub in subterms(host) if isinstance(sub, App)]
+    `avoid`, and each non-variable position of `host` in pre-order whose
+    subterm has the lhs root symbol, with that subterm, except the root
+    site of the rule labelled `trivial`. Sites are grouped by root symbol
+    and a rule is paired only with its own group: a subterm under another
+    symbol never unifies with the lhs, and a rule whose root symbol occurs
+    nowhere in `host` is not renamed at all. Callers unify subterm and
+    renamed lhs themselves: the `mgu` argument order decides whose
+    variable names survive."""
+    by_root: dict[Symbol, list[tuple[Position, Term]]] = {}
+    for p, sub in subterms(host):
+        if isinstance(sub, App):
+            by_root.setdefault(sub.sym, []).append((p, sub))
     for rule in rules:
+        sites = by_root.get(rule.lhs.sym)
+        if sites is None:
+            continue
         lhs, rhs = rename_pair_apart(rule.lhs, rule.rhs, avoid)
         for p, sub in sites:
             if not (p == ROOT and rule.label == trivial):

@@ -316,6 +316,30 @@ class TestMinskyCommands:
         assert out == ("canonical cap: gp(g(gp(f_qL(f_q1(f_q0(hole1))))))\n"
                        "no cap within bounds (rounds 2, 75 terms deduced)\n")
 
+    def test_cap_simulates_the_run_once(self, write, capsys, monkeypatch):
+        # the canonical cap line and `encode`'s halting counters come from
+        # one run
+        from lmtk import minsky
+        simulate, calls = minsky.simulate, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate", spy)
+        monkeypatch.setattr(minsky, "simulate", spy)
+        path = write("m.mm", render_machine(TINY_MACHINE))
+        code, out, _ = run(capsys, "minsky", "cap", path)
+        assert code == 0
+        assert out.startswith("canonical cap: ")
+        assert len(calls) == 1
+
+    def test_cap_on_a_run_that_does_not_halt(self, write, capsys):
+        # without final counters the run must halt; `encode` says so
+        path = write("m.mm", render_machine(TINY_MACHINE))
+        assert run(capsys, "minsky", "cap", path, "--max-steps", "1") == (
+            3, "", "error: machine did not halt; supply kp/pp explicitly\n")
+
     def test_cap_subcommand_on_system_file(self, write, capsys):
         from lmtk.minsky import encode
         from lmtk.trs_format import render_trs

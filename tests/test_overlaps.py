@@ -12,13 +12,16 @@ from lmtk.overlaps import (
     rhs_critical_pairs,
 )
 from lmtk.rewriting import apply_rule
+from lmtk import overlaps
 from lmtk.terms import (
     ROOT,
+    App,
     mgu,
     rename_pair_apart,
     render_term,
     substitute,
     subterm_at,
+    subterms,
 )
 from lmtk.trs_format import parse_trs
 
@@ -32,6 +35,64 @@ rules:
   f(g(x)) -> a
   g(b) -> c
 """
+
+
+def every_site(host, avoid, rules, trivial=None):
+    """`overlap_sites` without its root-symbol filter: every rule renamed
+    apart and paired with every non-variable site of `host`."""
+    sites = [(p, sub) for p, sub in subterms(host) if isinstance(sub, App)]
+    for rule in rules:
+        lhs, rhs = rename_pair_apart(rule.lhs, rule.rhs, avoid)
+        for p, sub in sites:
+            if not (p == ROOT and rule.label == trivial):
+                yield rule, lhs, rhs, p, sub
+
+
+def overlap_hosts(trs):
+    """The (host, avoid, trivial) arguments the overlap constructions pass:
+    each rule's lhs with and without its trivial root site, and its rhs."""
+    for rule in trs.rules:
+        avoid = rule.variables()
+        yield rule.lhs, avoid, rule.label
+        yield rule.lhs, avoid, None
+        yield rule.rhs, avoid, None
+
+
+class TestOverlapSites:
+    def test_unifiable_sites_are_those_of_every_site(self):
+        kept = dropped = 0
+        for trs in overlap_systems():
+            for host, avoid, trivial in overlap_hosts(trs):
+                sites = list(overlap_sites(host, avoid, trs.rules, trivial))
+                oracle = list(every_site(host, avoid, trs.rules, trivial))
+                assert [s for s in sites if mgu(s[4], s[1]) is not None] == \
+                    [s for s in oracle if mgu(s[4], s[1]) is not None]
+                # a site is paired only with rules of its root symbol
+                assert all(sub.sym == lhs.sym
+                           for _, lhs, _, _, sub in sites)
+                kept += len(sites)
+                dropped += len(oracle) - len(sites)
+        assert kept > 1000 and dropped > kept
+
+    def test_no_rule_is_renamed_for_a_host_without_its_root(self,
+                                                             monkeypatch):
+        renamed = []
+
+        def spy(lhs, rhs, avoid):
+            renamed.append(lhs)
+            return rename_pair_apart(lhs, rhs, avoid)
+
+        monkeypatch.setattr(overlaps, "rename_pair_apart", spy)
+        skipped = 0
+        for trs in overlap_systems():
+            for host, avoid, trivial in overlap_hosts(trs):
+                roots = {sub.sym for _, sub in subterms(host)
+                         if isinstance(sub, App)}
+                renamed.clear()
+                list(overlap_sites(host, avoid, trs.rules, trivial))
+                assert all(lhs.sym in roots for lhs in renamed)
+                skipped += len(trs.rules) - len(renamed)
+        assert skipped > 1000
 
 
 class TestCriticalPairs:
