@@ -9,7 +9,11 @@ Composition is semi-naive: a generation composes only the rules the one
 before it added. A candidate depends only on its source and the base
 rules, so an older source would only repeat candidates that were already
 subsumed, added, or renamed duplicates of added rules, and the trace is
-the one that composing the whole set gives.
+the one that composing the whole set gives. A renamed copy of a rule the
+generation kept is dropped before the index query, with the same trace:
+subsumption and triviality do not change under a renaming of variables,
+so a copy of a redundant candidate is redundant too, and a copy of a kept
+one is not, so the query would only pass it on to be dropped.
 
 Redundancy here is the computable approximation: a candidate is redundant
 when its sides are equal or some existing rule subsumes it outright. That
@@ -163,54 +167,48 @@ class FcTrace:
 def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
     """Iterate closure generations until nothing new appears or the bound
     is hit. Generation g composes only the rules generation g-1 added (the
-    base rules at g = 1) against the base system, and keeps the results
-    that no rule of the whole previous set subsumes.
+    base rules at g = 1) against the base system. It keeps each result
+    that renames (`rule_key`) no rule it kept before and that no rule of
+    the whole previous set subsumes.
 
     Composing only the newest rules is semi-naive evaluation (Bancilhon
-    and Ramakrishnan, SIGMOD 1986), and its trace is the naive one: a
-    candidate depends only on its source and the base rules, so an older
-    source yields at g exactly what it yielded at g-1. There it was
-    subsumed, or added, or a renamed duplicate (`rule_key`) of an added
-    rule; each of those rules is in the index by g, and the index only
-    grows, so the candidate is redundant again and changes nothing."""
+    and Ramakrishnan, SIGMOD 1986), with the naive trace: a candidate
+    depends only on its source and the base rules, so an older source
+    yields at g what it yielded at g-1, where it was subsumed, added, or a
+    renamed duplicate of an added rule. All of those are in the index by
+    g, which only grows, so the candidate is redundant again."""
     trace = FcTrace(bound=max_generations)
-    current: list[Rule] = list(trs.rules)
-    trace.generations.append(list(current))
-    labels = {r.label for r in current}
-    # candidates are checked against the previous generation only; a
-    # generation's own duplicates are caught by `rule_key`. Each
+    sources = list(trs.rules)
+    trace.generations.append(sources)
+    labels = {r.label for r in sources}
+    # candidates are checked against the previous generation only. Each
     # generation files its sources first, so the last generation's rules,
     # which no query reads, are never filed
     index = RuleIndex()
-    sources = current
     for gen in range(1, max_generations + 1):
         for rule in sources:
             index.add(rule)
-        fresh: list[FcCandidate] = []
-        keys: set[tuple[Term, Term]] = set()
+        # new rules by `rule_key`, in the order kept; a renamed copy of
+        # one skips the index query (see the module docstring)
+        fresh: dict[tuple[Term, Term], FcCandidate] = {}
         for cand in compositions(sources, trs.rules):
-            if is_redundant_approx(cand.rule, index):
-                continue
             key = rule_key(cand.rule)
-            if key in keys:
+            if key in fresh or is_redundant_approx(cand.rule, index):
                 continue
-            keys.add(key)
             rule, label = cand.rule, cand.rule.label
             while label in labels:
                 label += "'"
             if label != rule.label:
                 rule = Rule(rule.lhs, rule.rhs, label)
             labels.add(label)
-            fresh.append(FcCandidate(rule, cand.first, cand.second,
-                                     cand.position, gen))
+            fresh[key] = FcCandidate(rule, cand.first, cand.second,
+                                     cand.position, gen)
+        trace.new_rules.append(list(fresh.values()))
         if not fresh:
-            trace.new_rules.append([])
             trace.converged = True
             return trace
-        trace.new_rules.append(fresh)
-        sources = [c.rule for c in fresh]
-        current = current + sources
-        trace.generations.append(list(current))
+        sources = [c.rule for c in fresh.values()]
+        trace.generations.append(trace.generations[-1] + sources)
     return trace
 
 

@@ -352,9 +352,9 @@ class Deduction:
     which construction (knowledge-using or public) it relied on."""
 
     term: Term
-    via: str                      # 'knowledge' or symbol name
+    via: str                      # symbol name, or 'knowledge' on a leaf
     parents: tuple[tuple[Term, bool], ...] = ()
-    knowledge_index: int = -1
+    knowledge_index: int = -1     # >= 0 exactly on a knowledge leaf
     depth: int = 1                # construction height
 
 
@@ -510,7 +510,7 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
     def build(t: Term, taint_flag: bool) -> Term:
         ded = known[t][taint_flag]
         derivation.append(ded)
-        if ded.via == "knowledge":
+        if ded.knowledge_index >= 0:
             hole = f"hole{next(counter)}"
             assignment.append((hole, instance.knowledge[ded.knowledge_index]))
             return Var(hole)

@@ -184,6 +184,9 @@ def parse_trs(text: str) -> Trs:
                                      "(expected name/arity)", lineno, 1)
                 if name in symbols:
                     raise ParseError(f"symbol {name} declared twice", lineno, 1)
+                if name in variables:
+                    raise ParseError(f"symbol {name} clashes with a variable",
+                                     lineno, 1)
                 sym = Symbol(name, int(arity_s))
                 symbols[name] = sym
                 sym_order.append(sym)

@@ -330,6 +330,38 @@ class TestSemiNaive:
         assert filed == trace.generations[len(trace.new_rules) - 1]
         assert len(filed) < len(trace.final_rules())
 
+    def test_a_renamed_copy_of_a_kept_rule_skips_the_index_query(
+            self, monkeypatch):
+        composed, queried = [], set()
+
+        def compose(sources, base):
+            composed.append(compositions(sources, base))
+            return composed[-1]
+
+        def redundant(candidate, existing):
+            queried.add(id(candidate))
+            return is_redundant_approx(candidate, existing)
+
+        monkeypatch.setattr(closure, "compositions", compose)
+        monkeypatch.setattr(closure, "is_redundant_approx", redundant)
+        copies = 0
+        for trs in differential_systems():
+            # every candidate of the system stays alive, so ids are unique
+            composed.clear()
+            queried.clear()
+            trace = fc_iterate(trs, 3)
+            for cands, new in zip(composed, trace.new_rules):
+                kept = {(c.first, c.second, c.position) for c in new}
+                keys = set()
+                for cand in cands:
+                    key = rule_key(cand.rule)
+                    copy = key in keys
+                    copies += copy
+                    assert (id(cand.rule) in queried) != copy, str(cand)
+                    if (cand.first, cand.second, cand.position) in kept:
+                        keys.add(key)
+        assert copies > 0
+
 
 class TestIsForwardClosed:
     def test_full_system(self, sys3):

@@ -1,5 +1,6 @@
 """Parsing and rendering of systems and terms."""
 
+import random
 import re
 
 import pytest
@@ -15,7 +16,8 @@ from lmtk.trs_format import (
 )
 from lmtk.terms import App, Symbol, Term, Var, render_term
 
-from conftest import ROOT_OVERLAP, corpus_systems, sweep_sources
+from conftest import ROOT_OVERLAP, corpus_systems, pool_text, sweep_sources
+from random_systems import random_system
 
 
 class TestParse:
@@ -64,12 +66,28 @@ class TestParse:
         with pytest.raises(ParseError, match="twice"):
             parse_trs("sig: f/1 f/2\nrules:\n")
 
+    @pytest.mark.parametrize("text", [
+        "sig: a/0 g/1\nvars: a\nrules:\n  g(a) -> a\n",
+        "vars: a\nsig: a/0 g/1\nrules:\n  g(a) -> a\n"],
+        ids=["sig_first", "vars_first"])
+    def test_name_declared_as_variable_and_symbol_rejected(self, text):
+        with pytest.raises(ParseError, match="clashes with a"):
+            parse_trs(text)
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name,trs,_", corpus_systems(),
                              ids=[n for n, _, _ in corpus_systems()])
     def test_parse_render_round_trip(self, name, trs, _):
         assert parse_trs(render_trs(trs)) == trs
+
+    def test_pool_round_trip(self):
+        # the pool text as parsed, and the random systems as built
+        systems = [parse_trs(pool_text(seed)) for seed in range(120)]
+        systems += filter(None, (random_system(random.Random(seed))
+                                 for seed in range(120)))
+        for trs in systems:
+            assert parse_trs(render_trs(trs)) == trs, render_trs(trs)
 
 
 class TestParseTerm:

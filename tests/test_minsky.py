@@ -256,6 +256,17 @@ class TestCapSearch:
         assert res.found
         assert str(res.cap) == "hole1"
 
+    def test_a_constant_named_knowledge_is_public(self):
+        # read as a knowledge leaf, the constant `knowledge` became a
+        # second hole, and the plug h(g(k),g(k)) is normal
+        trs = parse_trs("sig: h/2 g/1 knowledge/0 k/0 b/0\nvars: x\n"
+                        "rules:\n  h(x, knowledge) -> b\n")
+        inst = CapInstance(trs, (parse_term("g(k)", trs),),
+                           parse_term("b", trs))
+        res = compared_with_reference(inst, max_term_size=6, max_rounds=4)
+        assert str(res.cap) == "h(hole1,knowledge)"
+        assert nf(trs, res.cap.plug()) == inst.goal
+
     def test_public_only_construction_is_not_a_cap(self):
         # the goal is buildable from public symbols alone; that must not
         # count, otherwise every instance would be trivially solvable
@@ -459,7 +470,7 @@ def reference_cap_search(instance, max_term_size=30, max_rounds=12,
     def build(t, taint_flag):
         ded = known[t][taint_flag]
         derivation.append(ded)
-        if ded.via == "knowledge":
+        if ded.knowledge_index >= 0:
             hole = f"hole{next(counter)}"
             assignment.append((hole, instance.knowledge[ded.knowledge_index]))
             return Var(hole)
