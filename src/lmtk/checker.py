@@ -568,7 +568,7 @@ def consequence_checks(trs: Trs, depth: int = 3,
     # never join (they join when their normal forms are equal, so one
     # normalize per term)
     def joined() -> str:
-        vars_ = enumeration_variables(trs, 2)
+        vars_ = enumeration_variables(trs)
         pool: list[Term] = []
         for t in enumerate_terms(trs.symbols, vars_, depth):
             if isinstance(t, App) and is_eps_irreducible(trs, t):

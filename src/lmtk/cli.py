@@ -3,11 +3,12 @@
 Exit codes: 0 the checked property holds, 1 it fails, 2 the verdict is
 open at the configured bounds (also when a subcommand runs out of rewrite
 fuel; `check` reports that in the condition it hit, and an open
-consequence leaves its code alone), 3 bad input or usage (a `--precedence`
-that does not name each symbol once, too), 4 an internal error (a bug in
-lmtk; stderr names the exception). `fc-check` decides exactly, so on valid
-input it exits 0 or 1 only. `--json` switches any subcommand to a
-structured report on stdout.
+consequence leaves its code alone), 3 bad input or usage (also a
+`--precedence`, "" too, that does not name each symbol once, and one of
+`--kp` and `--pp` alone), 4 an internal error (a bug in lmtk; stderr names
+the exception). `fc-check` decides exactly, so on valid input it exits 0
+or 1 only; its witness is the first rule `fc` adds, at `gen 1`. `--json`
+switches any subcommand to a structured report on stdout.
 
 Every count flag takes a decimal number: `--depth` 1 or more, the rest
 (`--fuel`, the other bounds and the counter values) 0 or more. Anything
@@ -101,8 +102,8 @@ def _report_payload(report: LmReport) -> dict:
 
 def cmd_check(args) -> int:
     trs = _load_trs(args.file)
-    precedence = args.precedence.split(",") if args.precedence else None
-    opts = CheckOptions(precedence=precedence, collapse_depth=args.depth,
+    prec = None if args.precedence is None else args.precedence.split(",")
+    opts = CheckOptions(precedence=prec, collapse_depth=args.depth,
                         fuel=args.fuel)
     started = time.perf_counter()
     report = lm_verdict(trs, opts)
@@ -285,13 +286,13 @@ def cmd_minsky(args) -> int:
         _emit(args, payload, lines)
         return EXIT_PASS if run.halted else EXIT_UNKNOWN
 
-    # `cap` needs the run for its canonical cap line; its halting counters
-    # spare `encode` a second simulation
+    # `cap` needs the run for its canonical cap line; when no halting
+    # counter is given, its counters spare `encode` a second simulation
     kp, pp = args.kp, args.pp
     if args.action == "cap":
         run = simulate(machine, Config(machine.initial, args.k, args.p),
                        args.max_steps)
-        if run.halted and (kp is None or pp is None):
+        if run.halted and kp is None and pp is None:
             kp, pp = run.final_config.c1, run.final_config.c2
     instance = encode(machine, args.k, args.p, kp, pp, args.max_steps)
 

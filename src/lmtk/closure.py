@@ -5,15 +5,18 @@ rule l2 -> r2 whose left side unifies with r1 at p; the composed rule is
 the instantiated l1 -> r1[r2]_p. Iterating this against the base system
 and keeping the non-redundant results either reaches a fixpoint (the
 system's closure is finite) or runs into the generation bound.
-Composition is semi-naive: a generation composes only the rules the one
-before it added. A candidate depends only on its source and the base
-rules, so an older source would only repeat candidates that were already
-subsumed, added, or renamed duplicates of added rules, and the trace is
-the one that composing the whole set gives. A renamed copy of a rule the
-generation kept is dropped before the index query, with the same trace:
-subsumption and triviality do not change under a renaming of variables,
-so a copy of a redundant candidate is redundant too, and a copy of a kept
-one is not, so the query would only pass it on to be dropped.
+Composition is semi-naive (Bancilhon and Ramakrishnan, SIGMOD 1986): a
+generation composes only the rules the one before it added. A candidate
+depends only on its source and the base rules, so an older source would
+only repeat candidates that were already subsumed, added, or renamed
+duplicates of added rules; all of those are in the index, which only
+grows, so the trace is the one that composing the whole set gives. A
+renamed copy of a rule the generation kept is dropped before the index
+query, with the same trace: subsumption and triviality do not change
+under a renaming of variables, so a copy of a redundant candidate is
+redundant too, and a copy of a kept one is not, so the query would only
+pass it on to be dropped. The system is forward-closed when the first
+generation keeps nothing.
 
 Redundancy here is the computable approximation: a candidate is redundant
 when its sides are equal or some existing rule subsumes it outright. That
@@ -169,14 +172,8 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
     is hit. Generation g composes only the rules generation g-1 added (the
     base rules at g = 1) against the base system. It keeps each result
     that renames (`rule_key`) no rule it kept before and that no rule of
-    the whole previous set subsumes.
-
-    Composing only the newest rules is semi-naive evaluation (Bancilhon
-    and Ramakrishnan, SIGMOD 1986), with the naive trace: a candidate
-    depends only on its source and the base rules, so an older source
-    yields at g what it yielded at g-1, where it was subsumed, added, or a
-    renamed duplicate of an added rule. All of those are in the index by
-    g, which only grows, so the candidate is redundant again."""
+    the whole previous set subsumes (semi-naive: see the module
+    docstring)."""
     trace = FcTrace(bound=max_generations)
     sources = list(trs.rules)
     trace.generations.append(sources)
@@ -213,10 +210,7 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
 
 
 def is_forward_closed(trs: Trs) -> tuple[bool, Optional[FcCandidate]]:
-    """True when every one-step composition of the system against itself
-    is redundant; otherwise the first non-redundant composition."""
-    index = RuleIndex(trs.rules)
-    for cand in compositions(trs.rules, trs.rules):
-        if not is_redundant_approx(cand.rule, index):
-            return False, cand
-    return True, None
+    """(True, None) when the closure adds nothing at its first generation;
+    otherwise False and the first rule `fc_iterate` adds there."""
+    added = fc_iterate(trs, 1).new_rules[0]
+    return not added, added[0] if added else None

@@ -234,16 +234,18 @@ def encode(m: MinskyMachine, k: int, p: int,
            kp: Optional[int] = None, pp: Optional[int] = None,
            max_steps: int = 10_000) -> CapInstance:
     """Build the rewrite theory, knowledge and goal for a machine started
-    at (k, p). The finalize rule needs the halting counter values; pass
-    them as kp/pp or leave them None to obtain them by simulation."""
+    at (k, p). The finalize rule needs both halting counters, kp and pp;
+    left None, both come from a simulation. One alone is a ValueError."""
     if any(n is not None and n < 0 for n in (k, p, kp, pp)):
         raise ValueError("counter values must be 0 or more")
+    if (kp is None) != (pp is None):
+        raise ValueError("give both halting counters kp and pp, or neither")
     ok, witness = validate_machine(m)
     if not ok:
         a, b = witness
         raise ValueError(f"machine is not reversible-deterministic: "
                          f"[{a}] vs [{b}]")
-    if kp is None or pp is None:
+    if kp is None:
         run = simulate(m, Config(m.initial, k, p), max_steps)
         if not run.halted:
             raise ValueError("machine did not halt; supply kp/pp explicitly")

@@ -23,6 +23,7 @@ from .terms import (
     Term,
     Var,
     enumerate_terms,
+    fresh_name,
     match_term,
     render_position,
     render_term,
@@ -503,16 +504,13 @@ def is_eps_irreducible(trs: Trs, t: Term) -> bool:
     return not any(is_redex(trs, u) for p, u in subterms(t) if p)
 
 
-def enumeration_variables(trs: Trs, count: int = 2) -> list[str]:
-    """Up to `count` variable names usable for bounded term enumeration."""
+def enumeration_variables(trs: Trs) -> list[str]:
+    """Two variable names to enumerate terms with: declared ones first."""
     names = list(trs.variables)
-    k = 1
-    while len(names) < count:
-        cand = f"v{k}"
-        if cand not in names and all(cand != s.name for s in trs.symbols):
-            names.append(cand)
-        k += 1
-    return names[:count]
+    taken = {s.name for s in trs.symbols}
+    while len(names) < 2:
+        names.append(fresh_name("v", taken.union(names)))
+    return names[:2]
 
 
 @dataclass
@@ -543,7 +541,7 @@ def subterm_collapse_search(trs: Trs, max_depth: int = 5,
     each argument's normal form and set. Only a term that collapses has
     its subterms walked, in pre-order, for the first witness position.
     """
-    vars_ = enumeration_variables(trs, 2)
+    vars_ = enumeration_variables(trs)
     nf = NormalForms(trs, fuel)
     # the sets of the terms that turned up as arguments; terms of the
     # last depth never do

@@ -251,17 +251,21 @@ class _LegacyTermParser(_TermParser):
 
 
 def _section(text: str, name: str) -> Optional[str]:
-    """The body of the first `(name ...)` section of `text`, read to its
-    own closing parenthesis; None when there is none."""
-    start = text.find("(" + name)
-    if start < 0:
-        return None
-    depth = 0
-    for i in range(start, len(text)):
-        depth += {"(": 1, ")": -1}.get(text[i], 0)
-        if not depth:
-            return text[start + len(name) + 1:i]
-    raise ParseError(f"unclosed ({name} ...) section")
+    """The body of the first top-level `(name ...)` section of `text`,
+    read to its own closing parenthesis; None when there is none."""
+    body, depth = None, 0
+    for m in re.finditer(rf"\(({IDENT_RE.pattern})?|\)", text):
+        if m.group() != ")":
+            if not depth and m.group(1) == name:
+                body = m.end()
+            depth += 1
+        elif depth:
+            depth -= 1
+            if not depth and body is not None:
+                return text[body:m.start()]
+    if body is not None:
+        raise ParseError(f"unclosed ({name} ...) section")
+    return None
 
 
 def parse_legacy_trs(text: str) -> Trs:
@@ -276,7 +280,7 @@ def parse_legacy_trs(text: str) -> Trs:
     The signature, sorted by name, holds each symbol with the arity it is
     applied with; inconsistent arities are an error. A variable declared
     twice is declared once; other sections, such as `(COMMENT ...)`, are
-    skipped.
+    skipped, with any section named inside them.
     """
     text = "\n".join(_strip_comment(line) for line in text.splitlines())
     variables = list(dict.fromkeys((_section(text, "VAR") or "").split()))

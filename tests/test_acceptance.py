@@ -56,7 +56,7 @@ def verdict(number: int, slug: str, violations: list) -> None:
 
 
 def enumerate_pool(trs, depth, cap):
-    vars_ = enumeration_variables(trs, 2)
+    vars_ = enumeration_variables(trs)
     pool = []
     for t in enumerate_terms(trs.symbols, vars_, depth):
         pool.append(t)

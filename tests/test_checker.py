@@ -453,7 +453,7 @@ class TestLocalConfluenceCrossCheck:
             trs = parse_trs(src)
             assert check_termination(trs).ok
             assert check_confluence(trs).ok
-            vars_ = enumeration_variables(trs, 2)
+            vars_ = enumeration_variables(trs)
             count = 0
             for t in enumerate_terms(trs.symbols, vars_, 3):
                 count += 1

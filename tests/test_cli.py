@@ -11,12 +11,14 @@ from lmtk.cli import run_command
 from conftest import (
     BRANCHING_MACHINE,
     DUPLICATING,
+    MACHINE_STARTS,
     ROOT_OVERLAP,
     ROOT_OVERLAP_TRUNCATED,
     TINY_MACHINE,
     UNARY_CHAIN,
     pool_text,
     render_machine,
+    sweep_sources,
 )
 
 
@@ -102,6 +104,14 @@ class TestCheck:
         assert err.strip() == ("error: precedence must name each symbol "
                                f"exactly once, got {precedence}")
 
+    def test_empty_precedence_is_usage_error(self, write, capsys):
+        # an empty flag is a precedence naming no symbol, not a missing one
+        path = write("fg.trs", "sig: f/1 g/1 a/0\nvars: x\nrules:\n"
+                               "  f(x) -> g(x)\n")
+        code, out, err = run(capsys, "check", path, "--precedence", "")
+        assert (code, out) == (3, "")
+        assert err == "error: precedence does not cover ['a', 'f', 'g']\n"
+
     def test_consequence_out_of_fuel_still_reports(self, write, capsys):
         # nothing up to collapse depth 1 takes a step, so the system is
         # certified with no fuel; only the freeness pool runs out
@@ -179,7 +189,7 @@ class TestFc:
         code, out, _ = run(capsys, "fc-check", path)
         assert code == 1
         assert out == ("forward-closed: no ([r1~r2@e] f(b,i(b)) -> c  "
-                       "(r1 ~> r2 at e, gen 0))\n")
+                       "(r1 ~> r2 at e, gen 1))\n")
 
     def test_fc_check_passes_on_closed_system(self, write, capsys):
         path = write("full.trs", ROOT_OVERLAP)
@@ -193,7 +203,7 @@ class TestFc:
         assert code == 1
         assert json.loads(out) == {
             "forward_closed": False,
-            "witness": "[r1~r2@e] f(b,i(b)) -> c  (r1 ~> r2 at e, gen 0)"}
+            "witness": "[r1~r2@e] f(b,i(b)) -> c  (r1 ~> r2 at e, gen 1)"}
 
     def test_fc_check_answers_a_closed_pool_system(self, write, capsys):
         # forward-closed, though normalizing its innermost redexes runs
@@ -208,7 +218,27 @@ class TestFc:
         code, out, err = run(capsys, "fc-check", path)
         assert (code, err) == (1, "")
         assert out == ("forward-closed: no ([r1~r1@1] a -> f(f(a))  "
-                       "(r1 ~> r1 at 1, gen 0))\n")
+                       "(r1 ~> r1 at 1, gen 1))\n")
+
+    def test_fc_check_witness_is_the_first_rule_fc_adds(self, write, capsys):
+        # forward-closedness is decided once: the witness is `fc`'s first
+        # NR1 line, and a closed system is one whose NR1 is empty
+        from lmtk.minsky import encode
+        from lmtk.trs_format import render_trs
+        sources = sweep_sources(range(100))
+        sources.update({f"encoded_{name}": render_trs(encode(m, k, p).theory)
+                        for name, (m, k, p) in MACHINE_STARTS.items()})
+        witnesses = 0
+        for name, text in sources.items():
+            path = write(f"{name}.trs", text)
+            fc_out = run(capsys, "fc", path, "--fc-max-gen", "1")[1]
+            header, first = fc_out.splitlines()[:2]
+            expected = ((0, "forward-closed: yes\n")
+                        if header.startswith("NR1: 0 ")
+                        else (1, f"forward-closed: no ({first.strip()})\n"))
+            assert run(capsys, "fc-check", path)[:2] == expected, name
+            witnesses += expected[0]
+        assert witnesses > 0
 
 
 class TestSmallCommands:
@@ -333,6 +363,18 @@ class TestMinskyCommands:
         assert code == 0
         assert out.startswith("canonical cap: ")
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("action, counter", [
+        ("encode", ("--kp", "7")), ("encode", ("--pp", "4")),
+        ("cap", ("--kp", "7")), ("cap", ("--pp", "4")),
+    ])
+    def test_one_halting_counter_is_usage_error(self, write, capsys, action,
+                                                counter):
+        # the finalize rule needs both counters; one is never dropped
+        path = write("m.mm", render_machine(TINY_MACHINE))
+        assert run(capsys, "minsky", action, path, *counter) == (
+            3, "", "error: give both halting counters kp and pp, or "
+                   "neither\n")
 
     def test_cap_on_a_run_that_does_not_halt(self, write, capsys):
         # without final counters the run must halt; `encode` says so

@@ -373,6 +373,17 @@ class TestIsForwardClosed:
         assert not ok
         assert render_term(witness.rule.lhs) == "f(b,i(b))"
 
+    def test_witness_is_primed_away_from_an_input_label(self):
+        # f(a) -> a is new, and an input rule already has its label
+        trs = parse_trs("sig: f/1 g/1 a/0 b/0\nvars: x\nrules:\n"
+                        "  f(x) -> g(x)\n  g(a) -> a\n"
+                        "  [r1~r2@e] f(b) -> b\n")
+        ok, witness = is_forward_closed(trs)
+        assert not ok
+        assert witness == fc_iterate(trs, 1).new_rules[0][0]
+        assert str(witness) == ("[r1~r2@e'] f(a) -> a  (r1 ~> r2 at e, "
+                                "gen 1)")
+
     def test_lm_systems_have_zero_candidates(self):
         theory = encode(TINY_MACHINE, 0, 0).theory
         assert compositions(theory.rules, theory.rules) == []

@@ -173,6 +173,22 @@ class TestLegacyFormat:
         assert parse_trs(text) == parse_trs(
             "sig: f/1\nvars: x y\nrules:\n  f(x) -> x\n")
 
+    @pytest.mark.parametrize("comment", ["(COMMENT see (RULES a -> b))",
+                                         "(COMMENT see (VAR y))"])
+    def test_section_named_inside_a_comment_is_text(self, comment):
+        trs = parse_trs(f"{comment}\n(VAR x)\n(RULES f(x) -> x)\n")
+        assert trs == parse_trs("sig: f/1\nvars: x\nrules:\n  f(x) -> x\n")
+
+    def test_section_name_is_a_whole_identifier(self):
+        # `(RULESX ...)` and `(VARS ...)` are other sections
+        trs = parse_trs("(VARS y) (VAR x) (RULESX a -> b) (RULES f(x) -> x)")
+        assert trs == parse_trs("sig: f/1\nvars: x\nrules:\n  f(x) -> x\n")
+
+    def test_unclosed_section(self):
+        with pytest.raises(ParseError, match=r"unclosed \(RULES \.\.\.\) "
+                                             "section"):
+            parse_trs("(VAR x)\n(RULES\n  f(x) -> x\n")
+
     def test_repeated_variable_is_declared_once(self):
         trs = parse_trs("(VAR x x) (RULES f(x) -> x)")
         assert trs.variables == ("x",)

@@ -162,6 +162,11 @@ class TestEncode:
         with pytest.raises(ValueError, match="0 or more"):
             encode(TINY_MACHINE, *counters)
 
+    @pytest.mark.parametrize("counters", [{"kp": 3}, {"pp": 3}])
+    def test_one_halting_counter_rejected(self, counters):
+        with pytest.raises(ValueError, match="both halting counters"):
+            encode(TINY_MACHINE, 0, 0, **counters)
+
     def test_encoding_parses_back(self):
         inst = encode(BRANCHING_MACHINE, 1, 0)
         assert parse_trs(render_trs(inst.theory)) == inst.theory

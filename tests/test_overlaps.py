@@ -279,7 +279,7 @@ def certified_pools():
             continue
         pool = []
         for t in enumerate_terms(trs.symbols,
-                                 enumeration_variables(trs, 2), 3):
+                                 enumeration_variables(trs), 3):
             pool.append(t)
             if len(pool) >= 150:
                 break

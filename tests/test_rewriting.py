@@ -388,7 +388,7 @@ class TestInnermostOracle:
         for name, src in {**LM_SOURCES, **FC_SOURCES, **ORACLE_EXTRA}.items():
             trs = parse_trs(src)
             for u in enumerate_terms(trs.symbols,
-                                     enumeration_variables(trs, 2), 3):
+                                     enumeration_variables(trs), 3):
                 for fuel in (0, 3, 50):
                     cases += 1
                     assert (outcome(normalize, trs, u, fuel)
@@ -410,7 +410,7 @@ class TestNormalFormsCache:
         for name, src in systems.items():
             trs = parse_trs(src)
             terms = list(enumerate_terms(trs.symbols,
-                                         enumeration_variables(trs, 2), 3))
+                                         enumeration_variables(trs), 3))
             for fuel in (0, 3, 50):
                 # one cache per system and fuel; the reverse sweep meets
                 # hits before misses and before failures
@@ -643,7 +643,7 @@ def reference_collapse_search(trs, max_depth=5, max_terms=4000,
                               fuel=DEFAULT_FUEL):
     """The collapse search with one `nf` call per subterm: the oracle for
     the search that builds each term's set from its arguments' sets."""
-    vars_ = enumeration_variables(trs, 2)
+    vars_ = enumeration_variables(trs)
     nf = NormalForms(trs, fuel)
     checked = 0
     exhausted = True
@@ -710,7 +710,7 @@ def outcome_of(search, trs, depth, fuel):
 
 class TestStrategyIndependence:
     def test_innermost_matches_outermost_on_convergent_system(self, sys3):
-        vars_ = enumeration_variables(sys3, 2)
+        vars_ = enumeration_variables(sys3)
         count = 0
         for u in enumerate_terms(sys3.symbols, vars_, 4):
             count += 1
@@ -731,7 +731,7 @@ class TestStrategyIndependence:
     def test_certified_corpus_is_strategy_independent(self):
         for name, src in LM_SOURCES.items():
             trs = parse_trs(src)
-            vars_ = enumeration_variables(trs, 2)
+            vars_ = enumeration_variables(trs)
             count = 0
             for u in enumerate_terms(trs.symbols, vars_, 4):
                 count += 1
