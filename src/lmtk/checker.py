@@ -536,7 +536,8 @@ def consequence_checks(trs: Trs, depth: int = 3,
     # and every pair whose first rhs is a variable (it unifies with any
     # lhs renamed apart, but has no non-variable position to compose at)
     comps = compositions(trs.rules, trs.rules)
-    at_root = {(c.first, c.second) for c in comps if c.position == ROOT}
+    at_root = {(c.source.label, c.base.label) for c in comps
+               if c.position == ROOT}
     add("rhs/lhs non-unifiable", lambda: ", ".join(
         f"{r1.label}->{r2.label}" for r1 in trs.rules for r2 in trs.rules
         if r1 is not r2 and (isinstance(r1.rhs, Var)
@@ -547,7 +548,8 @@ def consequence_checks(trs: Trs, depth: int = 3,
         lambda: ", ".join(render_term(t) for t in nosup(trs)[:3]))
 
     # (d) no compositions at all (stronger than redundancy)
-    add("no compositions", lambda: ", ".join(str(c) for c in comps[:3]))
+    add("no compositions",
+        lambda: ", ".join(str(c.candidate()) for c in comps[:3]))
 
     # (e) every paramodulation conclusion is redundant (a conclusion is an
     # unordered equation, so subsumption tries both orientations)

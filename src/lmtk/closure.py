@@ -11,12 +11,14 @@ depends only on its source and the base rules, so an older source would
 only repeat candidates that were already subsumed, added, or renamed
 duplicates of added rules; all of those are in the index, which only
 grows, so the trace is the one that composing the whole set gives. A
-renamed copy of a rule the generation kept is dropped before the index
-query, with the same trace: subsumption and triviality do not change
-under a renaming of variables, so a copy of a redundant candidate is
-redundant too, and a copy of a kept one is not, so the query would only
-pass it on to be dropped. The system is forward-closed when the first
-generation keeps nothing.
+candidate is checked by its key (its sides renamed canonically), then for
+redundancy, and only a kept one is built into a labelled `Rule`. A renamed
+copy of a rule the generation kept is dropped on its key, with the same
+trace: subsumption and triviality do not change under a renaming of
+variables, so a copy of a redundant candidate is redundant too, and a
+copy of a kept one is not, so the index query would only pass it on to be
+dropped. The system is forward-closed when the first generation keeps
+nothing.
 
 Redundancy here is the computable approximation: a candidate is redundant
 when its sides are equal or some existing rule subsumes it outright. That
@@ -38,9 +40,9 @@ consistent substitution, which repeated variables need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .overlaps import overlap_sites, rule_key
+from .overlaps import canonical_term_pair, overlap_sites
 from .rewriting import Rule, Trs
 from .terms import (
     Position,
@@ -51,7 +53,6 @@ from .terms import (
     render_position,
     replace_at,
     substitute,
-    subterms,
 )
 
 
@@ -90,8 +91,15 @@ class RuleIndex:
             self.add(rule)
 
     def add(self, rule: Rule) -> None:
-        keys = [_ANY if isinstance(u, Var) else u.sym
-                for t in (rule.lhs, rule.rhs) for _, u in subterms(t)]
+        keys: list = []  # pre-order over lhs, then rhs
+        stack = [rule.rhs, rule.lhs]
+        while stack:
+            u = stack.pop()
+            if u.__class__ is Var:
+                keys.append(_ANY)
+            else:
+                keys.append(u.sym)
+                stack.extend(reversed(u.args))
         node = self._root
         for key in keys[:-1]:
             node = node.setdefault(key, {})
@@ -127,7 +135,30 @@ class RuleIndex:
                    for r in self.generalizations(lhs, rhs))
 
 
-def is_redundant_approx(candidate: Rule, existing: RuleIndex) -> bool:
+class Composition(NamedTuple):
+    """A composition before it is a rule: `source` ~> `base` at `position`
+    of the source rhs, and the two instantiated sides."""
+
+    source: Rule
+    base: Rule
+    position: Position
+    lhs: Term
+    rhs: Term
+
+    def candidate(self, taken: AbstractSet[str] = frozenset(),
+                  generation: int = 0) -> FcCandidate:
+        """The composition as a validated rule, labelled
+        source~base@position and primed away from the labels in `taken`."""
+        label = (f"{self.source.label}~{self.base.label}"
+                 f"@{render_position(self.position)}")
+        while label in taken:
+            label += "'"
+        return FcCandidate(Rule(self.lhs, self.rhs, label), self.source.label,
+                           self.base.label, self.position, generation)
+
+
+def is_redundant_approx(candidate: Union[Rule, Composition],
+                        existing: RuleIndex) -> bool:
     """Trivial (sides equal) or subsumed by some rule of `existing`, found
     through the index rather than by trying every rule."""
     if candidate.lhs == candidate.rhs:
@@ -135,19 +166,18 @@ def is_redundant_approx(candidate: Rule, existing: RuleIndex) -> bool:
     return existing.subsumed(candidate.lhs, candidate.rhs)
 
 
-def compositions(sources: Sequence[Rule], base: Sequence[Rule]) -> list[FcCandidate]:
+def compositions(sources: Sequence[Rule],
+                 base: Sequence[Rule]) -> list[Composition]:
     """All defined compositions source ~> base rule, in deterministic order."""
     out = []
     for r1 in sources:
         for r2, lhs2, rhs2, p, sub in overlap_sites(r1.rhs, r1.variables(),
                                                     base):
             sigma = mgu(sub, lhs2)
-            if sigma is None:
-                continue
-            lhs = substitute(r1.lhs, sigma)
-            rhs = substitute(replace_at(r1.rhs, p, rhs2), sigma)
-            label = f"{r1.label}~{r2.label}@{render_position(p)}"
-            out.append(FcCandidate(Rule(lhs, rhs, label), r1.label, r2.label, p))
+            if sigma is not None:
+                out.append(Composition(
+                    r1, r2, p, substitute(r1.lhs, sigma),
+                    substitute(replace_at(r1.rhs, p, rhs2), sigma)))
     return out
 
 
@@ -171,9 +201,10 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
     """Iterate closure generations until nothing new appears or the bound
     is hit. Generation g composes only the rules generation g-1 added (the
     base rules at g = 1) against the base system. It keeps each result
-    that renames (`rule_key`) no rule it kept before and that no rule of
-    the whole previous set subsumes (semi-naive: see the module
-    docstring)."""
+    whose key (`canonical_term_pair` of its sides) is not the key of a
+    rule it kept before and that no rule of the whole previous set
+    subsumes, in that order, and builds a `Rule` only for what it keeps
+    (semi-naive: see the module docstring)."""
     trace = FcTrace(bound=max_generations)
     sources = list(trs.rules)
     trace.generations.append(sources)
@@ -185,21 +216,16 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
     for gen in range(1, max_generations + 1):
         for rule in sources:
             index.add(rule)
-        # new rules by `rule_key`, in the order kept; a renamed copy of
-        # one skips the index query (see the module docstring)
+        # new rules by key, in the order kept; a renamed copy of one
+        # skips the index query (see the module docstring)
         fresh: dict[tuple[Term, Term], FcCandidate] = {}
-        for cand in compositions(sources, trs.rules):
-            key = rule_key(cand.rule)
-            if key in fresh or is_redundant_approx(cand.rule, index):
+        for comp in compositions(sources, trs.rules):
+            key = canonical_term_pair(comp.lhs, comp.rhs)
+            if key in fresh or is_redundant_approx(comp, index):
                 continue
-            rule, label = cand.rule, cand.rule.label
-            while label in labels:
-                label += "'"
-            if label != rule.label:
-                rule = Rule(rule.lhs, rule.rhs, label)
-            labels.add(label)
-            fresh[key] = FcCandidate(rule, cand.first, cand.second,
-                                     cand.position, gen)
+            cand = comp.candidate(labels, gen)
+            labels.add(cand.rule.label)
+            fresh[key] = cand
         trace.new_rules.append(list(fresh.values()))
         if not fresh:
             trace.converged = True

@@ -18,7 +18,6 @@ from .terms import (
     App,
     Position,
     ROOT,
-    Subst,
     Symbol,
     Term,
     Var,
@@ -29,7 +28,6 @@ from .terms import (
     replace_at,
     substitute,
     subterms,
-    variables_in_order,
 )
 
 
@@ -76,25 +74,42 @@ class CriticalPair:
 
 
 def canonical_term_pair(a: Term, b: Term) -> tuple[Term, Term]:
-    """Rename variables by first occurrence across the pair (v1, v2, ...)."""
-    renaming: Subst = {}
-    for name in variables_in_order(a) + variables_in_order(b):
-        if name not in renaming:
-            renaming[name] = Var(f"v{len(renaming) + 1}")
-    return substitute(a, renaming), substitute(b, renaming)
+    """Rename variables by first occurrence across the pair (v1, v2, ...),
+    in one walk; a pair without variables comes back as itself. Keys are
+    terms, not text: a constant may be named like a canonical variable."""
+    renaming: dict[str, Var] = {}
+    walked: list[Term] = []  # pre-order, each variable renamed
+    stack = [b, a]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is Var:
+            v = renaming.get(u.name)
+            if v is None:
+                v = renaming[u.name] = Var(f"v{len(renaming) + 1}")
+            walked.append(v)
+        else:
+            walked.append(u)
+            stack.extend(reversed(u.args))
+    if not renaming:
+        return a, b
+    # backwards, an App finds its renamed arguments on top of `done`, the
+    # first one last; a subterm that comes out equal is kept as it is
+    done: list[Term] = []
+    for u in reversed(walked):
+        if u.__class__ is App and u.args:
+            n = len(u.args)
+            args = tuple(done[:-n - 1:-1])
+            del done[-n:]
+            done.append(u if args == u.args else App(u.sym, args))
+        else:
+            done.append(u)
+    return done[1], done[0]
 
 
 def equation_key(eq: Equation) -> frozenset[tuple[Term, Term]]:
     """Canonical key identifying equations up to renaming and side swap."""
     return frozenset((canonical_term_pair(eq.lhs, eq.rhs),
                       canonical_term_pair(eq.rhs, eq.lhs)))
-
-
-def rule_key(rule: Rule) -> tuple[Term, Term]:
-    """Canonical key identifying rules up to variable renaming. Keys are
-    terms, not their text: a constant may be named like a canonical
-    variable."""
-    return canonical_term_pair(rule.lhs, rule.rhs)
 
 
 def overlap_sites(host: Term, avoid: set[str], rules: Sequence[Rule],

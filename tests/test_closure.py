@@ -21,7 +21,7 @@ from lmtk.closure import (
     subsumes,
 )
 from lmtk.minsky import encode
-from lmtk.overlaps import paramodulation_candidates, rule_key
+from lmtk.overlaps import canonical_term_pair, paramodulation_candidates
 from lmtk.rewriting import (
     FuelExhausted,
     Rule,
@@ -31,6 +31,7 @@ from lmtk.rewriting import (
 from lmtk.terms import (
     Var,
     match_term,
+    render_position,
     render_term,
     replace_at,
     substitute,
@@ -75,8 +76,8 @@ class TestFcStep:
     def test_compose_at_root(self, sys2):
         cand = composed_at(sys2.rule("r1"), sys2.rule("r2"), ())
         assert cand is not None
-        assert render_term(cand.rule.lhs) == "f(b,i(b))"
-        assert render_term(cand.rule.rhs) == "c"
+        assert render_term(cand.lhs) == "f(b,i(b))"
+        assert render_term(cand.rhs) == "c"
 
     def test_non_unifiable(self):
         trs = parse_trs("sig: a/0 b/0 c/0 d/0\nrules:\n  a -> b\n  c -> d\n")
@@ -88,10 +89,10 @@ class TestFcStep:
 
     def test_candidate_replays_as_two_steps(self, sys2):
         cand = composed_at(sys2.rule("r1"), sys2.rule("r2"), ())
-        one = apply_rule(sys2.rule("r1"), cand.rule.lhs, ())
+        one = apply_rule(sys2.rule("r1"), cand.lhs, ())
         assert one is not None
         two = apply_rule(sys2.rule("r2"), one[0], cand.position)
-        assert two is not None and two[0] == cand.rule.rhs
+        assert two is not None and two[0] == cand.rhs
 
 
 class TestRedundancy:
@@ -100,7 +101,7 @@ class TestRedundancy:
         assert is_redundant_approx(cand, RuleIndex(sys3.rules))
 
     def test_not_subsumed(self, sys2):
-        cand = composed_at(sys2.rule("r1"), sys2.rule("r2"), ()).rule
+        cand = composed_at(sys2.rule("r1"), sys2.rule("r2"), ())
         assert not is_redundant_approx(cand, RuleIndex(sys2.rules))
 
     def test_trivial_candidate(self, sys2):
@@ -133,7 +134,7 @@ def checked_generations():
     for trs in differential_systems():
         trace = fc_iterate(trs, 2)
         for rules in trace.generations[:len(trace.new_rules)]:
-            yield rules, [c.rule for c in compositions(rules, trs.rules)]
+            yield rules, compositions(rules, trs.rules)
 
 
 def linear_match(pattern, subject):
@@ -251,10 +252,14 @@ def naive_fc_iterate(trs, max_generations=16):
     for gen in range(1, max_generations + 1):
         fresh = []
         keys = set()
-        for cand in compositions(current, trs.rules):
+        for c in compositions(current, trs.rules):
+            label = (f"{c.source.label}~{c.base.label}"
+                     f"@{render_position(c.position)}")
+            cand = FcCandidate(Rule(c.lhs, c.rhs, label), c.source.label,
+                               c.base.label, c.position)
             if is_redundant_approx(cand.rule, index):
                 continue
-            key = rule_key(cand.rule)
+            key = canonical_term_pair(cand.rule.lhs, cand.rule.rhs)
             if key in keys:
                 continue
             keys.add(key)
@@ -330,6 +335,32 @@ class TestSemiNaive:
         assert filed == trace.generations[len(trace.new_rules) - 1]
         assert len(filed) < len(trace.final_rules())
 
+    def test_only_kept_candidates_become_rules(self, monkeypatch):
+        # a candidate is dropped on its key or as redundant before it is
+        # built, so each rule built is one the trace keeps, primed or not
+        built = []
+        candidates = 0
+
+        def rule(*args):
+            built.append(Rule(*args))
+            return built[-1]
+
+        def compose(sources, base):
+            nonlocal candidates
+            out = compositions(sources, base)
+            candidates += len(out)
+            return out
+
+        monkeypatch.setattr(closure, "Rule", rule)
+        monkeypatch.setattr(closure, "compositions", compose)
+        kept = 0
+        for seed in range(1, 9):
+            trace = fc_iterate(parse_trs(pool_text(seed)), 3)
+            kept += sum(len(new) for new in trace.new_rules)
+        assert len(built) == kept
+        # candidates were dropped, so one rule per candidate is too many
+        assert candidates > kept > 0
+
     def test_a_renamed_copy_of_a_kept_rule_skips_the_index_query(
             self, monkeypatch):
         composed, queried = [], set()
@@ -354,11 +385,12 @@ class TestSemiNaive:
                 kept = {(c.first, c.second, c.position) for c in new}
                 keys = set()
                 for cand in cands:
-                    key = rule_key(cand.rule)
+                    key = canonical_term_pair(cand.lhs, cand.rhs)
                     copy = key in keys
                     copies += copy
-                    assert (id(cand.rule) in queried) != copy, str(cand)
-                    if (cand.first, cand.second, cand.position) in kept:
+                    assert (id(cand) in queried) != copy, str(cand)
+                    if (cand.source.label, cand.base.label,
+                            cand.position) in kept:
                         keys.add(key)
         assert copies > 0
 

@@ -2,6 +2,8 @@
 
 import functools
 
+from hypothesis import given, strategies as st
+
 from lmtk.overlaps import (
     canonical_term_pair,
     critical_pairs,
@@ -16,12 +18,15 @@ from lmtk import overlaps
 from lmtk.terms import (
     ROOT,
     App,
+    Symbol,
+    Var,
     mgu,
     rename_pair_apart,
     render_term,
     substitute,
     subterm_at,
     subterms,
+    variables_in_order,
 )
 from lmtk.trs_format import parse_trs
 
@@ -56,6 +61,57 @@ def overlap_hosts(trs):
         yield rule.lhs, avoid, rule.label
         yield rule.lhs, avoid, None
         yield rule.rhs, avoid, None
+
+
+def two_walk_canonical_pair(a, b):
+    """The canonical renaming as first written, kept as the oracle: the
+    variables of both sides in order, then a substitution."""
+    renaming = {}
+    for name in variables_in_order(a) + variables_in_order(b):
+        if name not in renaming:
+            renaming[name] = Var(f"v{len(renaming) + 1}")
+    return substitute(a, renaming), substitute(b, renaming)
+
+
+F, G = Symbol("f", 2), Symbol("g", 1)
+A, V1_CONSTANT = App(Symbol("a", 0)), App(Symbol("v1", 0))
+
+# term pairs over f/2, g/1, the constants a and v1, and variables of which
+# two are named like canonical ones
+pair_terms = st.recursive(
+    st.sampled_from([A, V1_CONSTANT, Var("x"), Var("y"), Var("v1"),
+                     Var("v2")]),
+    lambda sub: st.one_of(
+        st.builds(lambda t: App(G, (t,)), sub),
+        st.builds(lambda s, t: App(F, (s, t)), sub, sub),
+    ),
+    max_leaves=10,
+)
+
+
+class TestCanonicalTermPair:
+    @given(pair_terms, pair_terms)
+    def test_agrees_with_the_two_walk_renaming(self, a, b):
+        assert canonical_term_pair(a, b) == two_walk_canonical_pair(a, b)
+
+    def test_a_constant_named_v1_stays_a_constant(self):
+        x = Var("x")
+        key = canonical_term_pair(App(F, (x, V1_CONSTANT)), x)
+        assert key == (App(F, (Var("v1"), V1_CONSTANT)), Var("v1"))
+        assert key != canonical_term_pair(App(F, (x, x)), x)
+
+    def test_a_variable_only_in_the_rhs_is_numbered_after_the_lhs(self):
+        x, y, z = Var("x"), Var("y"), Var("z")
+        key = canonical_term_pair(App(G, (y,)), App(F, (z, App(F, (y, x)))))
+        assert key == two_walk_canonical_pair(App(G, (y,)),
+                                              App(F, (z, App(F, (y, x)))))
+        assert key == (App(G, (Var("v1"),)),
+                       App(F, (Var("v2"), App(F, (Var("v1"), Var("v3"))))))
+
+    def test_a_ground_pair_comes_back_as_itself(self):
+        a, b = App(F, (A, App(G, (V1_CONSTANT,)))), App(G, (A,))
+        key = canonical_term_pair(a, b)
+        assert key[0] is a and key[1] is b
 
 
 class TestOverlapSites:
