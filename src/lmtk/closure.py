@@ -11,14 +11,14 @@ depends only on its source and the base rules, so an older source would
 only repeat candidates that were already subsumed, added, or renamed
 duplicates of added rules; all of those are in the index, which only
 grows, so the trace is the one that composing the whole set gives. A
-candidate is checked by its key (its sides renamed canonically), then for
-redundancy, and only a kept one is built into a labelled `Rule`. A renamed
-copy of a rule the generation kept is dropped on its key, with the same
-trace: subsumption and triviality do not change under a renaming of
-variables, so a copy of a redundant candidate is redundant too, and a
-copy of a kept one is not, so the index query would only pass it on to be
-dropped. The system is forward-closed when the first generation keeps
-nothing.
+candidate is checked by its key (the flat pre-order of its sides, read off
+the source rule and the unifier), then for redundancy: its sides are built
+only past the key, and a `Rule` only for a kept one. A renamed copy of a
+rule the generation kept is dropped on its key, with the same trace:
+subsumption and triviality do not change under a renaming of variables,
+so a copy of a redundant candidate is redundant too, and a copy of a kept
+one is not, so the index query would only pass it on to be dropped. The
+system is forward-closed when the first generation keeps nothing.
 
 Redundancy here is the computable approximation: a candidate is redundant
 when its sides are equal or some existing rule subsumes it outright. That
@@ -40,12 +40,14 @@ consistent substitution, which repeated variables need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Optional, Sequence, Union
 
-from .overlaps import canonical_term_pair, overlap_sites
+from .overlaps import overlap_sites
 from .rewriting import Rule, Trs
 from .terms import (
+    App,
     Position,
+    Subst,
     Term,
     Var,
     match_many,
@@ -135,15 +137,64 @@ class RuleIndex:
                    for r in self.generalizations(lhs, rhs))
 
 
-class Composition(NamedTuple):
+class Composition:
     """A composition before it is a rule: `source` ~> `base` at `position`
-    of the source rhs, and the two instantiated sides."""
+    of the source rhs under `sigma`, the unifier of the subterm there and
+    the base lhs renamed apart (`base_rhs` is the base rhs renamed so).
+    Its two sides are built on the first read of either."""
 
-    source: Rule
-    base: Rule
-    position: Position
-    lhs: Term
-    rhs: Term
+    # a plain class: a slotted dataclass takes about 0.5 ms to define,
+    # which every start-up of lmtk would pay
+    __slots__ = ("source", "base", "position", "base_rhs", "sigma", "_sides")
+
+    def __init__(self, source: Rule, base: Rule, position: Position,
+                 base_rhs: Term, sigma: Subst) -> None:
+        self.source, self.base, self.position = source, base, position
+        self.base_rhs, self.sigma = base_rhs, sigma
+        self._sides: Optional[tuple[Term, Term]] = None
+
+    def sides(self) -> tuple[Term, Term]:
+        """sigma(l1) and sigma(r1[base_rhs]_p)."""
+        if self._sides is None:
+            rhs = replace_at(self.source.rhs, self.position, self.base_rhs)
+            self._sides = (substitute(self.source.lhs, self.sigma),
+                           substitute(rhs, self.sigma))
+        return self._sides
+
+    lhs = property(lambda self: self.sides()[0])
+    rhs = property(lambda self: self.sides()[1])
+
+    def key(self) -> tuple:
+        """The sides' flat pre-order (flatterms: Christian, JAR 1993), each
+        symbol by name and each variable by first occurrence, walked
+        through the source rule with sigma applied inline (it is
+        idempotent) and no term built. Names are unique in a signature and
+        arities fixed, so keys are equal exactly when `canonical_term_pair`
+        of the sides is."""
+        sigma, numbers, out = self.sigma, {}, []
+        # pop order: the lhs; each rhs spine symbol (as its name) with the
+        # arguments before the hole; the base rhs; the arguments after it
+        stack, front, spine = [], [], self.source.rhs
+        for i in self.position:
+            front += (spine.sym.name, *spine.args[:i - 1])
+            stack += reversed(spine.args[i:])
+            spine = spine.args[i - 1]
+        stack += (self.base_rhs, *reversed(front), self.source.lhs)
+        while stack:
+            u = stack.pop()
+            if u.__class__ is App:
+                out.append(u.sym.name)
+                if u.args:
+                    stack += u.args[::-1]
+            elif u.__class__ is Var:
+                bound = sigma.get(u.name)
+                if bound is None:
+                    out.append(numbers.setdefault(u.name, len(numbers)))
+                else:
+                    stack.append(bound)
+            else:
+                out.append(u)
+        return tuple(out)
 
     def candidate(self, taken: AbstractSet[str] = frozenset(),
                   generation: int = 0) -> FcCandidate:
@@ -175,9 +226,7 @@ def compositions(sources: Sequence[Rule],
                                                     base):
             sigma = mgu(sub, lhs2)
             if sigma is not None:
-                out.append(Composition(
-                    r1, r2, p, substitute(r1.lhs, sigma),
-                    substitute(replace_at(r1.rhs, p, rhs2), sigma)))
+                out.append(Composition(r1, r2, p, rhs2, sigma))
     return out
 
 
@@ -201,10 +250,10 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
     """Iterate closure generations until nothing new appears or the bound
     is hit. Generation g composes only the rules generation g-1 added (the
     base rules at g = 1) against the base system. It keeps each result
-    whose key (`canonical_term_pair` of its sides) is not the key of a
-    rule it kept before and that no rule of the whole previous set
-    subsumes, in that order, and builds a `Rule` only for what it keeps
-    (semi-naive: see the module docstring)."""
+    whose key (`Composition.key`, read without building its sides) is not
+    the key of a rule it kept before and that no rule of the whole
+    previous set subsumes, in that order, and builds a `Rule` only for
+    what it keeps (semi-naive: see the module docstring)."""
     trace = FcTrace(bound=max_generations)
     sources = list(trs.rules)
     trace.generations.append(sources)
@@ -218,9 +267,9 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
             index.add(rule)
         # new rules by key, in the order kept; a renamed copy of one
         # skips the index query (see the module docstring)
-        fresh: dict[tuple[Term, Term], FcCandidate] = {}
+        fresh: dict[tuple, FcCandidate] = {}
         for comp in compositions(sources, trs.rules):
-            key = canonical_term_pair(comp.lhs, comp.rhs)
+            key = comp.key()
             if key in fresh or is_redundant_approx(comp, index):
                 continue
             cand = comp.candidate(labels, gen)

@@ -24,10 +24,12 @@ from .terms import (
     mgu,
     render_position,
     render_term,
+    rename_pair,
     rename_pair_apart,
     replace_at,
     substitute,
     subterms,
+    variables_in_order,
 )
 
 
@@ -74,36 +76,12 @@ class CriticalPair:
 
 
 def canonical_term_pair(a: Term, b: Term) -> tuple[Term, Term]:
-    """Rename variables by first occurrence across the pair (v1, v2, ...),
-    in one walk; a pair without variables comes back as itself. Keys are
-    terms, not text: a constant may be named like a canonical variable."""
-    renaming: dict[str, Var] = {}
-    walked: list[Term] = []  # pre-order, each variable renamed
-    stack = [b, a]
-    while stack:
-        u = stack.pop()
-        if u.__class__ is Var:
-            v = renaming.get(u.name)
-            if v is None:
-                v = renaming[u.name] = Var(f"v{len(renaming) + 1}")
-            walked.append(v)
-        else:
-            walked.append(u)
-            stack.extend(reversed(u.args))
-    if not renaming:
-        return a, b
-    # backwards, an App finds its renamed arguments on top of `done`, the
-    # first one last; a subterm that comes out equal is kept as it is
-    done: list[Term] = []
-    for u in reversed(walked):
-        if u.__class__ is App and u.args:
-            n = len(u.args)
-            args = tuple(done[:-n - 1:-1])
-            del done[-n:]
-            done.append(u if args == u.args else App(u.sym, args))
-        else:
-            done.append(u)
-    return done[1], done[0]
+    """Rename variables by first occurrence across the pair (v1, v2, ...);
+    a pair without variables comes back as itself. Keys are terms, not
+    text: a constant may be named like a canonical variable."""
+    names = dict.fromkeys(variables_in_order(a) + variables_in_order(b))
+    return rename_pair(a, b, {name: Var(f"v{k}")
+                              for k, name in enumerate(names, 1)})
 
 
 def equation_key(eq: Equation) -> frozenset[tuple[Term, Term]]:

@@ -291,6 +291,31 @@ def fresh_name(base: str, avoid: set[str]) -> str:
     return f"{base}{k}"
 
 
+def rename_pair(lhs: Term, rhs: Term,
+                renaming: dict[str, Var]) -> tuple[Term, Term]:
+    """(lhs, rhs) with each variable renamed by `renaming` (others kept),
+    in a loop of its own: `substitute` recurses, and rules reach depths
+    past the interpreter recursion limit."""
+    if not renaming:
+        return lhs, rhs
+    walked: list[Term] = []  # pre-order, each variable renamed
+    stack = [rhs, lhs]
+    while stack:
+        u = stack.pop()
+        walked.append(renaming.get(u.name, u) if u.__class__ is Var else u)
+        if u.__class__ is App:
+            stack += u.args[::-1]
+    # backwards, an App finds its arguments on top of `done`, first last
+    done: list[Term] = []
+    for u in reversed(walked):
+        if u.__class__ is App and u.args:
+            n = len(u.args)
+            done[-n:] = [App(u.sym, tuple(done[:-n - 1:-1]))]
+        else:
+            done.append(u)
+    return done[1], done[0]
+
+
 def rename_pair_apart(lhs: Term, rhs: Term, avoid: set[str]) -> tuple[Term, Term]:
     """Rename the variables of (lhs, rhs) away from `avoid`.
 
@@ -299,14 +324,14 @@ def rename_pair_apart(lhs: Term, rhs: Term, avoid: set[str]) -> tuple[Term, Term
     """
     own = variables_in_order(lhs) + variables_in_order(rhs)
     taken = set(avoid) | set(own)
-    renaming: Subst = {}
+    renaming: dict[str, Var] = {}
     for name in own:
         if name in renaming or name not in avoid:
             continue
         new = fresh_name(name, taken)
         renaming[name] = Var(new)
         taken.add(new)
-    return substitute(lhs, renaming), substitute(rhs, renaming)
+    return rename_pair(lhs, rhs, renaming)
 
 
 def enumerate_terms(

@@ -530,6 +530,18 @@ class TestDeepInput:
         assert step.startswith("[r1] at " + ".".join(["1"] * n) + ": ")
         assert normal_form == "f(" * n + "b" + ")" * n
 
+    @pytest.mark.parametrize("rhs", ["a", "g(a)"])
+    @pytest.mark.parametrize("command", ["cps", "nosup", "rhs", "fc",
+                                         "fc-check"])
+    def test_rule_deeper_than_the_recursion_limit(self, write, capsys,
+                                                   command, rhs):
+        # overlap search renames the rule apart from itself
+        n = 3 * sys.getrecursionlimit()
+        path = write("deep.trs", "sig: a/0 f/1 g/1\nvars: x\nrules:\n  g("
+                     + "f(" * n + "x" + ")" * n + ") -> " + rhs + "\n")
+        code, out, err = run(capsys, command, path)
+        assert (code, err) == (0, "")
+
     def test_cap_from_knowledge_deeper_than_the_recursion_limit(
             self, write, capsys):
         # the rule peels k symbols per step, so normalizing the knowledge

@@ -361,6 +361,52 @@ class TestSemiNaive:
         # candidates were dropped, so one rule per candidate is too many
         assert candidates > kept > 0
 
+    def test_sides_are_built_only_past_the_key(self, monkeypatch):
+        # a renamed copy of a kept rule is dropped on its flat key alone:
+        # every other candidate builds its sides, once, and a copy none
+        composed, built = [], set()
+        replaced = 0
+        sides, replace = closure.Composition.sides, closure.replace_at
+
+        def compose(sources, base):
+            composed.append(compositions(sources, base))
+            return composed[-1]
+
+        def build(comp):
+            built.add(id(comp))
+            return sides(comp)
+
+        def replace_at(*args):
+            nonlocal replaced
+            replaced += 1
+            return replace(*args)
+
+        monkeypatch.setattr(closure, "compositions", compose)
+        monkeypatch.setattr(closure.Composition, "sides", build)
+        monkeypatch.setattr(closure, "replace_at", replace_at)
+        candidates = copies = 0
+        for seed in range(1, 9):
+            composed.clear()
+            built.clear()
+            replaced = 0
+            trace = fc_iterate(parse_trs(pool_text(seed)), 3)
+            passed = set()
+            for cands, new in zip(composed, trace.new_rules):
+                kept = {(c.first, c.second, c.position) for c in new}
+                keys = set()
+                for cand in cands:
+                    if cand.key() in keys:
+                        copies += 1
+                        continue
+                    passed.add(id(cand))
+                    if (cand.source.label, cand.base.label,
+                            cand.position) in kept:
+                        keys.add(cand.key())
+                candidates += len(cands)
+            assert built == passed
+            assert replaced == len(passed)
+        assert candidates > copies > 0
+
     def test_a_renamed_copy_of_a_kept_rule_skips_the_index_query(
             self, monkeypatch):
         composed, queried = [], set()
@@ -393,6 +439,44 @@ class TestSemiNaive:
                             cand.position) in kept:
                         keys.add(key)
         assert copies > 0
+
+
+# a constant named like a canonical variable (v1), one named like a
+# variable renamed apart (x1), and a rule whose rhs is a variable
+NAME_CLASHES = ("sig: f/2 g/1 h/1 v1/0 x1/0\nvars: x y\nrules:\n"
+                "  f(x, y) -> g(f(y, x))\n  g(x) -> x\n"
+                "  g(f(x, v1)) -> h(x1)\n  h(x) -> f(x, x1)\n"
+                "  f(x1, x) -> g(h(x))\n")
+
+
+class TestFlatKey:
+    def test_keys_are_equal_exactly_when_the_canonical_sides_are(
+            self, monkeypatch):
+        composed = []
+
+        def compose(sources, base):
+            composed.append(compositions(sources, base))
+            return composed[-1]
+
+        monkeypatch.setattr(closure, "compositions", compose)
+        systems = differential_systems() + [parse_trs(NAME_CLASHES)]
+        systems += [parse_trs(pool_text(seed)) for seed in range(300)]
+        candidates = shared = 0
+        for trs in systems:
+            composed.clear()
+            fc_iterate(trs, 2)
+            for cands in composed:
+                # one generation: flat key and canonical sides must name
+                # the same classes of candidates
+                canonical, flat = {}, {}
+                for cand in cands:
+                    key = cand.key()
+                    pair = canonical_term_pair(cand.lhs, cand.rhs)
+                    assert canonical.setdefault(key, pair) == pair, str(trs)
+                    assert flat.setdefault(pair, key) == key, str(trs)
+                candidates += len(cands)
+                shared += len(cands) - len(flat)
+        assert candidates > 5000 and shared > 1000
 
 
 class TestIsForwardClosed:
