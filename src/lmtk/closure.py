@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Optional, Sequence, Union
 
-from .overlaps import overlap_sites
+from .overlaps import overlap_sites, symbol_names
 from .rewriting import Rule, Trs
 from .terms import (
     App,
@@ -221,9 +221,11 @@ def compositions(sources: Sequence[Rule],
                  base: Sequence[Rule]) -> list[Composition]:
     """All defined compositions source ~> base rule, in deterministic order."""
     out = []
+    # source rules are built from the base rules' symbols
+    symbols = symbol_names(base)
     for r1 in sources:
-        for r2, lhs2, rhs2, p, sub in overlap_sites(r1.rhs, r1.variables(),
-                                                    base):
+        for r2, lhs2, rhs2, p, sub in overlap_sites(
+                r1.rhs, r1.variables() | symbols, base):
             sigma = mgu(sub, lhs2)
             if sigma is not None:
                 out.append(Composition(r1, r2, p, rhs2, sigma))

@@ -505,22 +505,32 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
                       for ded in slot.values()), default=0)
         return CapSearchResult(None, [], rounds, len(known), complete)
 
+    # the goal's construction in pre-order, each hole numbered as met
     derivation: list[Deduction] = []
     assignment: list[tuple[str, Term]] = []
-    counter = itertools.count(1)
-
-    def build(t: Term, taint_flag: bool) -> Term:
+    todo = [(goal, True)]
+    while todo:
+        t, taint_flag = todo.pop()
         ded = known[t][taint_flag]
         derivation.append(ded)
         if ded.knowledge_index >= 0:
-            hole = f"hole{next(counter)}"
-            assignment.append((hole, instance.knowledge[ded.knowledge_index]))
-            return Var(hole)
-        return App(theory.symbol(ded.via),
-                   tuple(build(a, flag) for a, flag in ded.parents))
-
-    body = build(goal, True)
+            assignment.append((f"hole{len(assignment) + 1}",
+                               instance.knowledge[ded.knowledge_index]))
+        else:
+            todo += reversed(ded.parents)
     derivation.reverse()
+    # backwards, a construction finds its arguments on top of `built`,
+    # the first one last
+    holes = [Var(hole) for hole, _ in assignment]
+    built: list[Term] = []
+    for ded in derivation:
+        if ded.knowledge_index >= 0:
+            built.append(holes.pop())
+        else:
+            k = len(built) - len(ded.parents)
+            args = tuple(reversed(built[k:]))
+            built[k:] = [App(theory.symbol(ded.via), args)]
+    body = built[0]
     cap = Cap(body, tuple(assignment))
     return CapSearchResult(cap, derivation, known[goal][True].depth,
                            len(known), complete)

@@ -18,13 +18,13 @@ from .terms import (
     App,
     Position,
     ROOT,
+    Subst,
     Symbol,
     Term,
     Var,
     mgu,
     render_position,
     render_term,
-    rename_pair,
     rename_pair_apart,
     replace_at,
     substitute,
@@ -76,12 +76,12 @@ class CriticalPair:
 
 
 def canonical_term_pair(a: Term, b: Term) -> tuple[Term, Term]:
-    """Rename variables by first occurrence across the pair (v1, v2, ...);
-    a pair without variables comes back as itself. Keys are terms, not
-    text: a constant may be named like a canonical variable."""
+    """Rename variables by first occurrence across the pair (v1, v2, ...) by
+    two `substitute` calls, which keep each subterm without a variable. Keys
+    are terms, not text: a constant may be named like a canonical variable."""
     names = dict.fromkeys(variables_in_order(a) + variables_in_order(b))
-    return rename_pair(a, b, {name: Var(f"v{k}")
-                              for k, name in enumerate(names, 1)})
+    renaming: Subst = {name: Var(f"v{k}") for k, name in enumerate(names, 1)}
+    return substitute(a, renaming), substitute(b, renaming)
 
 
 def equation_key(eq: Equation) -> frozenset[tuple[Term, Term]]:
@@ -90,18 +90,35 @@ def equation_key(eq: Equation) -> frozenset[tuple[Term, Term]]:
                       canonical_term_pair(eq.rhs, eq.lhs)))
 
 
+def symbol_names(rules: Sequence[Rule]) -> set[str]:
+    """The names of the symbols in `rules`, for an overlap construction
+    that has rules but no signature (`closure.compositions`). The others
+    take the names of the signature's symbols. Either way they join the
+    host's variables in `avoid`, so no fresh variable is named like a
+    symbol and a derived rule prints as itself."""
+    out: set[str] = set()
+    stack = [side for r in rules for side in (r.lhs, r.rhs)]
+    while stack:
+        u = stack.pop()
+        if u.__class__ is App:
+            out.add(u.sym.name)
+            stack += u.args
+    return out
+
+
 def overlap_sites(host: Term, avoid: set[str], rules: Sequence[Rule],
                   trivial: Optional[str] = None
                   ) -> Iterator[tuple[Rule, Term, Term, Position, Term]]:
     """Per rule in order: the rule, its lhs and rhs renamed apart from
-    `avoid`, and each non-variable position of `host` in pre-order whose
-    subterm has the lhs root symbol, with that subterm, except the root
-    site of the rule labelled `trivial`. Sites are grouped by root symbol
-    and a rule is paired only with its own group: a subterm under another
-    symbol never unifies with the lhs, and a rule whose root symbol occurs
-    nowhere in `host` is not renamed at all. Callers unify subterm and
-    renamed lhs themselves: the `mgu` argument order decides whose
-    variable names survive."""
+    `avoid` (the host rule's variables and the symbol names), and each
+    non-variable position of `host` in pre-order whose subterm has the lhs
+    root symbol, with that subterm, except the root site of the rule
+    labelled `trivial`. Sites are grouped by root symbol and a rule is
+    paired only with its own group: a subterm under another symbol never
+    unifies with the lhs, and a rule whose root symbol occurs nowhere in
+    `host` is not renamed at all. Callers unify subterm and renamed lhs
+    themselves: the `mgu` argument order decides whose variable names
+    survive."""
     by_root: dict[Symbol, list[tuple[Position, Term]]] = {}
     for p, sub in subterms(host):
         if isinstance(sub, App):
@@ -122,9 +139,11 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
     its own copy at the root is the trivial one and is skipped; root
     overlaps between distinct rules are kept."""
     out: list[CriticalPair] = []
+    symbols = {s.name for s in trs.symbols}
     for outer in trs.rules:
         for inner, lhs, rhs, p, sub in overlap_sites(
-                outer.lhs, outer.variables(), trs.rules, trivial=outer.label):
+                outer.lhs, outer.variables() | symbols, trs.rules,
+                trivial=outer.label):
             sigma = mgu(sub, lhs)
             if sigma is None:
                 continue
@@ -155,9 +174,11 @@ def rhs_critical_pairs(trs: Trs) -> list[Equation]:
     literal terms, which silently drops the no-op self-pairings."""
     out: list[Equation] = []
     seen: set[frozenset[tuple[Term, Term]]] = set()
+    symbols = {s.name for s in trs.symbols}
     for r1 in trs.rules:
         for r2 in trs.rules:
-            lhs, rhs = rename_pair_apart(r2.lhs, r2.rhs, r1.variables())
+            lhs, rhs = rename_pair_apart(r2.lhs, r2.rhs,
+                                         r1.variables() | symbols)
             sigma = mgu(r1.rhs, rhs)
             if sigma is None:
                 continue
@@ -207,11 +228,12 @@ def paramodulation_candidates(trs: Trs) -> list[ParamodCandidate]:
     non-variable position. The only exclusion is a rule rewriting the
     root of its own lhs (that inference degenerates to the rule itself)."""
     out: list[ParamodCandidate] = []
+    symbols = {s.name for s in trs.symbols}
     for src in trs.rules:
         for side_name, u, v, trivial in (("lhs", src.lhs, src.rhs, src.label),
                                          ("rhs", src.rhs, src.lhs, None)):
             for rule, lhs, rhs, p, sub in overlap_sites(
-                    u, src.variables(), trs.rules, trivial):
+                    u, src.variables() | symbols, trs.rules, trivial):
                 sigma = mgu(lhs, sub)
                 if sigma is None:
                     continue

@@ -9,7 +9,6 @@ pretending to be complete.
 
 from __future__ import annotations
 
-import operator
 from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,6 +21,7 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    _rebuilt,
     enumerate_terms,
     fresh_name,
     match_term,
@@ -260,11 +260,14 @@ def is_redex(trs: Trs, t: Term) -> bool:
     return _root_step(trs, t) is not None
 
 
-def _rebuilt(node: App, args: list[Term]) -> Term:
-    """`node` with arguments `args`, or `node` itself if none changed."""
-    if all(map(operator.is_, args, node.args)):
-        return node
-    return App(node.sym, tuple(args))
+def _folded(u: Term, spine: list[tuple[App, list[Term]]],
+            path: list[int]) -> Term:
+    """The whole term: `u` put back into the walk's spine frames, `path`
+    the argument index it stands at in each. Empties neither list."""
+    for (node, args), i in zip(reversed(spine), reversed(path)):
+        args[i - 1] = u
+        u = _rebuilt(node, args)
+    return u
 
 
 def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[RewriteStep]]:
@@ -297,12 +300,8 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
 
     def stuck() -> FuelExhausted:
         # the whole term, once; with no step taken that is `t` itself
-        whole = u
-        for (node, args), i in zip(reversed(spine), reversed(path)):
-            args[i - 1] = whole
-            whole = _rebuilt(node, args)
-        return FuelExhausted(whole, _LazyTrace(len(records),
-                                               lambda: _steps(t, records)))
+        return FuelExhausted(_folded(u, spine, path), _LazyTrace(
+            len(records), lambda: _steps(t, records)))
 
     while True:
         if entering and id(u) in normal_ids:
@@ -453,10 +452,7 @@ class NormalForms:
                 path.pop()
                 u, entering = _rebuilt(node, args), False
         # the whole term at its first root redex
-        for (node, args), i in zip(reversed(spine), reversed(path)):
-            args[i - 1] = u
-            u = _rebuilt(node, args)
-        return self._hand_over(t, u, steps, peak)
+        return self._hand_over(t, _folded(u, spine, path), steps, peak)
 
     def _hand_over(self, t: Term, whole: Term, steps: int, peak: int) -> Term:
         """Normalize `t` from `whole`, the term its normalization reaches

@@ -7,12 +7,15 @@ immutable and hashable. Positions are 1-based integer tuples, the empty
 tuple being the root. `subterms` walks the positions of a term in
 pre-order, left to right, which is the order of the sorted position
 tuples; searches that report their first hit report it in that order.
-Substitutions are plain dicts from variable names to terms.
+Substitutions are plain dicts from variable names to terms. `substitute`
+is the one rebuild of a term, a loop like every walk here (terms outgrow
+the recursion limit); it shares `_rebuilt` with `rewriting`'s normalizers.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence, Union
 
@@ -216,12 +219,38 @@ def replace_at(t: Term, p: Position, s: Term) -> Term:
     return out
 
 
+def _rebuilt(node: App, args: list[Term]) -> Term:
+    """`node` with arguments `args`, or `node` itself if none changed."""
+    if all(map(operator.is_, args, node.args)):
+        return node
+    return App(node.sym, tuple(args))
+
+
 def substitute(t: Term, subst: Subst) -> Term:
+    """`t` with its variables bound in `subst` replaced, keeping each subterm
+    with nothing to replace; a loop over spine frames, as in `normalize`."""
     if isinstance(t, Var):
         return subst.get(t.name, t)
-    if not subst:
+    if not subst or not t.args:
         return t
-    return App(t.sym, tuple(substitute(a, subst) for a in t.args))
+    spine: list[tuple[App, list[Term]]] = []
+    node, done = t, []
+    while True:
+        if len(done) < len(node.args):
+            a = node.args[len(done)]
+            if a.__class__ is Var:
+                done.append(subst.get(a.name, a))
+            elif a.args:
+                spine.append((node, done))
+                node, done = a, []
+            else:
+                done.append(a)
+        else:
+            u = _rebuilt(node, done)
+            if not spine:
+                return u
+            node, done = spine.pop()
+            done.append(u)
 
 
 def match_term(pattern: Term, subject: Term) -> Optional[Subst]:
@@ -291,47 +320,25 @@ def fresh_name(base: str, avoid: set[str]) -> str:
     return f"{base}{k}"
 
 
-def rename_pair(lhs: Term, rhs: Term,
-                renaming: dict[str, Var]) -> tuple[Term, Term]:
-    """(lhs, rhs) with each variable renamed by `renaming` (others kept),
-    in a loop of its own: `substitute` recurses, and rules reach depths
-    past the interpreter recursion limit."""
-    if not renaming:
-        return lhs, rhs
-    walked: list[Term] = []  # pre-order, each variable renamed
-    stack = [rhs, lhs]
-    while stack:
-        u = stack.pop()
-        walked.append(renaming.get(u.name, u) if u.__class__ is Var else u)
-        if u.__class__ is App:
-            stack += u.args[::-1]
-    # backwards, an App finds its arguments on top of `done`, first last
-    done: list[Term] = []
-    for u in reversed(walked):
-        if u.__class__ is App and u.args:
-            n = len(u.args)
-            done[-n:] = [App(u.sym, tuple(done[:-n - 1:-1]))]
-        else:
-            done.append(u)
-    return done[1], done[0]
-
-
 def rename_pair_apart(lhs: Term, rhs: Term, avoid: set[str]) -> tuple[Term, Term]:
-    """Rename the variables of (lhs, rhs) away from `avoid`.
+    """Rename the variables of (lhs, rhs) away from `avoid`, by two
+    `substitute` calls; a pair with nothing to rename comes back as itself.
 
     The renaming is a bijection on the pair's variables, deterministic in
-    the inputs: clashing names get the first free numeric suffix.
+    the inputs: clashing names get the first free numeric suffix. Callers
+    put the symbol names of the rules in play into `avoid`
+    (`overlaps.symbol_names`), so no fresh name is a symbol's name.
     """
     own = variables_in_order(lhs) + variables_in_order(rhs)
-    taken = set(avoid) | set(own)
-    renaming: dict[str, Var] = {}
+    taken = avoid.union(own)
+    renaming: Subst = {}
     for name in own:
         if name in renaming or name not in avoid:
             continue
         new = fresh_name(name, taken)
         renaming[name] = Var(new)
         taken.add(new)
-    return rename_pair(lhs, rhs, renaming)
+    return substitute(lhs, renaming), substitute(rhs, renaming)
 
 
 def enumerate_terms(

@@ -267,6 +267,18 @@ rules:
   g(a, f(x)) -> x
 """
 
+# constants named like the fresh names of the variables x and y
+FRESH_NAME_CLASH = """
+sig: f/2 g/1 h/1 v1/0 x1/0
+vars: x y
+rules:
+  f(x, y) -> g(f(y, x))
+  g(x) -> x
+  g(f(x, v1)) -> h(x1)
+  h(x) -> f(x, x1)
+  f(x1, x) -> g(h(x))
+"""
+
 
 def overlap_systems() -> list[Trs]:
     """Every system the overlap oracles compare on, certified or not: the

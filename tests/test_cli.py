@@ -542,6 +542,38 @@ class TestDeepInput:
         code, out, err = run(capsys, command, path)
         assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("argv, want", [
+        (["normalize", "g(a)"], 0), (["reduce"], 0), (["collapse"], 2),
+        (["cap", "--knowledge", "g(a)", "--goal", "f(a)"], 2), (["fc"], 0),
+        (["fc-check"], 1)], ids=["normalize", "reduce", "collapse", "cap",
+                                 "fc", "fc-check"])
+    def test_rhs_deeper_than_the_recursion_limit(self, write, capsys, argv,
+                                                 want):
+        # every step and composition instantiates the deep rhs
+        n = 3 * sys.getrecursionlimit()
+        path = write("deep.trs", "sig: a/0 f/1 g/1 h/1\nvars: x y\nrules:\n"
+                     "  h(x) -> g(x)\n  g(y) -> " + "f(" * n + "y" + ")" * n
+                     + "\n")
+        code, out, err = run(capsys, argv[0], path, *argv[1:])
+        assert code == want
+        # collapse meets a term whose normal form outgrows the size bound
+        if argv[0] == "collapse":
+            assert err.startswith("term outgrew 5000 nodes after ")
+        else:
+            assert err == ""
+
+    def test_cap_deeper_than_the_recursion_limit(self, write, capsys):
+        # the cap is built from a construction as deep as the goal, and
+        # a recursive build takes two frames per level
+        n = sys.getrecursionlimit()
+        path = write("k.trs", "sig: k/0 f/1\n")
+        code, out, err = run(capsys, "cap", path, "--knowledge", "k",
+                             "--goal", "f(" * n + "k" + ")" * n,
+                             "--max-size", str(n + 1),
+                             "--max-rounds", str(n + 1))
+        assert (code, out, err) == (
+            0, "cap: " + "f(" * n + "hole1" + ")" * n + "\n", "")
+
     def test_cap_from_knowledge_deeper_than_the_recursion_limit(
             self, write, capsys):
         # the rule peels k symbols per step, so normalizing the knowledge

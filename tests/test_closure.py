@@ -37,10 +37,11 @@ from lmtk.terms import (
     substitute,
     subterms,
 )
-from lmtk.trs_format import parse_term, parse_trs
+from lmtk.trs_format import parse_term, parse_trs, render_trs
 
 from conftest import (
     FC_SOURCES,
+    FRESH_NAME_CLASH,
     LM_SOURCES,
     ROOT_OVERLAP,
     ROOT_OVERLAP_TRUNCATED,
@@ -477,6 +478,18 @@ class TestFlatKey:
                 candidates += len(cands)
                 shared += len(cands) - len(flat)
         assert candidates > 5000 and shared > 1000
+
+
+class TestFreshNames:
+    def test_every_new_rule_parses_back_as_itself(self):
+        trs = parse_trs(FRESH_NAME_CLASH)
+        trace = fc_iterate(trs, 2)
+        new = [c.rule for gen in trace.new_rules for c in gen]
+        assert "[r1~r3@e] f(v1,x2) -> h(x1)" in map(str, new)
+        for rule in new:
+            # a variable named like a symbol makes the system text invalid
+            back = parse_trs(render_trs(trs.with_rules([rule]))).rules[0]
+            assert (back.lhs, back.rhs) == (rule.lhs, rule.rhs), str(rule)
 
 
 class TestIsForwardClosed:

@@ -272,6 +272,17 @@ class TestCapSearch:
         assert str(res.cap) == "h(hole1,knowledge)"
         assert nf(trs, res.cap.plug()) == inst.goal
 
+    def test_holes_are_numbered_in_pre_order(self):
+        # the knowledge terms take four rounds to build from public
+        # symbols, more than the bound, so each leaf of the goal is a hole
+        trs = parse_trs("sig: f/2 g/1 a/0 b/0\n")
+        k1, k2 = parse_term("g(g(g(a)))", trs), parse_term("g(g(g(b)))", trs)
+        inst = CapInstance(trs, (k1, k2), App(trs.symbol("f"), (
+            k2, App(trs.symbol("f"), (k1, k2)))))
+        res = compared_with_reference(inst, max_term_size=20, max_rounds=3)
+        assert str(res.cap) == "f(hole1,f(hole2,hole3))"
+        assert [t for _, t in res.cap.assignment] == [k2, k1, k2]
+
     def test_public_only_construction_is_not_a_cap(self):
         # the goal is buildable from public symbols alone; that must not
         # count, otherwise every instance would be trivially solvable

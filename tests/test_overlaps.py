@@ -27,10 +27,17 @@ from lmtk.terms import (
     subterm_at,
     subterms,
     variables_in_order,
+    variables_of,
 )
 from lmtk.trs_format import parse_trs
 
-from conftest import DUPLICATING, TINY_MACHINE, UNARY_CHAIN, overlap_systems
+from conftest import (
+    DUPLICATING,
+    FRESH_NAME_CLASH,
+    TINY_MACHINE,
+    UNARY_CHAIN,
+    overlap_systems,
+)
 from lmtk.minsky import encode
 
 NESTED = """
@@ -149,6 +156,20 @@ class TestOverlapSites:
                 assert all(lhs.sym in roots for lhs in renamed)
                 skipped += len(trs.rules) - len(renamed)
         assert skipped > 1000
+
+
+class TestFreshNames:
+    def test_no_renamed_variable_is_named_like_a_symbol(self):
+        trs = parse_trs(FRESH_NAME_CLASH)
+        pairs = ([(cp.left, cp.right) for cp in critical_pairs(trs)]
+                 + [(eq.lhs, eq.rhs) for eq in rhs_critical_pairs(trs)]
+                 + [(c.conclusion.lhs, c.conclusion.rhs)
+                    for c in paramodulation_candidates(trs)])
+        assert len(pairs) == 26
+        symbols = {s.name for s in trs.symbols}
+        for pair in pairs:
+            assert not (variables_of(pair[0]) | variables_of(pair[1])) \
+                & symbols, pair
 
 
 class TestCriticalPairs:

@@ -1,6 +1,6 @@
 """The package's public surface: every exported name, and every public
 top-level name of a module, has a caller, and every class field, method
-and property is read."""
+and property is read. No function calls itself."""
 
 import ast
 from pathlib import Path
@@ -117,3 +117,42 @@ def test_every_class_field_is_read():
 def test_every_class_method_is_read():
     # a method or property only tests read belongs in the tests
     assert unread_members(class_methods) == []
+
+
+# recursion that is still to become a loop: name and ROADMAP item
+RECURSIVE = {"checker._lpo_constraints": "ROADMAP item 8"}
+
+
+def is_super_call(node: ast.expr) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "super")
+
+
+def self_calls(path: Path) -> set[str]:
+    """`module.function` for each function or method in `path` that calls
+    a function of its own name, bare or as an attribute other than
+    `super()`'s."""
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if isinstance(func, ast.Name):
+                    name = func.id
+                elif (isinstance(func, ast.Attribute)
+                      and not is_super_call(func.value)):
+                    name = func.attr
+                else:
+                    continue
+                if name == node.name:
+                    out.add(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_no_function_calls_itself():
+    # terms and constructions reach depths past the interpreter recursion
+    # limit, so every walk is a loop
+    found = set().union(*(self_calls(p) for p in sorted(PACKAGE.glob("*.py"))))
+    assert found == set(RECURSIVE)

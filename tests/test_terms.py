@@ -205,6 +205,41 @@ class TestMatch:
             assert found[name] == sigma[name]
 
 
+def reference_substitute(t, subst):
+    """The recursive body `substitute` had before it became a loop."""
+    if isinstance(t, Var):
+        return subst.get(t.name, t)
+    if not subst:
+        return t
+    return App(t.sym, tuple(reference_substitute(a, subst) for a in t.args))
+
+
+substitutions = st.dictionaries(st.sampled_from(["x", "y", "z"]), terms,
+                                max_size=3)
+
+
+class TestSubstitute:
+    @given(terms, substitutions)
+    def test_loop_agrees_with_the_recursive_body(self, t, sigma):
+        assert substitute(t, sigma) == reference_substitute(t, sigma)
+
+    @given(terms, substitutions)
+    def test_a_subterm_with_nothing_to_replace_is_kept(self, t, sigma):
+        out = substitute(t, sigma)
+        for p, u in subterms(t):
+            if not variables_of(u) & sigma.keys():
+                assert subterm_at(out, p) is u
+
+    def test_depth_safe_on_a_chain_past_the_recursion_limit(self):
+        t, want = y, b
+        for _ in range(3 * sys.getrecursionlimit()):
+            t, want = f(g(t), x), f(g(want), x)
+        out = substitute(t, {"y": b})
+        assert out == want
+        assert out.args[1] is x
+        assert substitute(t, {"q": b}) is t
+
+
 class TestMgu:
     def test_simple_binding(self):
         assert mgu(g(x), g(b)) == {"x": b}
