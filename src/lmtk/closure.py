@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Optional, Sequence, Union
 
-from .overlaps import overlap_sites, symbol_names
+from .overlaps import overlap_sites
 from .rewriting import Rule, Trs
 from .terms import (
     App,
@@ -217,12 +217,14 @@ def is_redundant_approx(candidate: Union[Rule, Composition],
     return existing.subsumed(candidate.lhs, candidate.rhs)
 
 
-def compositions(sources: Sequence[Rule],
-                 base: Sequence[Rule]) -> list[Composition]:
-    """All defined compositions source ~> base rule, in deterministic order."""
+def compositions(sources: Sequence[Rule], base: Sequence[Rule],
+                 symbols: AbstractSet[str]) -> list[Composition]:
+    """All defined compositions source ~> base rule, in deterministic
+    order. Each base rule is renamed apart from the source rule's variables
+    and from `symbols`, the names of the signature's symbols, so that no
+    fresh variable is named like a symbol and a composition prints as
+    itself."""
     out = []
-    # source rules are built from the base rules' symbols
-    symbols = symbol_names(base)
     for r1 in sources:
         for r2, lhs2, rhs2, p, sub in overlap_sites(
                 r1.rhs, r1.variables() | symbols, base):
@@ -264,13 +266,14 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
     # generation files its sources first, so the last generation's rules,
     # which no query reads, are never filed
     index = RuleIndex()
+    symbols = {s.name for s in trs.symbols}
     for gen in range(1, max_generations + 1):
         for rule in sources:
             index.add(rule)
         # new rules by key, in the order kept; a renamed copy of one
         # skips the index query (see the module docstring)
         fresh: dict[tuple, FcCandidate] = {}
-        for comp in compositions(sources, trs.rules):
+        for comp in compositions(sources, trs.rules, symbols):
             key = comp.key()
             if key in fresh or is_redundant_approx(comp, index):
                 continue

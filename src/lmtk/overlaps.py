@@ -90,22 +90,6 @@ def equation_key(eq: Equation) -> frozenset[tuple[Term, Term]]:
                       canonical_term_pair(eq.rhs, eq.lhs)))
 
 
-def symbol_names(rules: Sequence[Rule]) -> set[str]:
-    """The names of the symbols in `rules`, for an overlap construction
-    that has rules but no signature (`closure.compositions`). The others
-    take the names of the signature's symbols. Either way they join the
-    host's variables in `avoid`, so no fresh variable is named like a
-    symbol and a derived rule prints as itself."""
-    out: set[str] = set()
-    stack = [side for r in rules for side in (r.lhs, r.rhs)]
-    while stack:
-        u = stack.pop()
-        if u.__class__ is App:
-            out.add(u.sym.name)
-            stack += u.args
-    return out
-
-
 def overlap_sites(host: Term, avoid: set[str], rules: Sequence[Rule],
                   trivial: Optional[str] = None
                   ) -> Iterator[tuple[Rule, Term, Term, Position, Term]]:

@@ -350,28 +350,33 @@ class NormalForms:
     forms of their subterms (Efficient Annotated Terms, van den Brand et
     al., SP&E 2000).
 
-    The memo maps each query that took steps, each normal form, and each
-    normal proper subterm a query walked to its normal form. For a query
-    that took steps it also keeps the step count and the peak term size,
-    both as `normalize` counts them on that term alone. A normal query is
-    not kept: searches reject most of them at once, and one that turns up
-    again inside a later query is recorded then.
+    The memo maps each query that took steps, each term a query handed
+    over to `normalize`, each normal form, and each normal proper subterm
+    a query walked to its normal form. For a term that took steps it also
+    keeps the step count and the peak term size, both as `normalize`
+    counts them on that term alone. A normal query is not kept: searches
+    reject most of them at once, and one that turns up again inside a
+    later query is recorded then.
 
     A query walks its term in post-order, which is the leftmost-innermost
     order, keeping the step count and the size of the whole term as
-    `normalize` does. A memoized subterm is replaced by its normal form and
-    adds its steps; if that crosses the fuel, or its peak plus the size of
-    the rest of the term crosses MAX_TERM_NODES, `normalize` runs on the
-    query and raises the identical FuelExhausted. A node whose arguments
-    are normal and whose root is no redex is recorded as normal. At the
-    first root redex the walk hands the whole term over to `normalize`
-    with the fuel that is left. The parts left of the redex are normalized
-    and the parts right of it still raw: that is exactly the term
-    `normalize` reaches from the query after those steps, so the normal
-    form, the size checks and the stuck term are the same. A FuelExhausted
-    from there is raised again with the same term and a trace that counts
-    the steps before the hand-over; that trace is built only if read, by
-    running `normalize` on the query.
+    `normalize` does. Each node is looked up in the memo when the walk
+    enters it, and again once it is rebuilt from its normalized
+    arguments, where a term handed over before turns up. A memoized
+    node, raw or rebuilt, is replaced by its normal form and adds its
+    steps: the parts left of it are normal, so those are the next steps
+    `normalize` takes. If that crosses the fuel, or its peak plus the
+    size of the rest of the term crosses MAX_TERM_NODES, `normalize`
+    runs on the query and raises the identical FuelExhausted. A node whose arguments are normal and whose
+    root is no redex is recorded as normal. At the first root redex the
+    walk hands the whole term over to `normalize` with the fuel that is
+    left. The parts left of the redex are normalized and the parts right
+    of it still raw: that is exactly the term `normalize` reaches from the
+    query after those steps, so the normal form, the size checks and the
+    stuck term are the same. A FuelExhausted from there is raised again
+    with the same term and a trace that counts the steps before the
+    hand-over; that trace is built only if read, by running `normalize`
+    on the query. A term that runs out of fuel is not memoized.
 
     The root phase stays in the public `normalize`: perfbench counts its
     calls and steps there, and its traced `cap` run requires every cap
@@ -413,7 +418,8 @@ class NormalForms:
         size = term_size(t)
         u, entering = t, True
         while True:
-            v = memo.get(u) if entering and spine else None
+            # the root was looked up raw by the caller
+            v = memo.get(u) if spine or not entering else None
             if v is None:
                 if entering and u.__class__ is App and u.args:
                     spine.append((u, list(u.args)))
@@ -425,15 +431,20 @@ class NormalForms:
                     break
                 if spine:
                     u = memo.setdefault(u, u)
-            elif v is not u and u in cost:
-                taken, top = cost[u]
-                rest = size - term_size(u)
-                if steps + taken > self.fuel or rest + top > MAX_TERM_NODES:
-                    # `normalize` stops inside u
-                    return self._hand_over(t, t, 0, 0)
-                steps += taken
-                peak = max(peak, rest + top)
-                size = rest + term_size(v)
+            elif v is not u:
+                known = cost.get(u)
+                if known is not None:
+                    taken, top = known
+                    rest = size - term_size(u)
+                    if (steps + taken > self.fuel
+                            or rest + top > MAX_TERM_NODES):
+                        # `normalize` stops inside u
+                        return self._hand_over(t, t, 0, 0)
+                    steps += taken
+                    peak = max(peak, rest + top)
+                    size = rest + term_size(v)
+                # the memo's own object: a rebuilt parent then compares
+                # equal to a memoized one without walking its arguments
                 u = v
             if not spine:
                 if steps:
@@ -468,9 +479,13 @@ class NormalForms:
             ) from None
         # a root redex was found, so the trace is not empty
         out = memo.setdefault(out, out)
+        taken = len(trace)
+        top = max(term_size(s.target) for s in trace)
+        if whole is not t:
+            memo[whole] = out
+            self.cost[whole] = taken, top
         memo[t] = out
-        self.cost[t] = (steps + len(trace),
-                        max(peak, *(term_size(s.target) for s in trace)))
+        self.cost[t] = steps + taken, max(peak, top)
         return out
 
 
@@ -532,24 +547,27 @@ def subterm_collapse_search(trs: Trs, max_depth: int = 5,
     Absence of a witness is a verdict *up to these bounds* only.
 
     A term collapses iff its normal form is among those of its proper
-    subterms. Every argument of an enumerated term was enumerated and
-    checked before it, so that set is the union, over the arguments, of
-    each argument's normal form and set. Only a term that collapses has
-    its subterms walked, in pre-order, for the first witness position.
+    subterms, that is, in the set of some argument: the normal forms of
+    the argument and of all its subterms. Each argument's set is built
+    once, from its own normal form and its arguments' sets. Only a term
+    that collapses has its subterms walked, in pre-order, for the first
+    witness position.
     """
     vars_ = enumeration_variables(trs)
     nf = NormalForms(trs, fuel)
     # the sets of the terms that turned up as arguments; terms of the
     # last depth never do
-    below: dict[Term, set[Term]] = {}
+    reach: dict[Term, set[Term]] = {}
 
-    def nfs_below(a: Term) -> set[Term]:
-        out = below.get(a)
+    def reach_of(a: Term) -> set[Term]:
+        out = reach.get(a)
         if out is None:
-            out = below[a] = set()
-            for b in (a.args if isinstance(a, App) else ()):
-                out.add(nf(b))
-                out.update(below.get(b, ()))
+            # `a` was enumerated and checked before any term it is an
+            # argument of, and, as no witness ended the search there,
+            # with the sets of all its own arguments built
+            out = reach[a] = {nf(a)}
+            for b in (a.args if a.__class__ is App else ()):
+                out |= reach[b]
         return out
 
     checked = 0
@@ -562,7 +580,7 @@ def subterm_collapse_search(trs: Trs, max_depth: int = 5,
         if isinstance(u, Var):
             continue
         u_nf = nf(u)
-        if any(nf(a) == u_nf or u_nf in nfs_below(a) for a in u.args):
+        if any(u_nf in reach_of(a) for a in u.args):
             for p, sub in subterms(u):
                 if p and nf(sub) == u_nf:
                     return CollapseSearchResult((u, p), max_depth, checked, exhausted)

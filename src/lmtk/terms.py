@@ -326,8 +326,8 @@ def rename_pair_apart(lhs: Term, rhs: Term, avoid: set[str]) -> tuple[Term, Term
 
     The renaming is a bijection on the pair's variables, deterministic in
     the inputs: clashing names get the first free numeric suffix. Callers
-    put the symbol names of the rules in play into `avoid`
-    (`overlaps.symbol_names`), so no fresh name is a symbol's name.
+    put the names of the signature's symbols into `avoid`, so no fresh
+    name is a symbol's name.
     """
     own = variables_in_order(lhs) + variables_in_order(rhs)
     taken = avoid.union(own)
@@ -347,7 +347,13 @@ def enumerate_terms(
     max_depth: int,
 ) -> Iterator[Term]:
     """All terms of depth <= max_depth, depth-increasing, symbols in the
-    given signature order, variables after constants at depth 1."""
+    given signature order, variables after constants at depth 1.
+
+    A term of depth d has an argument of depth d-1. Within a symbol the
+    argument tuples come in product order over the terms of lower depth,
+    and only the first arity-1 arguments are tested: when none of them
+    has depth d-1, the last one runs over the terms of depth d-1 alone,
+    which end that list in the same order."""
     if max_depth < 1:
         return
     layer: list[Term] = ([App(s) for s in symbols if s.arity == 0]
@@ -356,13 +362,14 @@ def enumerate_terms(
     yield from layer
     for depth in range(2, max_depth + 1):
         known.extend(layer)
-        prev_set = set(layer)  # terms of depth exactly depth-1
+        prev, prev_set = layer, set(layer)  # terms of depth exactly depth-1
         layer = []
         for s in symbols:
             if s.arity == 0:
                 continue
-            for args in itertools.product(known, repeat=s.arity):
-                if any(a in prev_set for a in args):
-                    t = App(s, args)
+            for head in itertools.product(known, repeat=s.arity - 1):
+                lasts = known if any(a in prev_set for a in head) else prev
+                for a in lasts:
+                    t = App(s, (*head, a))
                     layer.append(t)
                     yield t

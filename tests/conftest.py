@@ -279,6 +279,16 @@ rules:
   f(x1, x) -> g(h(x))
 """
 
+# x1 is a constant that the signature declares and no rule uses; the
+# variable that composing r2 into r1 renames apart must not take its name
+UNUSED_SYMBOL_CLASH = """
+sig: f/1 g/2 a/0 x1/0
+vars: x
+rules:
+  f(x) -> g(x, x)
+  g(x, a) -> f(x)
+"""
+
 
 def overlap_systems() -> list[Trs]:
     """Every system the overlap oracles compare on, certified or not: the

@@ -16,6 +16,7 @@ from conftest import (
     ROOT_OVERLAP_TRUNCATED,
     TINY_MACHINE,
     UNARY_CHAIN,
+    UNUSED_SYMBOL_CLASH,
     pool_text,
     render_machine,
     sweep_sources,
@@ -219,6 +220,15 @@ class TestFc:
         assert (code, err) == (1, "")
         assert out == ("forward-closed: no ([r1~r1@1] a -> f(f(a))  "
                        "(r1 ~> r1 at 1, gen 1))\n")
+
+    def test_fresh_names_avoid_a_symbol_that_no_rule_uses(self, write,
+                                                          capsys):
+        path = write("clash.trs", UNUSED_SYMBOL_CLASH)
+        rule = "[r2~r1@e] g(x2,a) -> g(x2,x2)  (r2 ~> r1 at e, gen 1)"
+        code, out, _ = run(capsys, "fc", path, "--fc-max-gen", "1")
+        assert (code, out.splitlines()[1].strip()) == (2, rule)
+        assert run(capsys, "fc-check", path)[:2] == (
+            1, f"forward-closed: no ({rule})\n")
 
     def test_fc_check_witness_is_the_first_rule_fc_adds(self, write, capsys):
         # forward-closedness is decided once: the witness is `fc`'s first

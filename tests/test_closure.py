@@ -46,6 +46,7 @@ from conftest import (
     ROOT_OVERLAP,
     ROOT_OVERLAP_TRUNCATED,
     TINY_MACHINE,
+    UNUSED_SYMBOL_CLASH,
     corpus_systems,
     pool_text,
 )
@@ -68,28 +69,36 @@ def sys2():
     return parse_trs(ROOT_OVERLAP_TRUNCATED)
 
 
-def composed_at(r1, r2, p):
-    """The composition of r1 with r2 at position p of r1's rhs, if any."""
-    return next((c for c in compositions([r1], [r2]) if c.position == p), None)
+def names(trs):
+    """The names of the signature's symbols, which fresh variables avoid."""
+    return {s.name for s in trs.symbols}
+
+
+def composed_at(trs, r1, r2, p):
+    """The composition of rule r1 of `trs` with its rule r2 at position p
+    of r1's rhs, if any."""
+    return next((c for c in compositions([trs.rule(r1)], [trs.rule(r2)],
+                                         names(trs))
+                 if c.position == p), None)
 
 
 class TestFcStep:
     def test_compose_at_root(self, sys2):
-        cand = composed_at(sys2.rule("r1"), sys2.rule("r2"), ())
+        cand = composed_at(sys2, "r1", "r2", ())
         assert cand is not None
         assert render_term(cand.lhs) == "f(b,i(b))"
         assert render_term(cand.rhs) == "c"
 
     def test_non_unifiable(self):
         trs = parse_trs("sig: a/0 b/0 c/0 d/0\nrules:\n  a -> b\n  c -> d\n")
-        assert composed_at(trs.rule("r1"), trs.rule("r2"), ()) is None
+        assert composed_at(trs, "r1", "r2", ()) is None
 
     def test_machine_encoding_composes_nowhere(self):
         theory = encode(TINY_MACHINE, 0, 0).theory
-        assert compositions(theory.rules, theory.rules) == []
+        assert compositions(theory.rules, theory.rules, names(theory)) == []
 
     def test_candidate_replays_as_two_steps(self, sys2):
-        cand = composed_at(sys2.rule("r1"), sys2.rule("r2"), ())
+        cand = composed_at(sys2, "r1", "r2", ())
         one = apply_rule(sys2.rule("r1"), cand.lhs, ())
         assert one is not None
         two = apply_rule(sys2.rule("r2"), one[0], cand.position)
@@ -102,7 +111,7 @@ class TestRedundancy:
         assert is_redundant_approx(cand, RuleIndex(sys3.rules))
 
     def test_not_subsumed(self, sys2):
-        cand = composed_at(sys2.rule("r1"), sys2.rule("r2"), ())
+        cand = composed_at(sys2, "r1", "r2", ())
         assert not is_redundant_approx(cand, RuleIndex(sys2.rules))
 
     def test_trivial_candidate(self, sys2):
@@ -135,7 +144,7 @@ def checked_generations():
     for trs in differential_systems():
         trace = fc_iterate(trs, 2)
         for rules in trace.generations[:len(trace.new_rules)]:
-            yield rules, compositions(rules, trs.rules)
+            yield rules, compositions(rules, trs.rules, names(trs))
 
 
 def linear_match(pattern, subject):
@@ -253,7 +262,7 @@ def naive_fc_iterate(trs, max_generations=16):
     for gen in range(1, max_generations + 1):
         fresh = []
         keys = set()
-        for c in compositions(current, trs.rules):
+        for c in compositions(current, trs.rules, names(trs)):
             label = (f"{c.source.label}~{c.base.label}"
                      f"@{render_position(c.position)}")
             cand = FcCandidate(Rule(c.lhs, c.rhs, label), c.source.label,
@@ -310,9 +319,9 @@ class TestSemiNaive:
             self, monkeypatch):
         calls = []
 
-        def spy(sources, base):
+        def spy(sources, base, symbols):
             calls.append((list(sources), list(base)))
-            return compositions(sources, base)
+            return compositions(sources, base, symbols)
 
         monkeypatch.setattr(closure, "compositions", spy)
         trs = parse_trs(DIVERGENT)
@@ -346,9 +355,9 @@ class TestSemiNaive:
             built.append(Rule(*args))
             return built[-1]
 
-        def compose(sources, base):
+        def compose(sources, base, symbols):
             nonlocal candidates
-            out = compositions(sources, base)
+            out = compositions(sources, base, symbols)
             candidates += len(out)
             return out
 
@@ -369,8 +378,8 @@ class TestSemiNaive:
         replaced = 0
         sides, replace = closure.Composition.sides, closure.replace_at
 
-        def compose(sources, base):
-            composed.append(compositions(sources, base))
+        def compose(sources, base, symbols):
+            composed.append(compositions(sources, base, symbols))
             return composed[-1]
 
         def build(comp):
@@ -412,8 +421,8 @@ class TestSemiNaive:
             self, monkeypatch):
         composed, queried = [], set()
 
-        def compose(sources, base):
-            composed.append(compositions(sources, base))
+        def compose(sources, base, symbols):
+            composed.append(compositions(sources, base, symbols))
             return composed[-1]
 
         def redundant(candidate, existing):
@@ -455,8 +464,8 @@ class TestFlatKey:
             self, monkeypatch):
         composed = []
 
-        def compose(sources, base):
-            composed.append(compositions(sources, base))
+        def compose(sources, base, symbols):
+            composed.append(compositions(sources, base, symbols))
             return composed[-1]
 
         monkeypatch.setattr(closure, "compositions", compose)
@@ -480,16 +489,27 @@ class TestFlatKey:
         assert candidates > 5000 and shared > 1000
 
 
+def assert_parse_back(trs, rules):
+    """Each rule reads back as itself under the signature of `trs`."""
+    for rule in rules:
+        # a variable named like a symbol makes the system text invalid
+        back = parse_trs(render_trs(trs.with_rules([rule]))).rules[0]
+        assert (back.lhs, back.rhs) == (rule.lhs, rule.rhs), str(rule)
+
+
 class TestFreshNames:
     def test_every_new_rule_parses_back_as_itself(self):
         trs = parse_trs(FRESH_NAME_CLASH)
         trace = fc_iterate(trs, 2)
         new = [c.rule for gen in trace.new_rules for c in gen]
         assert "[r1~r3@e] f(v1,x2) -> h(x1)" in map(str, new)
-        for rule in new:
-            # a variable named like a symbol makes the system text invalid
-            back = parse_trs(render_trs(trs.with_rules([rule]))).rules[0]
-            assert (back.lhs, back.rhs) == (rule.lhs, rule.rhs), str(rule)
+        assert_parse_back(trs, new)
+
+    def test_a_symbol_that_no_rule_uses_is_avoided(self):
+        trs = parse_trs(UNUSED_SYMBOL_CLASH)
+        new = [c.rule for c in fc_iterate(trs, 1).new_rules[0]]
+        assert list(map(str, new)) == ["[r2~r1@e] g(x2,a) -> g(x2,x2)"]
+        assert_parse_back(trs, new)
 
 
 class TestIsForwardClosed:
@@ -515,7 +535,7 @@ class TestIsForwardClosed:
 
     def test_lm_systems_have_zero_candidates(self):
         theory = encode(TINY_MACHINE, 0, 0).theory
-        assert compositions(theory.rules, theory.rules) == []
+        assert compositions(theory.rules, theory.rules, names(theory)) == []
 
 
 class TestInnermostOneStep:

@@ -534,6 +534,85 @@ class TestNormalFormsCache:
             assert exc.value.trace[-1].target == exc.value.term
             assert len(calls) == 2
 
+    @staticmethod
+    def hand_overs(monkeypatch):
+        """The (term, fuel) of each `normalize` call from now on."""
+        handed = []
+        original = rewriting.normalize
+
+        def counting(trs, u, fuel=DEFAULT_FUEL):
+            handed.append((u, fuel))
+            return original(trs, u, fuel)
+        monkeypatch.setattr(rewriting, "normalize", counting)
+        return handed
+
+    # f(a,b) is handed over as f(b,b) after one step, and f(c,c) rebuilds
+    # f(b,b) at its root after four; f(b,b) itself takes two more
+    REBUILT = ("sig: a/0 b/0 c/0 d/0 f/2 g/1\nvars: x\nrules:\n"
+               "  a -> b\n  c -> a\n  f(x,x) -> g(x)\n  g(b) -> d\n")
+
+    def test_a_rebuilt_hand_over_is_not_handed_over_again(self,
+                                                          monkeypatch):
+        trs = parse_trs(self.REBUILT)
+        handed = self.hand_overs(monkeypatch)
+        cached = NormalForms(trs)
+        for known in ("a", "c", "f(a,b)"):
+            cached(t(known, trs))
+        assert handed[-1] == (t("f(b,b)", trs), DEFAULT_FUEL - 1)
+        assert cached.cost[t("f(b,b)", trs)] == (2, 2)
+        handed.clear()
+        assert cached(t("f(c,c)", trs)) == t("d", trs)
+        assert handed == []
+        assert cached.cost[t("f(c,c)", trs)] == (6, 3)
+
+    def test_fuel_runs_out_inside_a_rebuilt_hand_over(self, monkeypatch):
+        trs = parse_trs(self.REBUILT)
+        handed = self.hand_overs(monkeypatch)
+        query = t("f(c,c)", trs)
+        for fuel in range(8):
+            cached = NormalForms(trs, fuel)
+            for known in ("a", "c", "f(a,b)"):
+                self.same_outcome(cached, trs, t(known, trs), fuel)
+            handed.clear()
+            e = self.same_outcome(cached, trs, query, fuel)
+            assert (e is None) == (fuel >= 6)
+            if 3 <= fuel:
+                # f(b,b) is memoized: a hit within the fuel takes no
+                # call, one past it runs the query from the start
+                assert handed == ([] if e is None else [(query, fuel)])
+
+    def test_the_size_bound_crossed_only_in_context_below_the_root(
+            self, monkeypatch):
+        # as above, with dup(s^1999(0)) handed over from dup(s^1999(c)) and
+        # rebuilt from dup(s^1999(e)) below the root of the query
+        trs = parse_trs("sig: 0/0 c/0 e/0 s/1 dup/1 p/2 h/2\nvars: x y\n"
+                        "rules:\n  dup(x) -> p(x,x)\n  p(x,y) -> x\n"
+                        "  c -> 0\n  e -> 0\n")
+        s, dup = trs.symbol("s"), trs.symbol("dup")
+        chains = {}
+        for leaf in ("0", "c", "e"):
+            chains[leaf] = App(trs.symbol(leaf))
+            for _ in range(1999):
+                chains[leaf] = App(s, (chains[leaf],))
+        beside = App(trs.symbol("0"))
+        for _ in range(1499):
+            beside = App(s, (beside,))
+        cached = NormalForms(trs)
+        for leaf in ("c", "e"):
+            cached(t(leaf, trs))
+        assert cached(App(dup, (chains["c"],))) == chains["0"]
+        assert cached.cost[App(dup, (chains["0"],))] == (2, 4001)
+        handed = self.hand_overs(monkeypatch)
+        for args in ((App(dup, (chains["e"],)), beside),
+                     (beside, App(dup, (chains["e"],)))):
+            whole = App(trs.symbol("h"), args)
+            handed.clear()
+            e = self.same_outcome(cached, trs, whole, DEFAULT_FUEL)
+            assert str(e) == f"term outgrew {MAX_TERM_NODES} nodes after 2 steps"
+            # the memo hit crosses the bound: no hand-over at dup, one
+            # run of the query, and one more by the reference
+            assert handed[0] == (whole, DEFAULT_FUEL)
+
 
 def eps_normal_form(trs, t, fuel=DEFAULT_FUEL):
     """Normalize all proper subterms, never rewriting at the root."""

@@ -377,7 +377,47 @@ class TestRenameApart:
         assert all(isinstance(v, Var) for v in fwd.values())
 
 
+def reference_enumerate_terms(symbols, variables, max_depth):
+    """The filtered product `enumerate_terms` had before it stopped testing
+    the last argument: every argument tuple over the terms of lower depth
+    that has one of depth exactly d-1."""
+    if max_depth < 1:
+        return
+    layer = ([App(s) for s in symbols if s.arity == 0]
+             + [Var(v) for v in variables])
+    known = []
+    yield from layer
+    for depth in range(2, max_depth + 1):
+        known.extend(layer)
+        prev_set = set(layer)
+        layer = []
+        for s in symbols:
+            if s.arity == 0:
+                continue
+            for args in itertools.product(known, repeat=s.arity):
+                if any(a in prev_set for a in args):
+                    t = App(s, args)
+                    layer.append(t)
+                    yield t
+
+
 class TestEnumerateTerms:
+    @given(st.lists(st.integers(min_value=0, max_value=3), min_size=1,
+                    max_size=4),
+           st.integers(min_value=0, max_value=2),
+           st.integers(min_value=0, max_value=4))
+    def test_same_terms_in_the_same_order_as_the_filtered_product(
+            self, arities, n_vars, depth):
+        symbols = [Symbol(f"s{k}", n) for k, n in enumerate(arities)]
+        variables = ["x", "y"][:n_vars]
+        # wide signatures explode at depth 4; searches read a prefix
+        limit = 3000
+        got = itertools.islice(enumerate_terms(symbols, variables, depth),
+                               limit)
+        want = itertools.islice(
+            reference_enumerate_terms(symbols, variables, depth), limit)
+        assert list(got) == list(want)
+
     def test_ground_depth_two(self):
         zero, s = Symbol("0", 0), Symbol("s", 1)
         got = list(enumerate_terms([zero, s], [], 2))
