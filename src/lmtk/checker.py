@@ -535,8 +535,7 @@ def consequence_checks(trs: Trs, depth: int = 3,
     # (b) no rhs unifies with a distinct rule's lhs: the root compositions,
     # and every pair whose first rhs is a variable (it unifies with any
     # lhs renamed apart, but has no non-variable position to compose at)
-    comps = compositions(trs.rules, trs.rules,
-                         {s.name for s in trs.symbols})
+    comps = compositions(trs.rules, trs.rules, trs.symbol_names)
     at_root = {(c.source.label, c.base.label) for c in comps
                if c.position == ROOT}
     add("rhs/lhs non-unifiable", lambda: ", ".join(

@@ -266,14 +266,13 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
     # generation files its sources first, so the last generation's rules,
     # which no query reads, are never filed
     index = RuleIndex()
-    symbols = {s.name for s in trs.symbols}
     for gen in range(1, max_generations + 1):
         for rule in sources:
             index.add(rule)
         # new rules by key, in the order kept; a renamed copy of one
         # skips the index query (see the module docstring)
         fresh: dict[tuple, FcCandidate] = {}
-        for comp in compositions(sources, trs.rules, symbols):
+        for comp in compositions(sources, trs.rules, trs.symbol_names):
             key = comp.key()
             if key in fresh or is_redundant_approx(comp, index):
                 continue

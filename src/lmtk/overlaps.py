@@ -123,10 +123,9 @@ def critical_pairs(trs: Trs) -> list[CriticalPair]:
     its own copy at the root is the trivial one and is skipped; root
     overlaps between distinct rules are kept."""
     out: list[CriticalPair] = []
-    symbols = {s.name for s in trs.symbols}
     for outer in trs.rules:
         for inner, lhs, rhs, p, sub in overlap_sites(
-                outer.lhs, outer.variables() | symbols, trs.rules,
+                outer.lhs, outer.variables() | trs.symbol_names, trs.rules,
                 trivial=outer.label):
             sigma = mgu(sub, lhs)
             if sigma is None:
@@ -158,11 +157,10 @@ def rhs_critical_pairs(trs: Trs) -> list[Equation]:
     literal terms, which silently drops the no-op self-pairings."""
     out: list[Equation] = []
     seen: set[frozenset[tuple[Term, Term]]] = set()
-    symbols = {s.name for s in trs.symbols}
     for r1 in trs.rules:
         for r2 in trs.rules:
             lhs, rhs = rename_pair_apart(r2.lhs, r2.rhs,
-                                         r1.variables() | symbols)
+                                         r1.variables() | trs.symbol_names)
             sigma = mgu(r1.rhs, rhs)
             if sigma is None:
                 continue
@@ -212,12 +210,11 @@ def paramodulation_candidates(trs: Trs) -> list[ParamodCandidate]:
     non-variable position. The only exclusion is a rule rewriting the
     root of its own lhs (that inference degenerates to the rule itself)."""
     out: list[ParamodCandidate] = []
-    symbols = {s.name for s in trs.symbols}
     for src in trs.rules:
         for side_name, u, v, trivial in (("lhs", src.lhs, src.rhs, src.label),
                                          ("rhs", src.rhs, src.lhs, None)):
             for rule, lhs, rhs, p, sub in overlap_sites(
-                    u, src.variables() | symbols, trs.rules, trivial):
+                    u, src.variables() | trs.symbol_names, trs.rules, trivial):
                 sigma = mgu(lhs, sub)
                 if sigma is None:
                     continue

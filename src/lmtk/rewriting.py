@@ -110,6 +110,12 @@ class Trs:
         return {s.name: s for s in self.symbols}
 
     @cached_property
+    def symbol_names(self) -> frozenset[str]:
+        """The names of the declared symbols, which fresh variable names
+        avoid."""
+        return frozenset(self._symbols_by_name)
+
+    @cached_property
     def _rules_by_label(self) -> dict[str, Rule]:
         return {r.label: r for r in self.rules}
 
@@ -144,27 +150,26 @@ class RewriteStep:
 
 class FuelExhausted(Exception):
     """Rewriting did not finish within the step budget, or the term outgrew
-    MAX_TERM_NODES. `term` is the term rewriting stopped at; `trace` is the
-    sequence of steps that led there from the start term. `normalize`
-    passes a read-only sequence whose steps are built on first read (its
-    length costs nothing); it compares equal to the list of the same
-    steps.
+    MAX_TERM_NODES (`outgrew`), which the message names. `trace` is the
+    sequence of steps rewriting took from `start`; `normalize` passes a
+    read-only sequence whose steps are built on first read (its length
+    costs nothing), and which compares equal to the list of the same
+    steps. `term`, the term rewriting stopped at, is read off the trace:
+    its last target, or `start` when no step was taken."""
 
-    The message names the bound that stopped rewriting. A step that leaves
-    the term over MAX_TERM_NODES stops it at once, and the fuel is checked
-    before a step, with the term as the last step left it; so a stuck term
-    over MAX_TERM_NODES after at least one step means the size bound."""
-
-    def __init__(self, term: Term, trace: Sequence[RewriteStep]):
-        steps = len(trace)
+    def __init__(self, start: Term, trace: Sequence[RewriteStep],
+                 outgrew: bool):
         # the stuck term can be enormous; keep it off the message
-        if steps and term_size(term) > MAX_TERM_NODES:
-            bound = f"term outgrew {MAX_TERM_NODES} nodes"
-        else:
-            bound = "fuel exhausted"
-        super().__init__(f"{bound} after {steps} steps")
-        self.term = term
+        bound = (f"term outgrew {MAX_TERM_NODES} nodes" if outgrew
+                 else "fuel exhausted")
+        super().__init__(f"{bound} after {len(trace)} steps")
+        self.start = start
         self.trace = trace
+        self.outgrew = outgrew
+
+    @property
+    def term(self) -> Term:
+        return self.trace[-1].target if self.trace else self.start
 
 
 # one step as `normalize` records it: rule label, position and the
@@ -184,11 +189,12 @@ def _steps(t: Term, records: list[_Record]) -> list[RewriteStep]:
 
 class _LazyTrace(abc.Sequence):
     """The trace of a normalization that ran out of fuel, built on first
-    read by `build`. Callers that catch FuelExhausted mostly drop the trace
-    unread, and building it costs a whole-term rebuild per step."""
+    read by `build`, and with it the stuck term. Callers that catch
+    FuelExhausted mostly drop both unread, and building the trace costs a
+    whole-term rebuild per step. Unhashable, like the list it stands for,
+    since it defines `__eq__`."""
 
     __slots__ = ("_length", "_build", "_built")
-    __hash__ = None  # like the list it stands for
 
     def __init__(self, length: int, build: Callable[[], list[RewriteStep]]):
         self._length = length
@@ -260,16 +266,6 @@ def is_redex(trs: Trs, t: Term) -> bool:
     return _root_step(trs, t) is not None
 
 
-def _folded(u: Term, spine: list[tuple[App, list[Term]]],
-            path: list[int]) -> Term:
-    """The whole term: `u` put back into the walk's spine frames, `path`
-    the argument index it stands at in each. Empties neither list."""
-    for (node, args), i in zip(reversed(spine), reversed(path)):
-        args[i - 1] = u
-        u = _rebuilt(node, args)
-    return u
-
-
 def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[RewriteStep]]:
     """Leftmost-innermost normal form with its trace.
 
@@ -285,11 +281,11 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
 
     A step records only its rule, position and rewritten subterm, and the
     whole term's size is kept by difference, so a step costs no rebuild of
-    the term. On success the trace's source and target terms
-    are built from the records in one pass. Raises FuelExhausted if a
-    redex remains after `fuel` steps, or the term outgrows MAX_TERM_NODES;
-    its term is built once from the spine, and its trace is built only if
-    read.
+    the term. On success the trace's source and target terms are built
+    from the records in one pass. Raises FuelExhausted, naming the bound,
+    if a redex remains after `fuel` steps, or right after the step that
+    takes the term over MAX_TERM_NODES. The raise builds no term: the
+    trace, and the stuck term read off it, are built only if read.
     """
     records: list[_Record] = []
     spine: list[tuple[App, list[Term]]] = []
@@ -297,12 +293,6 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
     normal_ids: set[int] = set()
     size = term_size(t)
     u, entering = t, True
-
-    def stuck() -> FuelExhausted:
-        # the whole term, once; with no step taken that is `t` itself
-        return FuelExhausted(_folded(u, spine, path), _LazyTrace(
-            len(records), lambda: _steps(t, records)))
-
     while True:
         if entering and id(u) in normal_ids:
             hit = None
@@ -316,7 +306,8 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
             hit = _root_step(trs, u)
         if hit is not None:
             if len(records) >= fuel:
-                raise stuck()
+                outgrew = False
+                break
             rule, sigma = hit
             normal_ids = {id(v) for v in sigma.values()}
             r = substitute(rule.rhs, sigma)
@@ -324,7 +315,8 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
             records.append((rule.label, tuple(path), r))
             u, entering = r, True
             if size > MAX_TERM_NODES:
-                raise stuck()
+                outgrew = True
+                break
         elif not spine:
             trace = _steps(t, records)
             return (trace[-1].target if trace else t), trace
@@ -339,6 +331,8 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
                 spine.pop()
                 path.pop()
                 u, entering = _rebuilt(node, args), False
+    raise FuelExhausted(t, _LazyTrace(len(records),
+                                      lambda: _steps(t, records)), outgrew)
 
 
 def nf(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
@@ -367,16 +361,18 @@ class NormalForms:
     steps: the parts left of it are normal, so those are the next steps
     `normalize` takes. If that crosses the fuel, or its peak plus the
     size of the rest of the term crosses MAX_TERM_NODES, `normalize`
-    runs on the query and raises the identical FuelExhausted. A node whose arguments are normal and whose
-    root is no redex is recorded as normal. At the first root redex the
-    walk hands the whole term over to `normalize` with the fuel that is
-    left. The parts left of the redex are normalized and the parts right
-    of it still raw: that is exactly the term `normalize` reaches from the
-    query after those steps, so the normal form, the size checks and the
-    stuck term are the same. A FuelExhausted from there is raised again
-    with the same term and a trace that counts the steps before the
-    hand-over; that trace is built only if read, by running `normalize`
-    on the query. A term that runs out of fuel is not memoized.
+    runs on the query and raises the identical FuelExhausted. A node
+    whose arguments are normal and whose root is no redex is recorded as
+    normal. At the first root redex the walk hands the whole term over to
+    `normalize` with the fuel that is left. The parts left of the redex
+    are normalized and the parts right of it still raw: that is exactly
+    the term `normalize` reaches from the query after those steps, so the
+    normal form, the size checks and the stuck term are the same. A
+    FuelExhausted from there is raised again from the query, with the
+    bound it names and a trace that counts the steps before the
+    hand-over; that trace, and the stuck term read off it, are built only
+    if read, by running `normalize` on the query. A term that runs out of
+    fuel is not memoized.
 
     The root phase stays in the public `normalize`: perfbench counts its
     calls and steps there, and its traced `cap` run requires every cap
@@ -463,7 +459,10 @@ class NormalForms:
                 path.pop()
                 u, entering = _rebuilt(node, args), False
         # the whole term at its first root redex
-        return self._hand_over(t, _folded(u, spine, path), steps, peak)
+        for (node, args), i in zip(reversed(spine), reversed(path)):
+            args[i - 1] = u
+            u = _rebuilt(node, args)
+        return self._hand_over(t, u, steps, peak)
 
     def _hand_over(self, t: Term, whole: Term, steps: int, peak: int) -> Term:
         """Normalize `t` from `whole`, the term its normalization reaches
@@ -473,10 +472,10 @@ class NormalForms:
             out, trace = normalize(trs, whole, fuel - steps)
         except FuelExhausted as e:
             if not steps:
-                raise
-            raise FuelExhausted(e.term, _LazyTrace(
-                steps + len(e.trace), lambda: _trace_of_stuck(trs, t, fuel))
-            ) from None
+                raise  # from `whole`, which equals `t`
+            raise FuelExhausted(t, _LazyTrace(
+                steps + len(e.trace), lambda: _trace_of_stuck(trs, t, fuel)),
+                e.outgrew) from None
         # a root redex was found, so the trace is not empty
         out = memo.setdefault(out, out)
         taken = len(trace)
@@ -518,9 +517,8 @@ def is_eps_irreducible(trs: Trs, t: Term) -> bool:
 def enumeration_variables(trs: Trs) -> list[str]:
     """Two variable names to enumerate terms with: declared ones first."""
     names = list(trs.variables)
-    taken = {s.name for s in trs.symbols}
     while len(names) < 2:
-        names.append(fresh_name("v", taken.union(names)))
+        names.append(fresh_name("v", trs.symbol_names.union(names)))
     return names[:2]
 
 

@@ -459,6 +459,18 @@ class TestFuelOverride:
         assert (code, out) == (2, "")
         assert err.strip() == "term outgrew 5000 nodes after 4999 steps"
 
+    @pytest.mark.parametrize("fuel, message", [
+        ("0", "fuel exhausted after 0 steps"),
+        ("1", "term outgrew 5000 nodes after 1 steps")])
+    def test_a_start_term_over_the_size_bound(self, write, capsys, fuel,
+                                              message):
+        # g^5000(a) has 5001 nodes; its one step, a -> b, keeps the size
+        path = write("ab.trs", "sig: a/0 b/0 g/1\nrules:\n  a -> b\n")
+        code, out, err = run(capsys, "normalize", path,
+                             "g(" * 5000 + "a" + ")" * 5000, "--fuel", fuel)
+        assert (code, out) == (2, "")
+        assert err.strip() == message
+
 
 class TestUsage:
     def test_no_command(self, capsys):

@@ -303,6 +303,36 @@ class TestNormalize:
         assert all(x is y for x, y in zip(steps, e.trace, strict=True))
         assert replay(trs, start, e.trace) == e.term
 
+    def test_running_out_of_fuel_builds_no_term_at_the_raise(self,
+                                                             monkeypatch):
+        # a -> b and b -> a have ground right sides, so the ten steps at
+        # the bottom of g^2000(a) build no App: any App built is built
+        # at the raise. The stuck term is built only when read
+        trs = parse_trs("sig: a/0 b/0 g/1\nrules:\n  a -> b\n  b -> a\n")
+        g, start = trs.symbol("g"), App(trs.symbol("a"))
+        for _ in range(2000):
+            start = App(g, (start,))
+        init, built = App.__init__, []
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+        monkeypatch.setattr(App, "__init__", counting)
+        raised = []
+        for normalizer in (lambda u: nf(trs, u, 10), NormalForms(trs, 10)):
+            with pytest.raises(FuelExhausted) as exc:
+                normalizer(start)
+            raised.append(exc.value)
+        assert built == []
+        monkeypatch.undo()
+        for e in raised:
+            # ten steps take a back to a
+            assert e.term == start
+            assert len(e.trace) == 10
+            assert str(e) == "fuel exhausted after 10 steps"
+            with pytest.raises(TypeError):
+                hash(e.trace)
+
     def test_lazy_trace_equals_the_list_of_its_steps(self):
         loop = parse_trs("sig: a/0 b/0\nrules:\n  a -> b\n  b -> a\n")
         start = t("a", loop)
@@ -343,12 +373,12 @@ def innermost_oracle(trs, t, fuel):
         if hit is None:
             return t, trace
         if len(trace) >= fuel:
-            raise FuelExhausted(t, trace)
+            raise FuelExhausted(t, trace, False)
         rule, p, target, _ = hit
         trace.append(RewriteStep(rule.label, p, t, target))
         t = target
         if term_size(t) > MAX_TERM_NODES:
-            raise FuelExhausted(t, trace)
+            raise FuelExhausted(t, trace, True)
 
 
 def normalize_outermost(trs, t, fuel=DEFAULT_FUEL):
@@ -360,10 +390,10 @@ def normalize_outermost(trs, t, fuel=DEFAULT_FUEL):
         if hit is None:
             return t
         if steps >= fuel:
-            raise FuelExhausted(t, [])
+            raise FuelExhausted(t, [], False)
         t = hit[2]
         if term_size(t) > MAX_TERM_NODES:
-            raise FuelExhausted(t, [])
+            raise FuelExhausted(t, [], True)
 
 
 def outcome(normalizer, trs, u, fuel):
@@ -481,6 +511,22 @@ class TestNormalFormsCache:
             assert 4001 + term_size(beside) + 1 > MAX_TERM_NODES
             e = self.same_outcome(cached, trs, whole, DEFAULT_FUEL)
             assert str(e) == f"term outgrew {MAX_TERM_NODES} nodes after 1 steps"
+
+    @pytest.mark.parametrize("fuel, message", [
+        (0, "fuel exhausted after 0 steps"),
+        (1, f"term outgrew {MAX_TERM_NODES} nodes after 1 steps")])
+    def test_a_start_term_over_the_size_bound(self, fuel, message):
+        # g^5000(a) is over MAX_TERM_NODES before any step: with no fuel
+        # the fuel stops it, and its first step, which keeps the size,
+        # crosses the size bound
+        trs = parse_trs("sig: a/0 b/0 g/1\nrules:\n  a -> b\n")
+        g, start, stuck = trs.symbol("g"), t("a", trs), t("b", trs)
+        for _ in range(MAX_TERM_NODES):
+            start, stuck = App(g, (start,)), App(g, (stuck,))
+        assert term_size(start) > MAX_TERM_NODES
+        e = self.same_outcome(NormalForms(trs, fuel), trs, start, fuel)
+        assert str(e) == message
+        assert e.term == (stuck if fuel else start)
 
     def test_the_first_redex_below_the_root(self, monkeypatch):
         trs = parse_trs("sig: a/0 b/0 c/0 d/0 g/1 h/2\n"
