@@ -24,7 +24,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
-from .rewriting import DEFAULT_FUEL, NormalForms, Rule, Trs, is_redex
+from .rewriting import DEFAULT_FUEL, NormalForms, Rule, Trs, _root_step
 from .terms import (
     App,
     Symbol,
@@ -398,7 +398,7 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
     wrap is immediately probed one more unary level for compositions that
     do fire (so reduce-construct-reduce chains advance without waiting on
     the inert middle term). A probe costs one application like any other;
-    one that cannot rewrite at the root is never normalized. This keeps
+    one that cannot rewrite at the root is never built. This keeps
     the reachable-configuration chain of machine encodings ahead of the
     junk flood. At most `max_apps` applications are tried overall, and a
     popped item contributes at most `TUPLE_BUDGET_PER_ITEM` argument
@@ -445,11 +445,16 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
         """Admit the normal form of `sym(args)` (with `rewriting_only`, only
         if it rewrote); return it if it is an inert wrap, else None. The
         arguments are normal forms, so a probe that is no root redex is
-        normal: it is dropped without normalizing."""
+        normal: it is decided from `sym` and `args`, never built, and
+        returns None."""
         spend()
+        if rewriting_only:
+            size = 1
+            for a in args:
+                size += a._size if a.__class__ is App else 1
+            if _root_step(theory, sym, args, size) is None:
+                return None
         raw = App(sym, args)
-        if rewriting_only and not is_redex(theory, raw):
-            return raw
         t = nf(raw)
         rewrote = t is not raw and t != raw
         if rewrote or not rewriting_only:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import abc
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
 from .terms import (
@@ -24,6 +24,7 @@ from .terms import (
     _rebuilt,
     enumerate_terms,
     fresh_name,
+    match_many,
     match_term,
     render_position,
     render_term,
@@ -154,11 +155,13 @@ class FuelExhausted(Exception):
     sequence of steps rewriting took from `start`; `normalize` passes a
     read-only sequence whose steps are built on first read (its length
     costs nothing), and which compares equal to the list of the same
-    steps. `term`, the term rewriting stopped at, is read off the trace:
-    its last target, or `start` when no step was taken."""
+    steps. `term` is the term rewriting stopped at, built on first read
+    by `stuck` where the raise gives one (`normalize` folds its frozen
+    walk back into it, without the trace), else read off the trace: its
+    last target, or `start` when no step was taken."""
 
     def __init__(self, start: Term, trace: Sequence[RewriteStep],
-                 outgrew: bool):
+                 outgrew: bool, stuck: Optional[Callable[[], Term]] = None):
         # the stuck term can be enormous; keep it off the message
         bound = (f"term outgrew {MAX_TERM_NODES} nodes" if outgrew
                  else "fuel exhausted")
@@ -166,9 +169,12 @@ class FuelExhausted(Exception):
         self.start = start
         self.trace = trace
         self.outgrew = outgrew
+        self._stuck = stuck
 
-    @property
+    @cached_property
     def term(self) -> Term:
+        if self._stuck is not None:
+            return self._stuck()
         return self.trace[-1].target if self.trace else self.start
 
 
@@ -189,10 +195,9 @@ def _steps(t: Term, records: list[_Record]) -> list[RewriteStep]:
 
 class _LazyTrace(abc.Sequence):
     """The trace of a normalization that ran out of fuel, built on first
-    read by `build`, and with it the stuck term. Callers that catch
-    FuelExhausted mostly drop both unread, and building the trace costs a
-    whole-term rebuild per step. Unhashable, like the list it stands for,
-    since it defines `__eq__`."""
+    read by `build`. Callers that catch FuelExhausted mostly drop it
+    unread, and building it costs a whole-term rebuild per step.
+    Unhashable, like the list it stands for, since it defines `__eq__`."""
 
     __slots__ = ("_length", "_build", "_built")
 
@@ -235,35 +240,48 @@ def apply_rule(rule: Rule, t: Term, p: Position) -> Optional[tuple[Term, Subst]]
     return replace_at(t, p, substitute(rule.rhs, sigma)), sigma
 
 
-def _root_step(trs: Trs, u: Term) -> Optional[tuple[Rule, Subst]]:
-    """The first rule in file order whose lhs matches `u` at the root, with
-    its matcher; None when `u` is no redex. The only place that decides
-    which rule fires.
+def _root_step(trs: Trs, sym: Symbol, args: tuple[Term, ...],
+               size: int) -> Optional[tuple[Rule, Subst]]:
+    """The first rule in file order whose lhs matches the term `sym(args)`
+    of `size` nodes at the root, with its matcher; None when that term is
+    no redex. The only place that decides which rule fires. It needs no
+    built term: `rules_by_root` fixes the root symbol, so only the lhs
+    arguments are matched against `args`.
 
-    Before matching, a rule is skipped when its lhs is larger than `u`
-    (a matcher maps the lhs nodes onto distinct nodes of `u`) or when an
-    argument of `u` lacks the root symbol of the lhs argument opposite
-    it, where that is no variable (Graf, Term Indexing, LNAI 1053)."""
-    if isinstance(u, Var):
-        return None
-    args = u.args
-    for size, heads, rule in trs.rules_by_root.get(u.sym.name, ()):
-        if size > u._size:
+    Before matching, a rule is skipped when its lhs is larger than the
+    term (a matcher maps the lhs nodes onto distinct nodes of the term)
+    or when an argument lacks the root symbol of the lhs argument
+    opposite it, where that is no variable (Graf, Term Indexing, LNAI
+    1053)."""
+    for lhs_size, heads, rule in trs.rules_by_root.get(sym.name, ()):
+        if lhs_size > size:
             continue
         for a, head in zip(args, heads):
             if head is not None and (a.__class__ is not App
                                      or a.sym.name != head):
                 break
         else:
-            sigma = match_term(rule.lhs, u)
+            sigma = match_many(zip(rule.lhs.args, args))
             if sigma is not None:
                 return rule, sigma
     return None
 
 
 def is_redex(trs: Trs, t: Term) -> bool:
-    """Whether some rule rewrites `t` at the root."""
-    return _root_step(trs, t) is not None
+    """Whether some rule rewrites `t` at the root; a variable is no
+    redex."""
+    return (t.__class__ is App
+            and _root_step(trs, t.sym, t.args, t._size) is not None)
+
+
+def _folded(u: Term, spine: list[tuple[App, list[Term]]],
+            path: list[int]) -> Term:
+    """The whole term: `u` put back into a walk's spine frames, `path` the
+    argument index it stands at in each. Empties neither list."""
+    for (node, args), i in zip(reversed(spine), reversed(path)):
+        args[i - 1] = u
+        u = _rebuilt(node, args)
+    return u
 
 
 def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[RewriteStep]]:
@@ -285,7 +303,8 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
     from the records in one pass. Raises FuelExhausted, naming the bound,
     if a redex remains after `fuel` steps, or right after the step that
     takes the term over MAX_TERM_NODES. The raise builds no term: the
-    trace, and the stuck term read off it, are built only if read.
+    trace is built only if read, and so is the stuck term, by one fold of
+    the walk's frozen spine.
     """
     records: list[_Record] = []
     spine: list[tuple[App, list[Term]]] = []
@@ -301,9 +320,11 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
             path.append(1)
             u = u.args[0]
             continue
-        else:
+        elif u.__class__ is App:
             # every argument of u is normal: try the root
-            hit = _root_step(trs, u)
+            hit = _root_step(trs, u.sym, u.args, u._size)
+        else:
+            hit = None
         if hit is not None:
             if len(records) >= fuel:
                 outgrew = False
@@ -332,7 +353,8 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
                 path.pop()
                 u, entering = _rebuilt(node, args), False
     raise FuelExhausted(t, _LazyTrace(len(records),
-                                      lambda: _steps(t, records)), outgrew)
+                                      partial(_steps, t, records)),
+                        outgrew, partial(_folded, u, spine, path))
 
 
 def nf(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
@@ -369,10 +391,10 @@ class NormalForms:
     the term `normalize` reaches from the query after those steps, so the
     normal form, the size checks and the stuck term are the same. A
     FuelExhausted from there is raised again from the query, with the
-    bound it names and a trace that counts the steps before the
-    hand-over; that trace, and the stuck term read off it, are built only
-    if read, by running `normalize` on the query. A term that runs out of
-    fuel is not memoized.
+    bound it names, its lazy stuck term, and a trace that counts the
+    steps before the hand-over; that trace is built only if read, by
+    running `normalize` on the query. A term that runs out of fuel is not
+    memoized.
 
     The root phase stays in the public `normalize`: perfbench counts its
     calls and steps there, and its traced `cap` run requires every cap
@@ -400,7 +422,7 @@ class NormalForms:
             if memo.get(a) is not a:
                 return self._walk(t)
         # the common query: its arguments are known normal
-        if _root_step(self.trs, t) is None:
+        if _root_step(self.trs, t.sym, t.args, t._size) is None:
             return t
         return self._hand_over(t, t, 0, 0)
 
@@ -423,7 +445,9 @@ class NormalForms:
                     u = u.args[0]
                     continue
                 # every argument of u is normal: try the root
-                if _root_step(trs, u) is not None:
+                if (u.__class__ is App
+                        and _root_step(trs, u.sym, u.args, u._size)
+                        is not None):
                     break
                 if spine:
                     u = memo.setdefault(u, u)
@@ -459,10 +483,7 @@ class NormalForms:
                 path.pop()
                 u, entering = _rebuilt(node, args), False
         # the whole term at its first root redex
-        for (node, args), i in zip(reversed(spine), reversed(path)):
-            args[i - 1] = u
-            u = _rebuilt(node, args)
-        return self._hand_over(t, u, steps, peak)
+        return self._hand_over(t, _folded(u, spine, path), steps, peak)
 
     def _hand_over(self, t: Term, whole: Term, steps: int, peak: int) -> Term:
         """Normalize `t` from `whole`, the term its normalization reaches
@@ -473,9 +494,10 @@ class NormalForms:
         except FuelExhausted as e:
             if not steps:
                 raise  # from `whole`, which equals `t`
+            # `whole` gets stuck where `t` does
             raise FuelExhausted(t, _LazyTrace(
                 steps + len(e.trace), lambda: _trace_of_stuck(trs, t, fuel)),
-                e.outgrew) from None
+                e.outgrew, e._stuck) from None
         # a root redex was found, so the trace is not empty
         out = memo.setdefault(out, out)
         taken = len(trace)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from lmtk import minsky
 from lmtk.minsky import (
     COUNTER_OPS,
     TUPLE_BUDGET_PER_ITEM,
@@ -334,6 +335,45 @@ class TestCapSearch:
         res = cap_search(inst, 20, 8, max_apps=15_000)
         assert not res.found
         assert not res.complete
+
+    def test_a_probe_that_is_no_root_redex_builds_no_term(self, monkeypatch):
+        # every App built outside normalization is a query of `nf` or a
+        # node of the cap: a probe that cannot rewrite at the root is
+        # decided from its symbol and argument, and never built
+        inst = encode(TINY_MACHINE, 0, 0)
+        built, queries, inside, dropped = [], [], [], []
+        init, root_step = App.__init__, minsky._root_step
+
+        def counting(self, *args):
+            if not inside:
+                built.append(self)
+            init(self, *args)
+
+        class Counting(NormalForms):
+            def __call__(self, u):
+                queries.append(u)
+                inside.append(u)
+                try:
+                    return super().__call__(u)
+                finally:
+                    inside.pop()
+
+        def probe(trs, sym, args, size):
+            hit = root_step(trs, sym, args, size)
+            dropped.append(hit is None)
+            return hit
+        monkeypatch.setattr(App, "__init__", counting)
+        monkeypatch.setattr(minsky, "NormalForms", Counting)
+        monkeypatch.setattr(minsky, "_root_step", probe)
+        res = cap_search(inst, 30, 12)
+        monkeypatch.undo()
+        assert res.found
+        # the goal and the knowledge term were built before the search
+        applications = len(queries) - 1 - len(inst.knowledge)
+        cap_nodes = term_size(res.cap.body) - len(res.cap.assignment)
+        assert len(built) <= applications + cap_nodes
+        # the probes that were dropped, many more than the applications
+        assert sum(dropped) > applications
 
     def test_derivation_terms_are_deduced_normal_forms(self):
         inst = encode(TINY_MACHINE, 0, 0)

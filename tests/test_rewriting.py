@@ -7,6 +7,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from lmtk import rewriting
 from lmtk.rewriting import (
@@ -19,6 +20,7 @@ from lmtk.rewriting import (
     apply_rule,
     enumeration_variables,
     is_eps_irreducible,
+    is_redex,
     nf,
     normalize,
     replay,
@@ -48,7 +50,7 @@ from conftest import (
     odp,
 )
 from one_step import is_innermost_redex, is_reducible
-from random_systems import random_system
+from random_systems import random_system, random_term
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +96,9 @@ def root_step_oracle(trs, u):
 
 
 def root_step_labelled(trs, u):
-    hit = rewriting._root_step(trs, u)
+    if isinstance(u, Var):
+        return None
+    hit = rewriting._root_step(trs, u.sym, u.args, u._size)
     return hit and (hit[0].label, hit[1])
 
 
@@ -165,15 +169,55 @@ class TestRootStepFilter:
 
     def test_a_root_mismatch_is_not_matched(self, monkeypatch):
         trs = parse_trs(MIXED_ARGUMENTS)
-        match, offered = rewriting.match_term, []
+        match, offered = rewriting.match_many, []
 
-        def counting(pattern, subject):
-            offered.append(pattern)
-            return match(pattern, subject)
-        monkeypatch.setattr(rewriting, "match_term", counting)
+        def counting(pairs):
+            pairs = list(pairs)
+            offered.append([p for p, _ in pairs])
+            return match(pairs)
+        monkeypatch.setattr(rewriting, "match_many", counting)
         # both earlier lhs are small enough to match f(f(a,b),b)
         assert root_step_labelled(trs, t("f(f(a, b), b)", trs))[0] == "r3"
-        assert [render_term(p) for p in offered] == ["f(x,y)"]
+        # the root is fixed by `rules_by_root`: only the lhs arguments of
+        # r3 are matched
+        assert offered == [list(trs.rule("r3").lhs.args)]
+
+    @given(st.integers(0, 499), st.booleans(), st.data())
+    def test_a_symbol_and_normal_arguments_decide_as_the_built_term(
+            self, seed, from_lhs, data):
+        # the arguments are normal forms, drawn free or as instances of
+        # the lhs arguments of a rule, so that many tuples are redexes
+        trs = random_system(random.Random(seed))
+        assume(trs is not None)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        symbols, names = list(trs.symbols), list(trs.variables)
+
+        def normal(u):
+            try:
+                return nf(trs, u, 50)
+            except FuelExhausted:
+                assume(False)
+        if from_lhs:
+            lhs = data.draw(st.sampled_from(trs.rules)).lhs
+            sigma = {v: normal(random_term(rng, symbols, names, 3))
+                     for v in sorted(variables_of(lhs))}
+            sym, raw = lhs.sym, [substitute(a, sigma) for a in lhs.args]
+        else:
+            sym = data.draw(st.sampled_from(trs.symbols))
+            raw = [random_term(rng, symbols, names, 3)
+                   for _ in range(sym.arity)]
+        args = tuple(normal(a) for a in raw)
+        size = 1 + sum(term_size(a) for a in args)
+        hit = rewriting._root_step(trs, sym, args, size)
+        assert ((hit and (hit[0].label, hit[1]))
+                == root_step_oracle(trs, App(sym, args)))
+
+    def test_a_variable_is_no_redex(self):
+        # the rule f(x, y) -> g(y) fires on every f-term, but a variable
+        # has no root symbol
+        trs = parse_trs(MIXED_ARGUMENTS)
+        assert is_redex(trs, t("f(a, b)", trs))
+        assert not is_redex(trs, Var("x"))
 
 
 class TestNormalize:
@@ -237,12 +281,13 @@ class TestNormalize:
         start = App(a)
         for _ in range(n):
             start = App(f, (start,))
-        match, offered = rewriting.match_term, []
+        match, offered = rewriting.match_many, []
 
-        def counting(pattern, subject):
-            offered.append(term_size(pattern))
-            return match(pattern, subject)
-        monkeypatch.setattr(rewriting, "match_term", counting)
+        def counting(pairs):
+            pairs = list(pairs)
+            offered.append(1 + sum(term_size(p) for p, _ in pairs))
+            return match(pairs)
+        monkeypatch.setattr(rewriting, "match_many", counting)
         assert nf(trs, start) == App(a)
         assert sum(offered) <= 2 * n
 
@@ -257,9 +302,9 @@ class TestNormalize:
             start = App(f, (start,))
         root_step, tries = rewriting._root_step, []
 
-        def counting(trs, u):
-            tries.append(u)
-            return root_step(trs, u)
+        def counting(trs, sym, args, size):
+            tries.append((sym, args))
+            return root_step(trs, sym, args, size)
         monkeypatch.setattr(rewriting, "_root_step", counting)
         result, trace = normalize(trs, start)
         assert len(trace) == n
@@ -332,6 +377,42 @@ class TestNormalize:
             assert str(e) == "fuel exhausted after 10 steps"
             with pytest.raises(TypeError):
                 hash(e.trace)
+
+    def test_reading_the_stuck_term_folds_one_spine(self, monkeypatch):
+        # g^d(p(b, h(a))) takes b -> c, then runs out of fuel on
+        # h(x) -> h(s(x)) at depth d + 1. The stuck term is one fold of
+        # the d + 1 frames above the redex; the trace rebuilds them at
+        # every step. The query of NormalForms finds b memoized and hands
+        # over g^d(p(c, h(a))), so its stuck term comes from that hand-over
+        trs = parse_trs("sig: a/0 b/0 c/0 g/1 h/1 p/2 s/1\nvars: x\n"
+                        "rules:\n  b -> c\n  h(x) -> h(s(x))\n")
+        fuel, d = 50, 400
+        start = t("p(b, h(a))", trs)
+        for _ in range(d):
+            start = App(trs.symbol("g"), (start,))
+        cached = NormalForms(trs, fuel)
+        assert cached(t("b", trs)) == t("c", trs)
+        init, built = App.__init__, []
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+        for normalizer in (lambda u: nf(trs, u, fuel), cached):
+            with pytest.raises(FuelExhausted) as exc:
+                normalizer(start)
+            e = exc.value
+            monkeypatch.setattr(App, "__init__", counting)
+            built.clear()
+            term = e.term
+            assert len(built) <= d + 2
+            assert e.term is term
+            built.clear()
+            target = e.trace[-1].target
+            # the trace was not built with the stuck term
+            assert len(built) > fuel * d
+            monkeypatch.undo()
+            assert term == target
+            assert term_size(term) == d + fuel + 3
 
     def test_lazy_trace_equals_the_list_of_its_steps(self):
         loop = parse_trs("sig: a/0 b/0\nrules:\n  a -> b\n  b -> a\n")
