@@ -24,7 +24,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from typing import Optional
 
-from .rewriting import DEFAULT_FUEL, NormalForms, Rule, Trs, _root_step
+from .rewriting import DEFAULT_FUEL, NormalForms, Rule, Trs, is_root_redex
 from .terms import (
     App,
     Symbol,
@@ -448,12 +448,8 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
         normal: it is decided from `sym` and `args`, never built, and
         returns None."""
         spend()
-        if rewriting_only:
-            size = 1
-            for a in args:
-                size += a._size if a.__class__ is App else 1
-            if _root_step(theory, sym, args, size) is None:
-                return None
+        if rewriting_only and not is_root_redex(theory, sym, args):
+            return None
         raw = App(sym, args)
         t = nf(raw)
         rewrote = t is not raw and t != raw

@@ -152,30 +152,26 @@ class RewriteStep:
 class FuelExhausted(Exception):
     """Rewriting did not finish within the step budget, or the term outgrew
     MAX_TERM_NODES (`outgrew`), which the message names. `trace` is the
-    sequence of steps rewriting took from `start`; `normalize` passes a
-    read-only sequence whose steps are built on first read (its length
-    costs nothing), and which compares equal to the list of the same
-    steps. `term` is the term rewriting stopped at, built on first read
-    by `stuck` where the raise gives one (`normalize` folds its frozen
-    walk back into it, without the trace), else read off the trace: its
-    last target, or `start` when no step was taken."""
+    sequence of steps rewriting took; `normalize` passes a read-only
+    sequence whose steps are built on first read (its length costs
+    nothing), and which compares equal to the list of the same steps.
+    `term` is the term rewriting stopped at, built by `stuck` on first
+    read (`normalize` folds its frozen walk back into it, without the
+    trace)."""
 
-    def __init__(self, start: Term, trace: Sequence[RewriteStep],
-                 outgrew: bool, stuck: Optional[Callable[[], Term]] = None):
+    def __init__(self, trace: Sequence[RewriteStep], outgrew: bool,
+                 stuck: Callable[[], Term]):
         # the stuck term can be enormous; keep it off the message
         bound = (f"term outgrew {MAX_TERM_NODES} nodes" if outgrew
                  else "fuel exhausted")
         super().__init__(f"{bound} after {len(trace)} steps")
-        self.start = start
         self.trace = trace
         self.outgrew = outgrew
         self._stuck = stuck
 
     @cached_property
     def term(self) -> Term:
-        if self._stuck is not None:
-            return self._stuck()
-        return self.trace[-1].target if self.trace else self.start
+        return self._stuck()
 
 
 # one step as `normalize` records it: rule label, position and the
@@ -274,6 +270,15 @@ def is_redex(trs: Trs, t: Term) -> bool:
             and _root_step(trs, t.sym, t.args, t._size) is not None)
 
 
+def is_root_redex(trs: Trs, sym: Symbol, args: tuple[Term, ...]) -> bool:
+    """Whether some rule rewrites the term `sym(args)` at the root,
+    decided without building that term."""
+    size = 1
+    for a in args:  # a `sum` generator here loses a third of the saving
+        size += a._size if a.__class__ is App else 1
+    return _root_step(trs, sym, args, size) is not None
+
+
 def _folded(u: Term, spine: list[tuple[App, list[Term]]],
             path: list[int]) -> Term:
     """The whole term: `u` put back into a walk's spine frames, `path` the
@@ -352,8 +357,7 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
                 spine.pop()
                 path.pop()
                 u, entering = _rebuilt(node, args), False
-    raise FuelExhausted(t, _LazyTrace(len(records),
-                                      partial(_steps, t, records)),
+    raise FuelExhausted(_LazyTrace(len(records), partial(_steps, t, records)),
                         outgrew, partial(_folded, u, spine, path))
 
 
@@ -495,7 +499,7 @@ class NormalForms:
             if not steps:
                 raise  # from `whole`, which equals `t`
             # `whole` gets stuck where `t` does
-            raise FuelExhausted(t, _LazyTrace(
+            raise FuelExhausted(_LazyTrace(
                 steps + len(e.trace), lambda: _trace_of_stuck(trs, t, fuel)),
                 e.outgrew, e._stuck) from None
         # a root redex was found, so the trace is not empty

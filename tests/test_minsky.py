@@ -342,7 +342,7 @@ class TestCapSearch:
         # decided from its symbol and argument, and never built
         inst = encode(TINY_MACHINE, 0, 0)
         built, queries, inside, dropped = [], [], [], []
-        init, root_step = App.__init__, minsky._root_step
+        init, is_root_redex = App.__init__, minsky.is_root_redex
 
         def counting(self, *args):
             if not inside:
@@ -358,13 +358,13 @@ class TestCapSearch:
                 finally:
                     inside.pop()
 
-        def probe(trs, sym, args, size):
-            hit = root_step(trs, sym, args, size)
-            dropped.append(hit is None)
+        def probe(trs, sym, args):
+            hit = is_root_redex(trs, sym, args)
+            dropped.append(not hit)
             return hit
         monkeypatch.setattr(App, "__init__", counting)
         monkeypatch.setattr(minsky, "NormalForms", Counting)
-        monkeypatch.setattr(minsky, "_root_step", probe)
+        monkeypatch.setattr(minsky, "is_root_redex", probe)
         res = cap_search(inst, 30, 12)
         monkeypatch.undo()
         assert res.found

@@ -454,12 +454,12 @@ def innermost_oracle(trs, t, fuel):
         if hit is None:
             return t, trace
         if len(trace) >= fuel:
-            raise FuelExhausted(t, trace, False)
+            raise FuelExhausted(trace, False, lambda: t)
         rule, p, target, _ = hit
         trace.append(RewriteStep(rule.label, p, t, target))
         t = target
         if term_size(t) > MAX_TERM_NODES:
-            raise FuelExhausted(t, trace, True)
+            raise FuelExhausted(trace, True, lambda: t)
 
 
 def normalize_outermost(trs, t, fuel=DEFAULT_FUEL):
@@ -471,10 +471,10 @@ def normalize_outermost(trs, t, fuel=DEFAULT_FUEL):
         if hit is None:
             return t
         if steps >= fuel:
-            raise FuelExhausted(t, [], False)
+            raise FuelExhausted([], False, lambda: t)
         t = hit[2]
         if term_size(t) > MAX_TERM_NODES:
-            raise FuelExhausted(t, [], True)
+            raise FuelExhausted([], True, lambda: t)
 
 
 def outcome(normalizer, trs, u, fuel):
