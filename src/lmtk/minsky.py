@@ -4,8 +4,11 @@ A machine is a set of states with 4-tuple transitions [q, j, x, q']:
 in state q, test or update counter j (Z zero-test, P positive-test,
 + increment, - decrement, 0 no-op) and move to q'. The reversibility
 condition allows two transitions to share a source or a target state only
-as a Z/P test pair on the same counter, which is what makes the encoding
-below free of critical pairs.
+as a Z/P test pair on the same counter. That keeps the encoding below free
+of critical pairs only if, besides, no transition leaves the final state:
+the rule of such a transition and the finalize rule share their root
+symbol and overlap at the root. `validate_machine` checks the
+reversibility condition alone.
 
 The encoding turns a machine into a rewrite system over configuration
 terms c(state, counter1, counter2, step): one rule per transition, plus a
@@ -60,6 +63,9 @@ class MinskyMachine:
     transitions: tuple[Transition, ...]
 
     def __post_init__(self) -> None:
+        for i, q in enumerate(self.states):
+            if q in self.states[:i]:
+                raise ValueError(f"state {q} declared twice")
         if self.initial not in self.states or self.final not in self.states:
             raise ValueError("initial and final states must be declared")
         for t in self.transitions:
@@ -403,9 +409,10 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
     junk flood. At most `max_apps` applications are tried overall, and a
     popped item contributes at most `TUPLE_BUDGET_PER_ITEM` argument
     tuples per symbol of arity two or more, taking each earlier popped
-    argument by its public construction when it has one. `complete` is true only if no bound was hit and no
-    knowledge-using construction was skipped that way: only then is a
-    miss a proof that no cap exists.
+    argument by its public construction when it has one. `complete` is
+    true only if no bound was hit and no knowledge-using construction
+    was skipped that way: only then is a miss a proof that no cap
+    exists.
     """
     theory = instance.theory
     nf = NormalForms(theory, fuel)

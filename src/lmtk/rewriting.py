@@ -68,9 +68,10 @@ class Rule:
         return variables_of(self.lhs) | variables_of(self.rhs)
 
 
-# a rule as `Trs.rules_by_root` files it: lhs size, the root symbol
-# names of the lhs arguments (None for a variable), the rule
-_RootEntry = tuple[int, tuple[Optional[str], ...], Rule]
+# a rule as `Trs.rules_by_root` files it: its shape, one (root symbol
+# name or None for a variable, node count) pair per lhs argument, read
+# against a term's argument tuple alone, and the rule
+_RootEntry = tuple[tuple[tuple[Optional[str], int], ...], Rule]
 
 
 @dataclass(frozen=True)
@@ -94,16 +95,16 @@ class Trs:
     @cached_property
     def rules_by_root(self) -> dict[str, tuple[_RootEntry, ...]]:
         """Rules grouped by lhs root symbol, file order preserved, each
-        with its lhs size and the root symbol names of its lhs arguments
-        (None for a variable argument); lets matching skip rules that
-        cannot apply before it calls the matcher."""
+        with the root symbol name (None for a variable) and node count of
+        each lhs argument: from a symbol and an argument tuple alone,
+        matching skips rules that cannot apply before it calls the
+        matcher."""
         out: dict[str, list[_RootEntry]] = {}
         for r in self.rules:
             assert isinstance(r.lhs, App)
-            heads = tuple(None if isinstance(a, Var) else a.sym.name
-                          for a in r.lhs.args)
-            out.setdefault(r.lhs.sym.name, []).append(
-                (term_size(r.lhs), heads, r))
+            shape = tuple((None, 1) if isinstance(a, Var)
+                          else (a.sym.name, term_size(a)) for a in r.lhs.args)
+            out.setdefault(r.lhs.sym.name, []).append((shape, r))
         return {k: tuple(v) for k, v in out.items()}
 
     @cached_property
@@ -236,25 +237,24 @@ def apply_rule(rule: Rule, t: Term, p: Position) -> Optional[tuple[Term, Subst]]
     return replace_at(t, p, substitute(rule.rhs, sigma)), sigma
 
 
-def _root_step(trs: Trs, sym: Symbol, args: tuple[Term, ...],
-               size: int) -> Optional[tuple[Rule, Subst]]:
+def _root_step(trs: Trs, sym: Symbol,
+               args: tuple[Term, ...]) -> Optional[tuple[Rule, Subst]]:
     """The first rule in file order whose lhs matches the term `sym(args)`
-    of `size` nodes at the root, with its matcher; None when that term is
-    no redex. The only place that decides which rule fires. It needs no
-    built term: `rules_by_root` fixes the root symbol, so only the lhs
-    arguments are matched against `args`.
+    at the root, with its matcher; None when that term is no redex. The
+    only place that decides which rule fires. It reads only the symbol
+    and the arguments, so it needs no built term: `rules_by_root` fixes
+    the root symbol, and only the lhs arguments are matched against
+    `args`.
 
-    Before matching, a rule is skipped when its lhs is larger than the
-    term (a matcher maps the lhs nodes onto distinct nodes of the term)
-    or when an argument lacks the root symbol of the lhs argument
-    opposite it, where that is no variable (Graf, Term Indexing, LNAI
-    1053)."""
-    for lhs_size, heads, rule in trs.rules_by_root.get(sym.name, ()):
-        if lhs_size > size:
-            continue
-        for a, head in zip(args, heads):
+    Before matching, a rule is skipped when a lhs argument that is no
+    variable has another root symbol than the argument opposite it, or
+    more nodes (a matcher maps its nodes onto distinct nodes of that
+    argument; Graf, Term Indexing, LNAI 1053)."""
+    for shape, rule in trs.rules_by_root.get(sym.name, ()):
+        for a, (head, size) in zip(args, shape):
             if head is not None and (a.__class__ is not App
-                                     or a.sym.name != head):
+                                     or a.sym.name != head
+                                     or a._size < size):
                 break
         else:
             sigma = match_many(zip(rule.lhs.args, args))
@@ -263,20 +263,10 @@ def _root_step(trs: Trs, sym: Symbol, args: tuple[Term, ...],
     return None
 
 
-def is_redex(trs: Trs, t: Term) -> bool:
-    """Whether some rule rewrites `t` at the root; a variable is no
-    redex."""
-    return (t.__class__ is App
-            and _root_step(trs, t.sym, t.args, t._size) is not None)
-
-
 def is_root_redex(trs: Trs, sym: Symbol, args: tuple[Term, ...]) -> bool:
-    """Whether some rule rewrites the term `sym(args)` at the root,
-    decided without building that term."""
-    size = 1
-    for a in args:  # a `sum` generator here loses a third of the saving
-        size += a._size if a.__class__ is App else 1
-    return _root_step(trs, sym, args, size) is not None
+    """Whether some rule rewrites the term `sym(args)` at the root, read
+    from the symbol and the arguments alone: that term is never built."""
+    return _root_step(trs, sym, args) is not None
 
 
 def _folded(u: Term, spine: list[tuple[App, list[Term]]],
@@ -327,7 +317,7 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
             continue
         elif u.__class__ is App:
             # every argument of u is normal: try the root
-            hit = _root_step(trs, u.sym, u.args, u._size)
+            hit = _root_step(trs, u.sym, u.args)
         else:
             hit = None
         if hit is not None:
@@ -426,7 +416,7 @@ class NormalForms:
             if memo.get(a) is not a:
                 return self._walk(t)
         # the common query: its arguments are known normal
-        if _root_step(self.trs, t.sym, t.args, t._size) is None:
+        if _root_step(self.trs, t.sym, t.args) is None:
             return t
         return self._hand_over(t, t, 0, 0)
 
@@ -450,8 +440,7 @@ class NormalForms:
                     continue
                 # every argument of u is normal: try the root
                 if (u.__class__ is App
-                        and _root_step(trs, u.sym, u.args, u._size)
-                        is not None):
+                        and _root_step(trs, u.sym, u.args) is not None):
                     break
                 if spine:
                     u = memo.setdefault(u, u)
@@ -536,8 +525,10 @@ def replay(trs: Trs, t: Term, trace: Sequence[RewriteStep]) -> Term:
 
 
 def is_eps_irreducible(trs: Trs, t: Term) -> bool:
-    """Every proper subterm irreducible (the root may still be a redex)."""
-    return not any(is_redex(trs, u) for p, u in subterms(t) if p)
+    """Every proper subterm irreducible (the root may still be a redex);
+    a variable is never a redex."""
+    return not any(u.__class__ is App and is_root_redex(trs, u.sym, u.args)
+                   for p, u in subterms(t) if p)
 
 
 def enumeration_variables(trs: Trs) -> list[str]:

@@ -20,14 +20,18 @@ from lmtk.rewriting import (
     Trs,
     apply_rule,
     is_eps_irreducible,
-    is_redex,
+    is_root_redex,
     nf,
 )
-from lmtk.terms import ROOT, Term, enumerate_terms, substitute, subterms
+from lmtk.terms import ROOT, App, Term, enumerate_terms, substitute, subterms
 
 # bounds: ground pool size, lhs instantiations per rule
 POOL = 512
 TUPLES_PER_RULE = 4096
+
+
+def is_redex(trs: Trs, t: Term) -> bool:
+    return t.__class__ is App and is_root_redex(trs, t.sym, t.args)
 
 
 def is_reducible(trs: Trs, t: Term) -> bool:

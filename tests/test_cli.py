@@ -327,6 +327,15 @@ class TestMinskyCommands:
         # `--json` is a flag of the action, so it follows the action
         assert run(capsys, "minsky", "--json", "validate", path)[0] == 3
 
+    @pytest.mark.parametrize("action", ["validate", "simulate", "encode",
+                                        "cap"])
+    def test_a_repeated_state_exits_3(self, write, capsys, action):
+        path = write("m.mm", "states: q0 q0 qL\ninitial: q0\nfinal: qL\n"
+                             "q0 1 + qL\n")
+        code, out, err = run(capsys, "minsky", action, path)
+        assert (code, out) == (3, "")
+        assert err == "error: state q0 declared twice\n"
+
     def test_simulate(self, write, capsys):
         path = write("m.mm", render_machine(BRANCHING_MACHINE))
         code, out, _ = run(capsys, "minsky", "simulate", path, "--k", "1")

@@ -108,6 +108,13 @@ class TestSimulate:
 
 
 class TestMachineFormat:
+    def test_a_repeated_state_is_rejected(self):
+        # unchecked, it passes `validate` and fails `encode` on a symbol
+        # f_q0 that the machine file never names
+        with pytest.raises(ValueError, match="^state q0 declared twice$"):
+            parse_machine("states: q0 q0 qL\ninitial: q0\nfinal: qL\n"
+                          "q0 1 + qL\n")
+
     def test_round_trip(self):
         text = render_machine(BRANCHING_MACHINE)
         assert parse_machine(text) == BRANCHING_MACHINE

@@ -156,3 +156,33 @@ def test_no_function_calls_itself():
     # limit, so every walk is a loop
     found = set().union(*(self_calls(p) for p in sorted(PACKAGE.glob("*.py"))))
     assert found == set(RECURSIVE)
+
+
+# private names shared between modules on purpose, as ROADMAP "Quality of
+# design" names them
+SHARED_PRIVATE = {"terms._rebuilt"}
+
+
+def private_imports(path: Path) -> set[str]:
+    """`module._name` for each private name that `path` imports from
+    another lmtk module."""
+    out: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level:
+            module = node.module or ""
+        elif (node.module or "").split(".")[0] == "lmtk":
+            module = node.module.partition(".")[2]
+        else:
+            continue
+        out.update(f"{module}.{alias.name}" for alias in node.names
+                   if alias.name.startswith("_"))
+    return out
+
+
+def test_no_private_name_crosses_modules():
+    # a module reads another's private name only through its public API
+    found = set().union(*(private_imports(p)
+                          for p in sorted(PACKAGE.glob("*.py"))))
+    assert found == SHARED_PRIVATE

@@ -20,7 +20,7 @@ from lmtk.rewriting import (
     apply_rule,
     enumeration_variables,
     is_eps_irreducible,
-    is_redex,
+    is_root_redex,
     nf,
     normalize,
     replay,
@@ -98,7 +98,7 @@ def root_step_oracle(trs, u):
 def root_step_labelled(trs, u):
     if isinstance(u, Var):
         return None
-    hit = rewriting._root_step(trs, u.sym, u.args, u._size)
+    hit = rewriting._root_step(trs, u.sym, u.args)
     return hit and (hit[0].label, hit[1])
 
 
@@ -182,6 +182,22 @@ class TestRootStepFilter:
         # r3 are matched
         assert offered == [list(trs.rule("r3").lhs.args)]
 
+    def test_an_argument_too_small_is_not_matched(self, monkeypatch):
+        # the lhs has 5 nodes and the term 7, but g(a) has fewer nodes
+        # than g(g(x)) opposite it: the matcher is not called
+        trs = parse_trs("sig: f/2 g/1 h/1 a/0\nvars: x y\nrules:\n"
+                        "  f(g(g(x)), y) -> a\n")
+        match, offered = rewriting.match_many, []
+
+        def counting(pairs):
+            offered.append(pairs)
+            return match(pairs)
+        monkeypatch.setattr(rewriting, "match_many", counting)
+        u = t("f(g(a), h(h(h(a))))", trs)
+        assert term_size(trs.rules[0].lhs) < term_size(u)
+        assert root_step_labelled(trs, u) is None
+        assert offered == []
+
     @given(st.integers(0, 499), st.booleans(), st.data())
     def test_a_symbol_and_normal_arguments_decide_as_the_built_term(
             self, seed, from_lhs, data):
@@ -207,8 +223,7 @@ class TestRootStepFilter:
             raw = [random_term(rng, symbols, names, 3)
                    for _ in range(sym.arity)]
         args = tuple(normal(a) for a in raw)
-        size = 1 + sum(term_size(a) for a in args)
-        hit = rewriting._root_step(trs, sym, args, size)
+        hit = rewriting._root_step(trs, sym, args)
         assert ((hit and (hit[0].label, hit[1]))
                 == root_step_oracle(trs, App(sym, args)))
 
@@ -216,8 +231,9 @@ class TestRootStepFilter:
         # the rule f(x, y) -> g(y) fires on every f-term, but a variable
         # has no root symbol
         trs = parse_trs(MIXED_ARGUMENTS)
-        assert is_redex(trs, t("f(a, b)", trs))
-        assert not is_redex(trs, Var("x"))
+        u = t("f(a, b)", trs)
+        assert is_root_redex(trs, u.sym, u.args)
+        assert is_eps_irreducible(trs, t("f(x, y)", trs))
 
 
 class TestNormalize:
@@ -302,9 +318,9 @@ class TestNormalize:
             start = App(f, (start,))
         root_step, tries = rewriting._root_step, []
 
-        def counting(trs, sym, args, size):
+        def counting(trs, sym, args):
             tries.append((sym, args))
-            return root_step(trs, sym, args, size)
+            return root_step(trs, sym, args)
         monkeypatch.setattr(rewriting, "_root_step", counting)
         result, trace = normalize(trs, start)
         assert len(trace) == n
