@@ -52,6 +52,7 @@ from .terms import (
     Term,
     Var,
     enumerate_terms,
+    flatterm,
     match_term,
     render_position,
     render_term,
@@ -555,13 +556,13 @@ def consequence_checks(trs: Trs, depth: int = 3,
     # unordered equation, so subsumption tries both orientations)
     def unsaturated() -> str:
         bad = []
-        index = RuleIndex(trs.rules)
+        index = RuleIndex(trs.symbols, trs.rules)
         for cand in paramodulation_candidates(trs):
             eq = cand.conclusion
             if eq.lhs == eq.rhs:
                 continue
-            if not (index.subsumed(eq.lhs, eq.rhs)
-                    or index.subsumed(eq.rhs, eq.lhs)):
+            if not (index.subsumed(flatterm((eq.lhs, eq.rhs)))
+                    or index.subsumed(flatterm((eq.rhs, eq.lhs)))):
                 bad.append(str(cand))
         return "; ".join(bad[:3])
     add("paramodulation saturated", unsaturated)

@@ -11,9 +11,9 @@ depends only on its source and the base rules, so an older source would
 only repeat candidates that were already subsumed, added, or renamed
 duplicates of added rules; all of those are in the index, which only
 grows, so the trace is the one that composing the whole set gives. A
-candidate is checked by its key (the flat pre-order of its sides, read off
-the source rule and the unifier), then for redundancy: its sides are built
-only past the key, and a `Rule` only for a kept one. A renamed copy of a
+candidate is checked by its key (the flatterm of its sides, read off the
+source rule and the unifier), then for redundancy on the same key: its
+sides are built, and a `Rule`, only for a kept one. A renamed copy of a
 rule the generation kept is dropped on its key, with the same trace:
 subsumption and triviality do not change under a renaming of variables,
 so a copy of a redundant candidate is redundant too, and a copy of a kept
@@ -25,32 +25,35 @@ when its sides are equal or some existing rule subsumes it outright. That
 is sound (nothing needed is dropped) but may keep more rules than an
 ideal ground-instance notion would; reports always state which filter ran.
 
-Subsuming rules are not found by scanning every rule. A `RuleIndex` (a
-discrimination tree: McCune, JAR 1992; Graf, *Term Indexing*, LNAI 1053)
-files each rule under the pre-order symbols of its lhs and then its rhs,
-every variable under one wildcard key. A query walks the candidate's
-pre-order keys and follows two branches at each: the candidate's symbol,
-and the wildcard, which skips the candidate's whole subterm there. A
-candidate's variable is a constant to matching, so it follows only the
-wildcard. What the query retrieves matches the candidate position by
-position, and `subsumes` then checks each retrieved rule under one
-consistent substitution, which repeated variables need.
+Subsuming rules are not found by scanning every rule. A `RuleIndex` is a
+perfect discrimination tree over flatterms (McCune, JAR 1992; Christian,
+JAR 1993; Graf, *Term Indexing*, LNAI 1053). It files each rule under the
+pre-order of its lhs and then its rhs: a symbol by its name, a variable's
+first occurrence as a binding edge, and each later occurrence as a
+reference to that binding. A query walks the candidate's flatterm. At a
+symbol edge it compares one token; at a binding edge it skips the
+candidate's subterm there, whose end the signature's arities give; at a
+reference edge it compares the slice the binding skipped with the one at
+hand, and since the candidate's variables are numbered canonically, equal
+slices are equal subterms. A candidate's variable is a constant to
+matching, so it follows no symbol edge. What the query retrieves is
+exactly the set of rules that subsume the candidate, so no retrieved rule
+is matched again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Optional, Sequence, Union
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence, Union
 
 from .overlaps import overlap_sites
 from .rewriting import Rule, Trs
 from .terms import (
-    App,
     Position,
     Subst,
+    Symbol,
     Term,
-    Var,
-    match_many,
+    flatterm,
     mgu,
     render_position,
     replace_at,
@@ -71,70 +74,84 @@ class FcCandidate:
                 f"at {render_position(self.position)}, gen {self.generation})")
 
 
-def subsumes(general: Rule, lhs: Term, rhs: Term) -> bool:
-    """One substitution maps `general` onto the pair (lhs, rhs), both sides
-    at once."""
-    return match_many([(general.lhs, lhs), (general.rhs, rhs)]) is not None
-
-
-# the index key of every variable; symbols are their own keys
-_ANY = object()
+# the edge of a pattern variable's first occurrence. A later occurrence of
+# the k-th bound variable is the edge ~k, a negative int: a key token is a
+# name or a variable number from 0, so neither edge is ever a token's own
+_BIND = None
 
 
 class RuleIndex:
-    """Rules filed for retrieval of the ones that subsume a term pair."""
+    """Rules filed for exact retrieval of the ones that subsume a term pair,
+    queried with the pair's flatterm (`terms.flatterm`): a perfect
+    discrimination tree, as the module docstring sets out. `symbols` is
+    the signature of the pairs queried."""
 
-    def __init__(self, rules: Iterable[Rule] = ()) -> None:
-        # nested dicts keyed by pre-order key; a key sequence spells out
-        # two whole terms, so no sequence is a prefix of another and the
-        # last key of each leads to the list of rules filed under it
+    def __init__(self, symbols: Iterable[Symbol],
+                 rules: Iterable[Rule] = ()) -> None:
+        # what a key token adds to the subterms a pre-order walk still
+        # owes: its arity less one, and -1 for a variable (an int)
+        self._owes = {s.name: s.arity - 1 for s in symbols}
+        # nested dicts keyed by edge; an edge sequence spells out two whole
+        # terms, so no sequence is a prefix of another and the last edge
+        # of each leads to the list of rules filed under it
         self._root: dict = {}
         for rule in rules:
             self.add(rule)
 
     def add(self, rule: Rule) -> None:
-        keys: list = []  # pre-order over lhs, then rhs
-        stack = [rule.rhs, rule.lhs]
-        while stack:
-            u = stack.pop()
-            if u.__class__ is Var:
-                keys.append(_ANY)
-            else:
-                keys.append(u.sym)
-                stack.extend(reversed(u.args))
+        edges: list = []
+        bound = 0
+        for token in flatterm((rule.lhs, rule.rhs)):
+            if token.__class__ is int:
+                # variables are numbered by first occurrence
+                if token == bound:
+                    token, bound = _BIND, bound + 1
+                else:
+                    token = ~token
+            edges.append(token)
         node = self._root
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-        node.setdefault(keys[-1], []).append(rule)
+        for edge in edges[:-1]:
+            node = node.setdefault(edge, {})
+        node.setdefault(edges[-1], []).append(rule)
 
-    def generalizations(self, lhs: Term, rhs: Term) -> list[Rule]:
-        """Every rule whose sides match (lhs, rhs) when each variable
-        occurrence is matched on its own: all the rules that subsume the
-        pair, and those that would but for a repeated variable."""
-        out: list[Rule] = []
-        # (tree node, subterms still to walk as a linked list, next first)
-        stack = [(self._root, (lhs, (rhs, None)))]
+    def subsumers(self, key: tuple) -> Iterator[Rule]:
+        """Each filed rule that one substitution maps onto the term pair
+        whose flatterm is `key`, lhs and rhs at once."""
+        owes, n = self._owes, len(key)
+        # (tree node, next key position, (start, end) of each binding)
+        stack: list = [(self._root, 0, ())]
         while stack:
-            node, todo = stack.pop()
-            if todo is None:
-                out.extend(node)
-                continue
-            u, rest = todo
-            child = node.get(_ANY)
+            node, i, bound = stack.pop()
+            child = node.get(key[i])
             if child is not None:
-                stack.append((child, rest))
-            if u.__class__ is not Var:
-                child = node.get(u.sym)
-                if child is not None:
-                    for a in reversed(u.args):
-                        rest = (a, rest)
-                    stack.append((child, rest))
-        return out
+                if i + 1 == n:
+                    yield from child
+                else:
+                    stack.append((child, i + 1, bound))
+            # equal slices are equal subterms: the pair's variables are
+            # numbered canonically
+            for k, (start, end) in enumerate(bound):
+                child = node.get(~k)
+                j = i + end - start
+                if child is not None and key[i:j] == key[start:end]:
+                    if j == n:
+                        yield from child
+                    else:
+                        stack.append((child, j, bound))
+            child = node.get(_BIND)
+            if child is not None:
+                j, owed = i, 1
+                while owed:
+                    owed += owes.get(key[j], -1)
+                    j += 1
+                if j == n:
+                    yield from child
+                else:
+                    stack.append((child, j, (*bound, (i, j))))
 
-    def subsumed(self, lhs: Term, rhs: Term) -> bool:
-        """Some indexed rule subsumes the pair (lhs, rhs)."""
-        return any(subsumes(r, lhs, rhs)
-                   for r in self.generalizations(lhs, rhs))
+    def subsumed(self, key: tuple) -> bool:
+        """Some filed rule subsumes the term pair whose flatterm is `key`."""
+        return next(self.subsumers(key), None) is not None
 
 
 class Composition:
@@ -145,13 +162,15 @@ class Composition:
 
     # a plain class: a slotted dataclass takes about 0.5 ms to define,
     # which every start-up of lmtk would pay
-    __slots__ = ("source", "base", "position", "base_rhs", "sigma", "_sides")
+    __slots__ = ("source", "base", "position", "base_rhs", "sigma", "_sides",
+                 "_key")
 
     def __init__(self, source: Rule, base: Rule, position: Position,
                  base_rhs: Term, sigma: Subst) -> None:
         self.source, self.base, self.position = source, base, position
         self.base_rhs, self.sigma = base_rhs, sigma
         self._sides: Optional[tuple[Term, Term]] = None
+        self._key: Optional[tuple] = None
 
     def sides(self) -> tuple[Term, Term]:
         """sigma(l1) and sigma(r1[base_rhs]_p)."""
@@ -165,36 +184,23 @@ class Composition:
     rhs = property(lambda self: self.sides()[1])
 
     def key(self) -> tuple:
-        """The sides' flat pre-order (flatterms: Christian, JAR 1993), each
-        symbol by name and each variable by first occurrence, walked
-        through the source rule with sigma applied inline (it is
-        idempotent) and no term built. Names are unique in a signature and
-        arities fixed, so keys are equal exactly when `canonical_term_pair`
-        of the sides is."""
-        sigma, numbers, out = self.sigma, {}, []
-        # pop order: the lhs; each rhs spine symbol (as its name) with the
-        # arguments before the hole; the base rhs; the arguments after it
-        stack, front, spine = [], [], self.source.rhs
-        for i in self.position:
-            front += (spine.sym.name, *spine.args[:i - 1])
-            stack += reversed(spine.args[i:])
-            spine = spine.args[i - 1]
-        stack += (self.base_rhs, *reversed(front), self.source.lhs)
-        while stack:
-            u = stack.pop()
-            if u.__class__ is App:
-                out.append(u.sym.name)
-                if u.args:
-                    stack += u.args[::-1]
-            elif u.__class__ is Var:
-                bound = sigma.get(u.name)
-                if bound is None:
-                    out.append(numbers.setdefault(u.name, len(numbers)))
-                else:
-                    stack.append(bound)
-            else:
-                out.append(u)
-        return tuple(out)
+        """The sides' flatterm (`terms.flatterm`), walked through the source
+        rule with sigma applied inline (it is idempotent) and no term
+        built, on the first call only."""
+        if self._key is None:
+            # the lhs; each rhs spine symbol (as its name) with the
+            # arguments before the hole; the base rhs; then the arguments
+            # after the hole, innermost spine symbol first
+            items, tails, spine = [self.source.lhs], [], self.source.rhs
+            for i in self.position:
+                items += (spine.sym.name, *spine.args[:i - 1])
+                tails.append(spine.args[i:])
+                spine = spine.args[i - 1]
+            items.append(self.base_rhs)
+            for tail in reversed(tails):
+                items += tail
+            self._key = flatterm(items, self.sigma)
+        return self._key
 
     def candidate(self, taken: AbstractSet[str] = frozenset(),
                   generation: int = 0) -> FcCandidate:
@@ -210,11 +216,15 @@ class Composition:
 
 def is_redundant_approx(candidate: Union[Rule, Composition],
                         existing: RuleIndex) -> bool:
-    """Trivial (sides equal) or subsumed by some rule of `existing`, found
-    through the index rather than by trying every rule."""
-    if candidate.lhs == candidate.rhs:
-        return True
-    return existing.subsumed(candidate.lhs, candidate.rhs)
+    """Trivial (sides equal) or subsumed by some rule of `existing`, both
+    decided on the candidate's flatterm (`Composition.key` for a
+    composition) with no side built: the sides are equal when the lhs half
+    of the flatterm equals the rhs half, and subsumption is exact
+    retrieval from the index."""
+    key = (candidate.key() if candidate.__class__ is Composition
+           else flatterm((candidate.lhs, candidate.rhs)))
+    half = len(key) // 2
+    return key[:half] == key[half:] or existing.subsumed(key)
 
 
 def compositions(sources: Sequence[Rule], base: Sequence[Rule],
@@ -265,7 +275,7 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
     # candidates are checked against the previous generation only. Each
     # generation files its sources first, so the last generation's rules,
     # which no query reads, are never filed
-    index = RuleIndex()
+    index = RuleIndex(trs.symbols)
     for gen in range(1, max_generations + 1):
         for rule in sources:
             index.add(rule)

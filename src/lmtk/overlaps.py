@@ -18,10 +18,10 @@ from .terms import (
     App,
     Position,
     ROOT,
-    Subst,
     Symbol,
     Term,
     Var,
+    flatterm,
     mgu,
     render_position,
     render_term,
@@ -29,7 +29,6 @@ from .terms import (
     replace_at,
     substitute,
     subterms,
-    variables_in_order,
 )
 
 
@@ -75,19 +74,9 @@ class CriticalPair:
                 f"({self.inner} into {self.outer} at {render_position(self.position)})")
 
 
-def canonical_term_pair(a: Term, b: Term) -> tuple[Term, Term]:
-    """Rename variables by first occurrence across the pair (v1, v2, ...) by
-    two `substitute` calls, which keep each subterm without a variable. Keys
-    are terms, not text: a constant may be named like a canonical variable."""
-    names = dict.fromkeys(variables_in_order(a) + variables_in_order(b))
-    renaming: Subst = {name: Var(f"v{k}") for k, name in enumerate(names, 1)}
-    return substitute(a, renaming), substitute(b, renaming)
-
-
-def equation_key(eq: Equation) -> frozenset[tuple[Term, Term]]:
+def equation_key(eq: Equation) -> frozenset[tuple]:
     """Canonical key identifying equations up to renaming and side swap."""
-    return frozenset((canonical_term_pair(eq.lhs, eq.rhs),
-                      canonical_term_pair(eq.rhs, eq.lhs)))
+    return frozenset((flatterm((eq.lhs, eq.rhs)), flatterm((eq.rhs, eq.lhs))))
 
 
 def overlap_sites(host: Term, avoid: set[str], rules: Sequence[Rule],
@@ -143,10 +132,10 @@ def nosup(trs: Trs) -> list[Term]:
     proper positions (a lhs unified into a proper non-variable position of
     another lhs, or of a renamed copy of itself), in critical-pair order,
     one per variable renaming."""
-    peaks: dict[Term, Term] = {}  # the first peak per canonical renaming
+    peaks: dict[tuple, Term] = {}  # the first peak per flatterm
     for cp in critical_pairs(trs):
         if cp.position != ROOT:
-            peaks.setdefault(canonical_term_pair(cp.peak, cp.peak)[0], cp.peak)
+            peaks.setdefault(flatterm((cp.peak,)), cp.peak)
     return list(peaks.values())
 
 
@@ -156,7 +145,7 @@ def rhs_critical_pairs(trs: Trs) -> list[Equation]:
     inference fires only when the two instantiated left sides differ as
     literal terms, which silently drops the no-op self-pairings."""
     out: list[Equation] = []
-    seen: set[frozenset[tuple[Term, Term]]] = set()
+    seen: set[frozenset[tuple]] = set()
     for r1 in trs.rules:
         for r2 in trs.rules:
             lhs, rhs = rename_pair_apart(r2.lhs, r2.rhs,

@@ -10,6 +10,7 @@ tuples; searches that report their first hit report it in that order.
 Substitutions are plain dicts from variable names to terms. `substitute`
 is the one rebuild of a term, a loop like every walk here (terms outgrow
 the recursion limit); it shares `_rebuilt` with `rewriting`'s normalizers.
+`flatterm` is the one key of terms up to a renaming of their variables.
 """
 
 from __future__ import annotations
@@ -251,6 +252,35 @@ def substitute(t: Term, subst: Subst) -> Term:
                 return u
             node, done = spine.pop()
             done.append(u)
+
+
+def flatterm(items: Sequence[Union[Term, str]], subst: Subst = {}) -> tuple:
+    """The flat pre-order of `items` in turn (flatterms: Christian, JAR
+    1993): each symbol by its name, each variable bound in `subst` by the
+    flatterm of its binding (`subst` must be idempotent), each other
+    variable by its first occurrence, 0, 1, ..., and a str item as it
+    stands. Names are unique in a signature and arities fixed, so two
+    term sequences have equal flatterms exactly when one is the other with
+    its variables renamed: this is the one key up to renaming."""
+    numbers: dict[str, int] = {}
+    out: list = []
+    stack = list(items)
+    stack.reverse()
+    while stack:
+        u = stack.pop()
+        if u.__class__ is App:
+            out.append(u.sym.name)
+            if u.args:
+                stack += u.args[::-1]
+        elif u.__class__ is Var:
+            bound = subst.get(u.name)
+            if bound is None:
+                out.append(numbers.setdefault(u.name, len(numbers)))
+            else:
+                stack.append(bound)
+        else:
+            out.append(u)
+    return tuple(out)
 
 
 def match_term(pattern: Term, subject: Term) -> Optional[Subst]:

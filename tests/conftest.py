@@ -17,7 +17,7 @@ import pytest
 from lmtk.checker import CheckOptions, QdReport, lm_verdict
 from lmtk.minsky import MinskyMachine, Transition, encode, encoding_precedence
 from lmtk.rewriting import Trs
-from lmtk.terms import ROOT, Position, Term, Var
+from lmtk.terms import ROOT, Position, Term, Var, substitute, variables_in_order
 from lmtk.trs_format import parse_trs
 
 UNARY_CHAIN = """
@@ -341,3 +341,13 @@ def odp(s: Term, t: Term) -> set[Position]:
 
     walk(s, t, ROOT)
     return out
+
+
+def canonical_term_pair(a: Term, b: Term) -> tuple[Term, Term]:
+    """Rename variables by first occurrence across the pair (v1, v2, ...) by
+    two `substitute` calls, which keep each subterm without a variable. Keys
+    are terms, not text: a constant may be named like a canonical variable.
+    The oracle of `terms.flatterm`, the key up to renaming that lmtk uses."""
+    names = dict.fromkeys(variables_in_order(a) + variables_in_order(b))
+    renaming = {name: Var(f"v{k}") for k, name in enumerate(names, 1)}
+    return substitute(a, renaming), substitute(b, renaming)

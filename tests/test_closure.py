@@ -5,6 +5,7 @@ decision."""
 import contextlib
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -18,10 +19,9 @@ from lmtk.closure import (
     fc_iterate,
     is_forward_closed,
     is_redundant_approx,
-    subsumes,
 )
 from lmtk.minsky import encode
-from lmtk.overlaps import canonical_term_pair, paramodulation_candidates
+from lmtk.overlaps import paramodulation_candidates
 from lmtk.rewriting import (
     FuelExhausted,
     Rule,
@@ -29,7 +29,10 @@ from lmtk.rewriting import (
     nf,
 )
 from lmtk.terms import (
+    App,
     Var,
+    flatterm,
+    match_many,
     match_term,
     render_position,
     render_term,
@@ -47,6 +50,7 @@ from conftest import (
     ROOT_OVERLAP_TRUNCATED,
     TINY_MACHINE,
     UNUSED_SYMBOL_CLASH,
+    canonical_term_pair,
     corpus_systems,
     pool_text,
 )
@@ -108,15 +112,17 @@ class TestFcStep:
 class TestRedundancy:
     def test_identical_rule(self, sys3):
         cand = Rule(sys3.rule("r3").lhs, sys3.rule("r3").rhs, "new")
-        assert is_redundant_approx(cand, RuleIndex(sys3.rules))
+        assert is_redundant_approx(cand, RuleIndex(sys3.symbols, sys3.rules))
 
     def test_not_subsumed(self, sys2):
         cand = composed_at(sys2, "r1", "r2", ())
-        assert not is_redundant_approx(cand, RuleIndex(sys2.rules))
+        assert not is_redundant_approx(cand,
+                                       RuleIndex(sys2.symbols, sys2.rules))
 
     def test_trivial_candidate(self, sys2):
         lhs = sys2.rule("r1").lhs
-        assert is_redundant_approx(Rule(lhs, lhs, "t"), RuleIndex())
+        assert is_redundant_approx(Rule(lhs, lhs, "t"),
+                                   RuleIndex(sys2.symbols))
 
     def test_renamed_variant_subsumed(self):
         trs = parse_trs("sig: f/1 g/1\nvars: x y\nrules:\n  f(x) -> g(x)\n")
@@ -124,7 +130,7 @@ class TestRedundancy:
             "sig: f/1 g/1\nvars: y\nrules:\n  f(y) -> g(y)\n").rules[0].lhs,
             parse_trs("sig: f/1 g/1\nvars: y\nrules:\n  f(y) -> g(y)\n"
                       ).rules[0].rhs, "v")
-        assert is_redundant_approx(variant, RuleIndex(trs.rules))
+        assert is_redundant_approx(variant, RuleIndex(trs.symbols, trs.rules))
 
 
 def differential_systems():
@@ -139,12 +145,12 @@ def differential_systems():
 
 
 def checked_generations():
-    """Each generation's rules with the compositions `fc_iterate` checks
-    against them for redundancy."""
+    """Each system with each generation's rules and the compositions
+    `fc_iterate` checks against them for redundancy."""
     for trs in differential_systems():
         trace = fc_iterate(trs, 2)
         for rules in trace.generations[:len(trace.new_rules)]:
-            yield rules, compositions(rules, trs.rules, names(trs))
+            yield trs, rules, compositions(rules, trs.rules, names(trs))
 
 
 def linear_match(pattern, subject):
@@ -160,57 +166,132 @@ def linear_match(pattern, subject):
     return True
 
 
+def subsumes(general, lhs, rhs):
+    """One substitution maps `general` onto the pair (lhs, rhs), both sides
+    at once: the scan of every rule that `RuleIndex` replaced, kept as its
+    oracle."""
+    return match_many([(general.lhs, lhs), (general.rhs, rhs)]) is not None
+
+
+def assert_retrieves_the_scan(index, rules, lhs, rhs):
+    """The index returns exactly the rules of `rules` that subsume the
+    pair, each once; returns how many there are."""
+    key = flatterm((lhs, rhs))
+    found = list(index.subsumers(key))
+    oracle = [r for r in rules if subsumes(r, lhs, rhs)]
+    assert len(found) == len(set(found))
+    assert set(found) == set(oracle), (render_term(lhs), render_term(rhs))
+    assert index.subsumed(key) == bool(oracle)
+    return len(oracle)
+
+
 class TestRuleIndex:
     """The index against the scan it replaced, as a differential oracle."""
 
     def test_retrieval_is_complete_and_precise(self):
-        candidates = scanned = retrieved = subsumed = 0
-        for rules, cands in checked_generations():
-            index = RuleIndex(rules)
+        candidates = scanned = linear = subsumed = 0
+        for trs, rules, cands in checked_generations():
+            index = RuleIndex(trs.symbols, rules)
             for cand in cands:
-                found = index.generalizations(cand.lhs, cand.rhs)
-                assert len(found) == len(set(found))
-                # (a) complete: every subsuming rule is retrieved
-                oracle = [r for r in rules if subsumes(r, cand.lhs, cand.rhs)]
-                assert set(oracle) <= set(found)
-                # (b) precise: everything retrieved matches but for variable
-                # consistency; a scan of every rule fails here
-                for r in found:
-                    assert linear_match(r.lhs, cand.lhs), (r, cand)
-                    assert linear_match(r.rhs, cand.rhs), (r, cand)
+                found = assert_retrieves_the_scan(index, rules, cand.lhs,
+                                                  cand.rhs)
                 assert is_redundant_approx(cand, index) == (
-                    cand.lhs == cand.rhs or bool(oracle))
+                    cand.lhs == cand.rhs or found > 0)
+                subsumed += found
                 candidates += 1
                 scanned += len(rules)
-                retrieved += len(found)
-                subsumed += len(oracle)
-        # the corpus exercises both filters: retrieval prunes the scan, and
-        # repeated variables reject some retrieved rules
+                linear += sum(linear_match(r.lhs, cand.lhs)
+                              and linear_match(r.rhs, cand.rhs)
+                              for r in rules)
+        # the corpus exercises both filters: most rules do not match a
+        # candidate at all, and repeated variables reject some that match
+        # but for variable consistency
         assert candidates > 1000
-        assert subsumed < retrieved < scanned
+        assert 0 < subsumed < linear < scanned
 
     def test_paramodulation_conclusions_in_both_orientations(self):
-        conclusions = 0
+        conclusions = subsumed = 0
         for trs in differential_systems():
-            index = RuleIndex(trs.rules)
+            index = RuleIndex(trs.symbols, trs.rules)
             for cand in paramodulation_candidates(trs):
                 eq = cand.conclusion
                 for lhs, rhs in ((eq.lhs, eq.rhs), (eq.rhs, eq.lhs)):
-                    assert index.subsumed(lhs, rhs) == any(
-                        subsumes(r, lhs, rhs) for r in trs.rules)
+                    subsumed += assert_retrieves_the_scan(index, trs.rules,
+                                                          lhs, rhs)
                 conclusions += 1
-        assert conclusions > 100
+        assert conclusions > 100 and subsumed > 0
 
     def test_variable_sides_are_indexed_and_queried(self):
         trs = parse_trs("sig: f/2 g/1 a/0\nvars: x y\nrules:\n"
                         "  f(x, x) -> x\n  f(x, y) -> g(y)\n")
-        index = RuleIndex(trs.rules)
+        index = RuleIndex(trs.symbols, trs.rules)
         same, a, x = (parse_term(s, trs) for s in ("f(a,a)", "a", "x"))
-        assert index.generalizations(same, a) == [trs.rule("r1")]
-        assert index.subsumed(same, a)
+        assert list(index.subsumers(flatterm((same, a)))) == [trs.rule("r1")]
+        assert index.subsumed(flatterm((same, a)))
         # a subject variable is a constant: only pattern variables match it
-        assert index.generalizations(x, same) == []
-        assert not index.subsumed(same, x)
+        assert list(index.subsumers(flatterm((x, same)))) == []
+        assert not index.subsumed(flatterm((same, x)))
+
+    def test_a_pair_deeper_than_the_recursion_limit(self):
+        n = 3 * sys.getrecursionlimit()
+        trs = parse_trs("sig: f/1 g/1 a/0\nvars: x\nrules:\n  g(x) -> x\n")
+        f, g, a = trs.symbol("f"), trs.symbol("g"), App(trs.symbol("a"))
+        x, y, z = Var("x"), Var("y"), Var("z")
+
+        def tower(t):
+            for _ in range(n):
+                t = App(f, (t,))
+            return t
+
+        rules = [*trs.rules, Rule(App(g, (tower(x),)), x, "r2"),
+                 Rule(App(g, (tower(x),)), tower(x), "r3"),
+                 Rule(App(g, (tower(a),)), a, "r4")]
+        index = RuleIndex(trs.symbols, rules)
+        pairs = [(App(g, (tower(a),)), a, 2),
+                 (App(g, (tower(a),)), tower(a), 2),
+                 (App(g, (tower(y),)), tower(y), 2),
+                 (App(g, (tower(y),)), y, 1),
+                 (App(g, (tower(z),)), z, 1)]
+        for lhs, rhs, count in pairs:
+            assert assert_retrieves_the_scan(index, rules, lhs, rhs) == count
+        # the flatterms name the classes the canonical pairs do: the last
+        # two pairs are one up to renaming
+        for (a1, b1, _), (a2, b2, _) in itertools.product(pairs, repeat=2):
+            assert (flatterm((a1, b1)) == flatterm((a2, b2))) == (
+                canonical_term_pair(a1, b1) == canonical_term_pair(a2, b2))
+        assert flatterm(pairs[3][:2]) == flatterm(pairs[4][:2])
+
+    def assert_pairs(self, text, pairs):
+        """Each pair, as two terms of the system `text`, is subsumed by
+        the rules the scan finds, and by how many."""
+        trs = parse_trs(text)
+        index = RuleIndex(trs.symbols, trs.rules)
+        for lhs, rhs, count in pairs:
+            lhs, rhs = parse_term(lhs, trs), parse_term(rhs, trs)
+            assert assert_retrieves_the_scan(index, trs.rules, lhs,
+                                             rhs) == count, (lhs, rhs)
+
+    def test_a_repeated_variable_compares_whole_subterms(self):
+        # the two subterms bound to x differ only below the root
+        self.assert_pairs(
+            "sig: f/2 g/2 a/0 b/0\nvars: x y\nrules:\n  f(x, x) -> a\n",
+            [("f(g(a,b),g(a,a))", "a", 0), ("f(g(a,b),g(a,b))", "a", 1),
+             ("f(g(a,y),g(a,b))", "a", 0), ("f(g(y,a),g(y,a))", "a", 1)])
+
+    def test_a_candidate_variable_is_a_constant(self):
+        self.assert_pairs(
+            "sig: f/2 g/1 a/0\nvars: x y z\nrules:\n  f(x, x) -> a\n"
+            "  g(a) -> a\n  f(x, a) -> x\n",
+            [("f(y,y)", "a", 1), ("f(y,z)", "a", 0), ("g(y)", "a", 0),
+             ("f(y,a)", "y", 1), ("f(a,y)", "a", 0), ("f(y,a)", "a", 0),
+             ("f(a,a)", "a", 2)])
+
+    def test_a_rule_with_a_variable_rhs(self):
+        self.assert_pairs(
+            "sig: f/2 g/1 a/0 b/0\nvars: x y\nrules:\n  g(x) -> x\n",
+            [("g(f(a,b))", "f(a,b)", 1), ("g(f(a,b))", "f(b,a)", 0),
+             ("g(y)", "y", 1), ("g(f(y,a))", "f(y,a)", 1),
+             ("g(f(y,a))", "f(a,y)", 0), ("g(a)", "g(a)", 0)])
 
 
 # rules that compose forever: g(x) -> s(g(x)) is not terminating, and
@@ -258,7 +339,7 @@ def naive_fc_iterate(trs, max_generations=16):
     current = list(trs.rules)
     trace.generations.append(list(current))
     labels = {r.label for r in current}
-    index = RuleIndex(current)
+    index = RuleIndex(trs.symbols, current)
     for gen in range(1, max_generations + 1):
         fresh = []
         keys = set()
@@ -371,9 +452,10 @@ class TestSemiNaive:
         # candidates were dropped, so one rule per candidate is too many
         assert candidates > kept > 0
 
-    def test_sides_are_built_only_past_the_key(self, monkeypatch):
-        # a renamed copy of a kept rule is dropped on its flat key alone:
-        # every other candidate builds its sides, once, and a copy none
+    def test_sides_are_built_only_for_kept_candidates(self, monkeypatch):
+        # a candidate is dropped on its flat key, as a renamed copy of a
+        # kept rule or as redundant, before its sides are built: each kept
+        # candidate builds them once, and no other candidate does
         composed, built = [], set()
         replaced = 0
         sides, replace = closure.Composition.sides, closure.replace_at
@@ -394,7 +476,7 @@ class TestSemiNaive:
         monkeypatch.setattr(closure, "compositions", compose)
         monkeypatch.setattr(closure.Composition, "sides", build)
         monkeypatch.setattr(closure, "replace_at", replace_at)
-        candidates = copies = 0
+        candidates = kept = 0
         for seed in range(1, 9):
             composed.clear()
             built.clear()
@@ -402,20 +484,53 @@ class TestSemiNaive:
             trace = fc_iterate(parse_trs(pool_text(seed)), 3)
             passed = set()
             for cands, new in zip(composed, trace.new_rules):
-                kept = {(c.first, c.second, c.position) for c in new}
-                keys = set()
-                for cand in cands:
-                    if cand.key() in keys:
-                        copies += 1
-                        continue
-                    passed.add(id(cand))
-                    if (cand.source.label, cand.base.label,
-                            cand.position) in kept:
-                        keys.add(cand.key())
+                sites = {(c.first, c.second, c.position) for c in new}
+                passed |= {id(c) for c in cands
+                           if (c.source.label, c.base.label, c.position)
+                           in sites}
                 candidates += len(cands)
             assert built == passed
             assert replaced == len(passed)
-        assert candidates > copies > 0
+            kept += len(passed)
+        assert candidates > kept > 0
+
+    def test_a_composition_is_walked_once(self, monkeypatch):
+        # `fc_iterate` reads each composition's key and `is_redundant_approx`
+        # reads it again; one flatterm serves both, and each filed rule
+        # takes one more
+        walks = reads = filed = composed = 0
+        flat, key, add = closure.flatterm, closure.Composition.key, \
+            RuleIndex.add
+
+        def count_walk(*args):
+            nonlocal walks
+            walks += 1
+            return flat(*args)
+
+        def count_read(comp):
+            nonlocal reads
+            reads += 1
+            return key(comp)
+
+        def count_add(index, rule):
+            nonlocal filed
+            filed += 1
+            add(index, rule)
+
+        def compose(sources, base, symbols):
+            nonlocal composed
+            out = compositions(sources, base, symbols)
+            composed += len(out)
+            return out
+
+        monkeypatch.setattr(closure, "flatterm", count_walk)
+        monkeypatch.setattr(closure.Composition, "key", count_read)
+        monkeypatch.setattr(RuleIndex, "add", count_add)
+        monkeypatch.setattr(closure, "compositions", compose)
+        for seed in range(1, 9):
+            fc_iterate(parse_trs(pool_text(seed)), 3)
+        assert walks == composed + filed
+        assert reads > composed > 0
 
     def test_a_renamed_copy_of_a_kept_rule_skips_the_index_query(
             self, monkeypatch):
@@ -481,6 +596,7 @@ class TestFlatKey:
                 canonical, flat = {}, {}
                 for cand in cands:
                     key = cand.key()
+                    assert key == flatterm((cand.lhs, cand.rhs)), str(cand)
                     pair = canonical_term_pair(cand.lhs, cand.rhs)
                     assert canonical.setdefault(key, pair) == pair, str(trs)
                     assert flat.setdefault(pair, key) == key, str(trs)

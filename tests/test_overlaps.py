@@ -1,11 +1,11 @@
 """Critical pairs, superpositions, rhs closure, paramodulation."""
 
 import functools
+import itertools
 
 from hypothesis import given, strategies as st
 
 from lmtk.overlaps import (
-    canonical_term_pair,
     critical_pairs,
     nosup,
     overlap_sites,
@@ -20,6 +20,7 @@ from lmtk.terms import (
     App,
     Symbol,
     Var,
+    flatterm,
     mgu,
     rename_pair_apart,
     render_term,
@@ -36,6 +37,7 @@ from conftest import (
     FRESH_NAME_CLASH,
     TINY_MACHINE,
     UNARY_CHAIN,
+    canonical_term_pair,
     overlap_systems,
 )
 from lmtk.minsky import encode
@@ -119,6 +121,33 @@ class TestCanonicalTermPair:
         a, b = App(F, (A, App(G, (V1_CONSTANT,)))), App(G, (A,))
         key = canonical_term_pair(a, b)
         assert key[0] is a and key[1] is b
+
+
+# swaps x and y, and v1 and v2: a renaming of every variable pair_terms uses
+SWAP = {"x": Var("y"), "y": Var("x"), "v1": Var("v2"), "v2": Var("v1")}
+
+
+class TestFlatterm:
+    @given(st.lists(st.tuples(pair_terms, pair_terms), min_size=1,
+                    max_size=4))
+    def test_equal_exactly_when_the_canonical_pairs_are(self, pairs):
+        # each pair next to a renamed copy, so some keys are shared
+        pairs += [(substitute(a, SWAP), substitute(b, SWAP)) for a, b in pairs]
+        for (a, b), (c, d) in itertools.product(pairs, repeat=2):
+            assert (flatterm((a, b)) == flatterm((c, d))) == (
+                canonical_term_pair(a, b) == canonical_term_pair(c, d))
+
+    def test_symbols_by_name_and_variables_by_first_occurrence(self):
+        x, y = Var("x"), Var("y")
+        assert flatterm((App(F, (y, V1_CONSTANT)), App(G, (App(F, (x, y)),)))
+                        ) == ("f", 0, "v1", "g", "f", 1, 0)
+
+    def test_a_bound_variable_is_read_through_its_binding(self):
+        x, y = Var("x"), Var("y")
+        sigma = {"x": App(G, (y,))}
+        assert flatterm((App(F, (x, y)), "h", x), sigma) == flatterm(
+            (App(F, (App(G, (y,)), y)), "h", App(G, (y,))))
+        assert flatterm((App(F, (x, y)),), sigma) == ("f", "g", 0, 0)
 
 
 class TestOverlapSites:
