@@ -98,10 +98,12 @@ class RuleIndex:
         for rule in rules:
             self.add(rule)
 
-    def add(self, rule: Rule) -> None:
+    def add(self, rule: Rule, key: Optional[tuple] = None) -> None:
+        """File `rule` under `key`, the flatterm of its sides, walked here
+        when not given."""
         edges: list = []
         bound = 0
-        for token in flatterm((rule.lhs, rule.rhs)):
+        for token in key or flatterm((rule.lhs, rule.rhs)):
             if token.__class__ is int:
                 # variables are numbered by first occurrence
                 if token == bound:
@@ -204,14 +206,19 @@ class Composition:
 
     def candidate(self, taken: AbstractSet[str] = frozenset(),
                   generation: int = 0) -> FcCandidate:
-        """The composition as a validated rule, labelled
-        source~base@position and primed away from the labels in `taken`."""
+        """The composition as a rule, labelled source~base@position and
+        primed away from the labels in `taken`. The rule is not checked
+        again: its lhs is an instance of the source lhs, so no variable,
+        and sigma maps the variables of r1[base_rhs]_p, which lie among
+        those of l1 and of the base lhs it unified with, onto terms over
+        the variables of sigma(l1)."""
         label = (f"{self.source.label}~{self.base.label}"
                  f"@{render_position(self.position)}")
         while label in taken:
             label += "'"
-        return FcCandidate(Rule(self.lhs, self.rhs, label), self.source.label,
-                           self.base.label, self.position, generation)
+        return FcCandidate(Rule.unchecked(self.lhs, self.rhs, label),
+                           self.source.label, self.base.label, self.position,
+                           generation)
 
 
 def is_redundant_approx(candidate: Union[Rule, Composition],
@@ -274,11 +281,13 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
     labels = {r.label for r in sources}
     # candidates are checked against the previous generation only. Each
     # generation files its sources first, so the last generation's rules,
-    # which no query reads, are never filed
+    # which no query reads, are never filed. A kept rule is filed by the
+    # key it was kept on; the base rules have none
     index = RuleIndex(trs.symbols)
+    keys: list[Optional[tuple]] = [None] * len(sources)
     for gen in range(1, max_generations + 1):
-        for rule in sources:
-            index.add(rule)
+        for rule, key in zip(sources, keys):
+            index.add(rule, key)
         # new rules by key, in the order kept; a renamed copy of one
         # skips the index query (see the module docstring)
         fresh: dict[tuple, FcCandidate] = {}
@@ -294,6 +303,7 @@ def fc_iterate(trs: Trs, max_generations: int = 16) -> FcTrace:
             trace.converged = True
             return trace
         sources = [c.rule for c in fresh.values()]
+        keys = list(fresh)
         trace.generations.append(trace.generations[-1] + sources)
     return trace
 

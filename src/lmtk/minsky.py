@@ -403,16 +403,18 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
     a rewrite are expanded before inert applications, and an inert unary
     wrap is immediately probed one more unary level for compositions that
     do fire (so reduce-construct-reduce chains advance without waiting on
-    the inert middle term). A probe costs one application like any other;
-    one that cannot rewrite at the root is never built. This keeps
-    the reachable-configuration chain of machine encodings ahead of the
-    junk flood. At most `max_apps` applications are tried overall, and a
-    popped item contributes at most `TUPLE_BUDGET_PER_ITEM` argument
-    tuples per symbol of arity two or more, taking each earlier popped
-    argument by its public construction when it has one. `complete` is
-    true only if no bound was hit and no knowledge-using construction
-    was skipped that way: only then is a miss a proof that no cap
-    exists.
+    the inert middle term). A probe costs one application like any other,
+    and one that cannot rewrite at the root is never built. Most are
+    decided from the argument's root symbol before any call: no rule of
+    the probing symbol can match under it (`Trs.unary_argument_roots`).
+    The rest ask `is_root_redex`. This keeps the reachable-configuration
+    chain of machine encodings ahead of the junk flood. At most
+    `max_apps` applications are tried overall, and a popped item
+    contributes at most `TUPLE_BUDGET_PER_ITEM` argument tuples per
+    symbol of arity two or more, taking each earlier popped argument by
+    its public construction when it has one. `complete` is true only if
+    no bound was hit and no knowledge-using construction was skipped
+    that way: only then is a miss a proof that no cap exists.
     """
     theory = instance.theory
     nf = NormalForms(theory, fuel)
@@ -420,7 +422,7 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
     # per term: construction by taint (True = uses a knowledge leaf)
     known: dict[Term, dict[bool, Deduction]] = {}
     heap: list[tuple[int, int, int, Term, bool]] = []
-    processed: dict[Term, None] = {}    # popped terms, in pop order
+    processed: dict[Term, int] = {}    # popped terms, in pop order: size
     seq = itertools.count()
     found = False
     complete = True
@@ -441,19 +443,25 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
         if tainted and term == goal:
             found = True
 
-    def spend() -> None:    # the stop rule, checked before each application
+    def spend(n: int = 1) -> None:
+        """Charge `n` applications, checking the stop rule before each."""
         nonlocal apps
-        if found or apps >= max_apps:
+        if found:
             raise _Stop
-        apps += 1
+        apps += n
+        if apps > max_apps:
+            apps = max_apps
+            raise _Stop
 
     def step(sym: Symbol, args: tuple[Term, ...], taints: tuple[bool, ...],
-             rewriting_only: bool = False) -> Optional[Term]:
-        """Admit the normal form of `sym(args)` (with `rewriting_only`, only
-        if it rewrote); return it if it is an inert wrap, else None. The
-        arguments are normal forms, so a probe that is no root redex is
-        normal: it is decided from `sym` and `args`, never built, and
-        returns None."""
+             depth: int, rewriting_only: bool = False) -> Optional[Term]:
+        """Admit the normal form of `sym(args)`, of construction height
+        `depth` (with `rewriting_only`, only if it rewrote); return it if
+        it is an inert wrap, else None. The arguments are normal forms, so
+        a probe that is no root redex is normal: it is never built, and
+        returns None. The probes decided from the argument's root symbol
+        before any call never come here; the rest are decided from `sym`
+        and `args`."""
         spend()
         if rewriting_only and not is_root_redex(theory, sym, args):
             return None
@@ -462,8 +470,7 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
         rewrote = t is not raw and t != raw
         if rewrote or not rewriting_only:
             parents = tuple(zip(args, taints))
-            d = 1 + max(known[a][f].depth for a, f in parents)
-            admit(t, any(taints), Deduction(t, sym.name, parents, depth=d),
+            admit(t, any(taints), Deduction(t, sym.name, parents, depth=depth),
                   rewrote)
         return None if rewrote else t
 
@@ -474,19 +481,44 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
     constants = [App(s) for s in theory.symbols if s.arity == 0]
     unary = [s for s in theory.symbols if s.arity == 1]
     wide = [s for s in theory.symbols if s.arity >= 2]
+    # per unary symbol, the probes of an inert wrap it roots, in the order
+    # of `unary`: (the probes dropped before it, a probe that may rewrite),
+    # then (the probes dropped after the last, None). A probe is dropped
+    # when no rule of its symbol can match under the wrap's root symbol
+    roots = theory.unary_argument_roots
+    plans = []
+    for head in unary:
+        plan: list[tuple[int, Optional[Symbol]]] = []
+        gap = 0
+        for sym2 in unary:
+            heads = roots.get(sym2.name, ())
+            if heads is None or head.name in heads:
+                plan.append((gap, sym2))
+                gap = 0
+            else:
+                gap += 1
+        plans.append(plan + [(gap, None)] if gap else plan)
     with suppress(_Stop):
         for t in constants:
             spend()
             admit(nf(t), False, Deduction(t, t.sym.name), False)
         while heap:
             _, _, _, t, tainted = heapq.heappop(heap)
-            for sym in unary:
-                u = step(sym, (t,), (tainted,))
+            depth = 1 + known[t][tainted].depth
+            for sym, plan in zip(unary, plans):
+                u = step(sym, (t,), (tainted,), depth)
                 if u is not None and tainted in known.get(u, ()):
-                    # inert wrap: probe one more unary level
-                    for sym2 in unary:
-                        step(sym2, (u,), (tainted,), rewriting_only=True)
-            processed[t] = None
+                    # inert wrap u = sym(t): probe one more unary level;
+                    # a dropped probe is charged, and nothing is called
+                    d = 1 + known[u][tainted].depth
+                    for gap, sym2 in plan:
+                        if gap:
+                            spend(gap)
+                        if sym2 is not None:
+                            step(sym2, (u,), (tainted,), d,
+                                 rewriting_only=True)
+            processed[t] = size = term_size(t)
+            room = max_term_size - 1 - size    # for the other arguments
             for sym in wide:
                 tuples = ((slot, rest) for slot in range(sym.arity)
                           for rest in itertools.product(
@@ -495,14 +527,16 @@ def cap_search(instance: CapInstance, max_term_size: int = 30,
                     if n == TUPLE_BUDGET_PER_ITEM:
                         complete = False
                         break
-                    args = rest[:slot] + (t,) + rest[slot:]
-                    if 1 + sum(term_size(a) for a in args) > max_term_size:
+                    if sum(map(processed.__getitem__, rest)) > room:
                         complete = False
                         continue
+                    args = rest[:slot] + (t,) + rest[slot:]
                     taints = tuple(tainted if i == slot
                                    else False not in known[a]
                                    for i, a in enumerate(args))
-                    step(sym, args, taints)
+                    step(sym, args, taints,
+                         1 + max(known[a][f].depth
+                                 for a, f in zip(args, taints)))
                     if not any(taints) and any(True in known[a] for a in args):
                         complete = False
     if not found and apps >= max_apps:

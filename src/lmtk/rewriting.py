@@ -60,6 +60,15 @@ class Rule:
                 f"variables {sorted(extra)}"
             )
 
+    @classmethod
+    def unchecked(cls, lhs: Term, rhs: Term, label: str = "") -> "Rule":
+        """The rule `Rule(lhs, rhs, label)` without the checks, for a caller
+        whose lhs is no variable and whose rhs variables lie among the
+        lhs's by construction."""
+        rule = object.__new__(cls)
+        rule.__dict__.update(lhs=lhs, rhs=rhs, label=label)
+        return rule
+
     def __str__(self) -> str:
         head = f"[{self.label}] " if self.label else ""
         return f"{head}{render_term(self.lhs)} -> {render_term(self.rhs)}"
@@ -106,6 +115,22 @@ class Trs:
                           else (a.sym.name, term_size(a)) for a in r.lhs.args)
             out.setdefault(r.lhs.sym.name, []).append((shape, r))
         return {k: tuple(v) for k, v in out.items()}
+
+    @cached_property
+    def unary_argument_roots(self) -> dict[str, Optional[frozenset[str]]]:
+        """Per unary symbol with rules, by name: the root symbol names of
+        an argument under which one of its rules can match at the root,
+        read off the shapes of `rules_by_root`; None when a rule has a
+        variable argument, under which any root can. A unary term whose
+        symbol is not here, or whose argument's root is not in its set,
+        fails `_root_step`'s head check on every rule: it is no root
+        redex, decided before any call."""
+        out: dict[str, Optional[frozenset[str]]] = {}
+        for name, entries in self.rules_by_root.items():
+            heads = {shape[0][0] for shape, _ in entries if len(shape) == 1}
+            if heads:
+                out[name] = None if None in heads else frozenset(heads)
+        return out
 
     @cached_property
     def _symbols_by_name(self) -> dict[str, Symbol]:

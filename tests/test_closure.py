@@ -416,9 +416,9 @@ class TestSemiNaive:
         filed = []
         add = RuleIndex.add
 
-        def spy(index, rule):
+        def spy(index, rule, key=None):
             filed.append(rule)
-            add(index, rule)
+            add(index, rule, key)
 
         monkeypatch.setattr(RuleIndex, "add", spy)
         trace = fc_iterate(parse_trs(DIVERGENT), 3)
@@ -428,13 +428,20 @@ class TestSemiNaive:
 
     def test_only_kept_candidates_become_rules(self, monkeypatch):
         # a candidate is dropped on its key or as redundant before it is
-        # built, so each rule built is one the trace keeps, primed or not
+        # built, so each rule built is one the trace keeps, primed or not,
+        # and none is checked again
         built = []
-        candidates = 0
+        candidates = checked = 0
+        unchecked, post_init = Rule.unchecked, Rule.__post_init__
 
-        def rule(*args):
-            built.append(Rule(*args))
+        def rule(cls, *args):
+            built.append(unchecked(*args))
             return built[-1]
+
+        def check(self):
+            nonlocal checked
+            checked += 1
+            post_init(self)
 
         def compose(sources, base, symbols):
             nonlocal candidates
@@ -442,11 +449,15 @@ class TestSemiNaive:
             candidates += len(out)
             return out
 
-        monkeypatch.setattr(closure, "Rule", rule)
+        monkeypatch.setattr(Rule, "unchecked", classmethod(rule))
+        monkeypatch.setattr(Rule, "__post_init__", check)
         monkeypatch.setattr(closure, "compositions", compose)
         kept = 0
         for seed in range(1, 9):
-            trace = fc_iterate(parse_trs(pool_text(seed)), 3)
+            trs = parse_trs(pool_text(seed))
+            checked = 0
+            trace = fc_iterate(trs, 3)
+            assert checked == 0
             kept += sum(len(new) for new in trace.new_rules)
         assert len(built) == kept
         # candidates were dropped, so one rule per candidate is too many
@@ -496,9 +507,9 @@ class TestSemiNaive:
 
     def test_a_composition_is_walked_once(self, monkeypatch):
         # `fc_iterate` reads each composition's key and `is_redundant_approx`
-        # reads it again; one flatterm serves both, and each filed rule
-        # takes one more
-        walks = reads = filed = composed = 0
+        # reads it again, and a kept one is filed by it: one flatterm
+        # serves all three. Only a filed base rule takes one more
+        walks = reads = filed = composed = base = 0
         flat, key, add = closure.flatterm, closure.Composition.key, \
             RuleIndex.add
 
@@ -512,10 +523,10 @@ class TestSemiNaive:
             reads += 1
             return key(comp)
 
-        def count_add(index, rule):
+        def count_add(index, rule, key=None):
             nonlocal filed
             filed += 1
-            add(index, rule)
+            add(index, rule, key)
 
         def compose(sources, base, symbols):
             nonlocal composed
@@ -528,9 +539,26 @@ class TestSemiNaive:
         monkeypatch.setattr(RuleIndex, "add", count_add)
         monkeypatch.setattr(closure, "compositions", compose)
         for seed in range(1, 9):
-            fc_iterate(parse_trs(pool_text(seed)), 3)
-        assert walks == composed + filed
-        assert reads > composed > 0
+            trs = parse_trs(pool_text(seed))
+            base += len(trs.rules)
+            fc_iterate(trs, 3)
+        assert walks == composed + base
+        assert reads > composed > 0 and filed > base
+
+    def test_kept_rules_are_the_checked_rules(self):
+        # a kept rule is not checked again; it must equal the rule built
+        # with the checks, which raise on a variable lhs or a rhs
+        # variable missing from the lhs
+        kept = 0
+        for trs in differential_systems():
+            for new in fc_iterate(trs, 3).new_rules:
+                for cand in new:
+                    rule = cand.rule
+                    assert rule == Rule(rule.lhs, rule.rhs, rule.label)
+                    assert hash(rule) == hash(Rule(rule.lhs, rule.rhs,
+                                                   rule.label))
+                    kept += 1
+        assert kept > 1000
 
     def test_a_renamed_copy_of_a_kept_rule_skips_the_index_query(
             self, monkeypatch):

@@ -1,5 +1,6 @@
 """Counter machines: validation, simulation, encoding, caps."""
 
+import bisect
 import heapq
 import itertools
 import random
@@ -346,9 +347,10 @@ class TestCapSearch:
     def test_a_probe_that_is_no_root_redex_builds_no_term(self, monkeypatch):
         # every App built outside normalization is a query of `nf` or a
         # node of the cap: a probe that cannot rewrite at the root is
-        # decided from its symbol and argument, and never built
+        # decided from its argument's root symbol or by `is_root_redex`,
+        # and never built
         inst = encode(TINY_MACHINE, 0, 0)
-        built, queries, inside, dropped = [], [], [], []
+        built, queries, inside, rejected = [], [], [], []
         init, is_root_redex = App.__init__, minsky.is_root_redex
 
         def counting(self, *args):
@@ -367,7 +369,7 @@ class TestCapSearch:
 
         def probe(trs, sym, args):
             hit = is_root_redex(trs, sym, args)
-            dropped.append(not hit)
+            rejected.append(not hit)
             return hit
         monkeypatch.setattr(App, "__init__", counting)
         monkeypatch.setattr(minsky, "NormalForms", Counting)
@@ -379,8 +381,19 @@ class TestCapSearch:
         applications = len(queries) - 1 - len(inst.knowledge)
         cap_nodes = term_size(res.cap.body) - len(res.cap.assignment)
         assert len(built) <= applications + cap_nodes
-        # the probes that were dropped, many more than the applications
-        assert sum(dropped) > applications
+
+        # every probe is charged, built or not, so the least budget that
+        # finds the cap counts them all
+        def found_within(n):
+            return cap_search(inst, 30, 12, max_apps=n).found
+        charged = bisect.bisect_left(range(1000), True, key=found_within)
+        assert found_within(charged) and not found_within(charged - 1)
+        # the probes charged without a build, many more than the
+        # applications: most dropped on the argument's root symbol, the
+        # rest rejected by `is_root_redex`
+        assert (applications, charged - applications) == (92, 359)
+        assert (charged - applications - sum(rejected), sum(rejected)) \
+            == (355, 4)
 
     def test_derivation_terms_are_deduced_normal_forms(self):
         inst = encode(TINY_MACHINE, 0, 0)

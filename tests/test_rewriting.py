@@ -227,6 +227,53 @@ class TestRootStepFilter:
         assert ((hit and (hit[0].label, hit[1]))
                 == root_step_oracle(trs, App(sym, args)))
 
+    @given(st.integers(0, 499), st.booleans(), st.data())
+    def test_a_unary_term_dropped_on_its_argument_root_is_no_redex(
+            self, seed, from_lhs, data):
+        # the term is drawn free, or as an instance of a unary lhs, which
+        # is a redex, so that the table both drops and passes terms
+        trs = random_system(random.Random(seed))
+        assume(trs is not None)
+        unary = [s for s in trs.symbols if s.arity == 1]
+        assume(unary)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        symbols, names = list(trs.symbols), list(trs.variables)
+        lhss = [r.lhs for r in trs.rules if r.lhs.sym.arity == 1]
+        if from_lhs and lhss:
+            lhs = data.draw(st.sampled_from(lhss))
+            sym, (u,) = lhs.sym, substitute(lhs, {
+                v: random_term(rng, symbols, names, 2)
+                for v in sorted(variables_of(lhs))}).args
+        else:
+            sym = data.draw(st.sampled_from(unary))
+            u = random_term(rng, symbols, names, 3)
+        assume(u.__class__ is App)
+        roots = trs.unary_argument_roots.get(sym.name, frozenset())
+        if roots is not None and u.sym.name not in roots:
+            assert not is_root_redex(trs, sym, (u,))
+
+    def test_unary_argument_roots(self):
+        trs = parse_trs("sig: f/1 g/1 h/1 k/2 a/0 b/0\nvars: x y\nrules:\n"
+                        "  f(g(x)) -> a\n  f(x) -> h(x)\n  g(h(a)) -> b\n"
+                        "  g(k(x, y)) -> x\n  k(x, a) -> b\n")
+        assert trs.unary_argument_roots == {"f": None,
+                                            "g": frozenset({"h", "k"})}
+        terms = [u for u in enumerate_terms(trs.symbols, trs.variables, 3)
+                 if u.__class__ is App]
+        # a rule with a variable argument: no f-term is dropped, and each
+        # is a redex
+        assert all(is_root_redex(trs, trs.symbol("f"), (u,)) for u in terms)
+        # no rule for h: every h-term is dropped, and none is a redex
+        assert "h" not in trs.unary_argument_roots
+        assert not any(is_root_redex(trs, trs.symbol("h"), (u,))
+                       for u in terms)
+        # g drops a term under any other root; under h or k some match
+        g = trs.symbol("g")
+        assert not any(is_root_redex(trs, g, (u,)) for u in terms
+                       if u.sym.name not in ("h", "k"))
+        assert is_root_redex(trs, g, (t("h(a)", trs),))
+        assert not is_root_redex(trs, g, (t("h(b)", trs),))
+
     def test_a_variable_is_no_redex(self):
         # the rule f(x, y) -> g(y) fires on every f-term, but a variable
         # has no root symbol
