@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import abc
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from typing import Callable, Optional, Sequence
 
 from .terms import (
@@ -183,7 +183,13 @@ class FuelExhausted(Exception):
     nothing), and which compares equal to the list of the same steps.
     `term` is the term rewriting stopped at, built by `stuck` on first
     read (`normalize` folds its frozen walk back into it, without the
-    trace)."""
+    trace).
+
+    `normalize` also raises it as soon as its walk has entered a loop,
+    which would never end: with the step count and bound at which the
+    walk would stop. Then both the trace and the term come from one run
+    of the walk without the loop check, made on the first read of
+    either."""
 
     def __init__(self, trace: Sequence[RewriteStep], outgrew: bool,
                  stuck: Callable[[], Term]):
@@ -325,12 +331,40 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
     takes the term over MAX_TERM_NODES. The raise builds no term: the
     trace is built only if read, and so is the stuck term, by one fold of
     the walk's frozen spine.
+
+    The walk also stops as soon as it has entered a loop, and raises the
+    FuelExhausted it would reach. It keeps a mark: the redex of the step
+    it was set at, n, moved on at step 2n + 1 (Brent's power-of-two
+    checkpoints, BIT 1980), and at the next step once the walk finishes
+    a node at or above the mark's depth, so leaves the mark's subterm. A
+    later redex equal to the mark therefore lies in that subterm, which
+    the walk has not left: its steps since the mark depend on it alone,
+    and took it from u to C[u] in P steps. Rewriting is deterministic, so
+    the next P steps take the u inside to C[u] again, and so on forever,
+    each period adding the nodes of C (a loop u ->+ C[u]; Payet, TCS
+    2008). `_loop_stop` computes where the walk would stop from the sizes
+    of one period. A cut raise builds no term either: its trace and stuck
+    term come, on first read, from one run of the walk without the check,
+    which both reads share.
     """
+    trace = _steps(t, _walk(trs, t, fuel, True))
+    return (trace[-1].target if trace else t), trace
+
+
+def _walk(trs: Trs, t: Term, fuel: int, cut: bool) -> list[_Record]:
+    """The records of `normalize`'s walk from `t`, or its FuelExhausted;
+    with `cut`, the loop check that `normalize` describes."""
     records: list[_Record] = []
+    # sizes[n]: the whole term's size after n steps
+    sizes = [term_size(t)]
     spine: list[tuple[App, list[Term]]] = []
     path: list[int] = []
     normal_ids: set[int] = set()
-    size = term_size(t)
+    size = sizes[0]
+    # the mark's redex, step count and depth, and the step it moves at;
+    # no node is finished at depth -1, so without `cut` it never moves
+    mark: Optional[Term] = None
+    mark_at, mark_depth, move_at = 0, -1, 0
     u, entering = t, True
     while True:
         if entering and id(u) in normal_ids:
@@ -346,22 +380,37 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
         else:
             hit = None
         if hit is not None:
-            if len(records) >= fuel:
+            n = len(records)
+            if n >= fuel:
                 outgrew = False
                 break
+            if cut:
+                if u == mark:
+                    steps, outgrew = _loop_stop(sizes, mark_at, fuel)
+                    run = cache(partial(_unchecked, trs, t, fuel, steps,
+                                        outgrew))
+                    raise FuelExhausted(
+                        _LazyTrace(steps, lambda: list(run().trace)),
+                        outgrew, lambda: run().term)
+                if n == move_at:
+                    mark, mark_at, mark_depth = u, n, len(path)
+                    move_at = 2 * n + 1
             rule, sigma = hit
             normal_ids = {id(v) for v in sigma.values()}
             r = substitute(rule.rhs, sigma)
             size += term_size(r) - term_size(u)
             records.append((rule.label, tuple(path), r))
+            sizes.append(size)
             u, entering = r, True
             if size > MAX_TERM_NODES:
                 outgrew = True
                 break
         elif not spine:
-            trace = _steps(t, records)
-            return (trace[-1].target if trace else t), trace
+            return records
         else:
+            if len(path) <= mark_depth:
+                # u is finished, and the walk leaves the mark's subterm
+                mark, move_at = None, len(records)
             node, args = spine[-1]
             i = path[-1]
             args[i - 1] = u
@@ -374,6 +423,34 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
                 u, entering = _rebuilt(node, args), False
     raise FuelExhausted(_LazyTrace(len(records), partial(_steps, t, records)),
                         outgrew, partial(_folded, u, spine, path))
+
+
+def _loop_stop(sizes: list[int], mark: int, fuel: int) -> tuple[int, bool]:
+    """The step count and `outgrew` at which a walk stops that repeats
+    forever its steps since step `mark`, the period that `sizes` ends
+    with, each repeat adding the nodes the period added. After offset o
+    of the period the term has z = sizes[mark + o] nodes, so with growth
+    d > 0 that offset first crosses MAX_TERM_NODES in repeat
+    (MAX_TERM_NODES - z) // d + 1."""
+    period, grow = len(sizes) - 1 - mark, sizes[-1] - sizes[mark]
+    cross = min((mark + o + ((MAX_TERM_NODES - sizes[mark + o]) // grow + 1)
+                 * period for o in range(1, period + 1)) if grow else (),
+                default=fuel + 1)
+    return (cross, True) if cross <= fuel else (fuel, False)
+
+
+def _unchecked(trs: Trs, t: Term, fuel: int, steps: int,
+               outgrew: bool) -> FuelExhausted:
+    """The FuelExhausted of the walk from `t` without the loop check,
+    which a cut raise predicted to stop after `steps` steps on the bound
+    `outgrew` names."""
+    try:
+        _walk(trs, t, fuel, False)
+    except FuelExhausted as e:
+        if (len(e.trace), e.outgrew) == (steps, outgrew):
+            return e
+    raise RuntimeError(f"a loop cut at fuel {fuel} predicted a stop after "
+                       f"{steps} steps that the walk does not make")
 
 
 def nf(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
@@ -413,7 +490,9 @@ class NormalForms:
     bound it names, its lazy stuck term, and a trace that counts the
     steps before the hand-over; that trace is built only if read, by
     running `normalize` on the query. A term that runs out of fuel is not
-    memoized.
+    memoized. A query that enters a loop stops soon after its hand-over:
+    `normalize` stops at the loop's first repeated redex, with the raise
+    the whole budget would give.
 
     The root phase stays in the public `normalize`: perfbench counts its
     calls and steps there, and its traced `cap` run requires every cap

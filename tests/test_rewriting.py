@@ -540,19 +540,39 @@ def normalize_outermost(trs, t, fuel=DEFAULT_FUEL):
             raise FuelExhausted([], True, lambda: t)
 
 
+def raised(e):
+    """All a FuelExhausted tells."""
+    return "fuel", e.term, len(e.trace), e.trace, str(e), e.outgrew
+
+
 def outcome(normalizer, trs, u, fuel):
     try:
         return normalizer(trs, u, fuel)
     except FuelExhausted as e:
-        return "fuel", e.term, len(e.trace), e.trace
+        return raised(e)
 
 
-# redexes below the root of a right side, and a rule that never stops,
-# so that re-entering a rewritten subterm and running out of fuel both show
+def full_tree(depth):
+    """The source of the complete binary d-tree over a of `depth` levels."""
+    return "a" if depth == 1 else f"d({full_tree(depth - 1)},{full_tree(depth - 1)})"
+
+
+# redexes below the root of a right side, and rules that never stop, so
+# that re-entering a rewritten subterm, running out of fuel and the loop
+# cut all show. The loops: a cycle at one position; a pump of period 2; a
+# period-2 pump whose second step adds 1024 nodes, so that the size bound
+# is crossed within fuel 50 at the second step of a period from q(q(a))
+# and at the first from p(q(a)). a -> f(a) repeats its redex one level
+# down at every step
 ORACLE_EXTRA = {
     "inner_redex_rhs": "sig: f/1 g/2 h/1 a/0 b/0\nvars: x\nrules:\n"
                        "  f(x) -> g(h(x),a)\n  a -> b\n  h(x) -> x\n",
     "growing": "sig: a/0 f/1\nrules:\n  a -> f(a)\n",
+    "cycle": "sig: a/0 b/0 g/1\nrules:\n  a -> b\n  b -> a\n",
+    "pump": "sig: a/0 b/0 f/1 g/1\nrules:\n  a -> f(b)\n  b -> g(a)\n",
+    "large_rhs_pump": "sig: a/0 d/2 p/1 q/1\nrules:\n"
+                      "  q(q(a)) -> p(q(a))\n"
+                      f"  p(q(a)) -> d({full_tree(10)},q(q(a)))\n",
 }
 
 
@@ -569,6 +589,94 @@ class TestInnermostOracle:
                             == outcome(innermost_oracle, trs, u, fuel)), \
                         (name, render_term(u), fuel)
         assert cases > 6000
+
+
+class TestLoopCut:
+    """`normalize` stops at a repeated redex and predicts the raise of the
+    walk without the check."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """The arguments of each call of `rewriting.<name>` from now on."""
+        calls, original = [], getattr(rewriting, name)
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(rewriting, name, counting)
+        return calls
+
+    def test_a_loop_stops_at_its_first_repeat(self, monkeypatch):
+        # a -> f(a) meets a again one level down at every step; the
+        # walk without the check tries the root about 5,000 times
+        trs = parse_trs(ORACLE_EXTRA["growing"])
+        tries = self.counted(monkeypatch, "_root_step")
+        with pytest.raises(FuelExhausted) as exc:
+            normalize(trs, t("a", trs))
+        e = exc.value
+        assert len(tries) <= 5
+        assert str(e) == f"term outgrew {MAX_TERM_NODES} nodes after 5000 steps"
+        assert e.outgrew and len(e.trace) == 5000
+        expected = t("a", trs)
+        for _ in range(5000):
+            expected = App(trs.symbol("f"), (expected,))
+        assert e.term == expected
+
+    def test_random_systems_agree_with_the_definition(self, monkeypatch):
+        cuts = self.counted(monkeypatch, "_loop_stop")
+        raises = 0
+        for seed in range(20):
+            trs = random_system(random.Random(seed))
+            if trs is None:
+                continue
+            starts = [side for r in trs.rules for side in (r.lhs, r.rhs)]
+            starts += enumerate_terms(trs.symbols, enumeration_variables(trs), 2)
+            for u in starts:
+                for fuel in (0, 1, 2, 3, 7, 50):
+                    got = outcome(normalize, trs, u, fuel)
+                    assert got == outcome(innermost_oracle, trs, u, fuel), \
+                        (seed, render_term(u), fuel)
+                    raises += got[0] == "fuel"
+        assert len(cuts) > 500 and raises > len(cuts)
+
+    def test_an_equal_redex_beside_the_mark_is_no_loop(self):
+        # the walk finishes b at [1] before it meets a again at [2]
+        trs = parse_trs("sig: a/0 b/0 h/2\nrules:\n  a -> b\n")
+        assert nf(trs, t("h(a, h(a, a))", trs), 50) == t("h(b, h(b, b))", trs)
+
+    def test_a_loop_entered_after_leaving_the_mark(self, monkeypatch):
+        # a -> f(b, a), b -> c: from step 1 on, the marks at steps 2^k - 1
+        # all fall on b, whose subterm the walk leaves once it is c; the
+        # mark moves on to the next a, and the a below it ends the walk
+        trs = parse_trs("sig: a/0 b/0 c/0 f/2\nrules:\n"
+                        "  a -> f(b, a)\n  b -> c\n")
+        cuts = self.counted(monkeypatch, "_loop_stop")
+        tries = self.counted(monkeypatch, "_root_step")
+        with pytest.raises(FuelExhausted):
+            normalize(trs, t("a", trs), 200)
+        assert len(cuts) == 1 and len(tries) < 20
+        got = outcome(normalize, trs, t("a", trs), 200)
+        assert got == outcome(innermost_oracle, trs, t("a", trs), 200)
+        assert got[4] == "fuel exhausted after 200 steps"
+
+    def test_both_reads_share_one_run_of_the_walk(self, monkeypatch):
+        trs = parse_trs(ORACLE_EXTRA["pump"])
+        walks = self.counted(monkeypatch, "_walk")
+        with pytest.raises(FuelExhausted) as exc:
+            normalize(trs, t("a", trs), 50)
+        e = exc.value
+        assert len(e.trace) == 50 and len(walks) == 1
+        assert e.trace[-1].target == e.term
+        assert [cut for *_, cut in walks] == [True, False]
+
+    def test_a_wrong_prediction_is_an_internal_error(self, monkeypatch):
+        trs = parse_trs(ORACLE_EXTRA["pump"])
+        monkeypatch.setattr(rewriting, "_loop_stop", lambda *_: (49, False))
+        with pytest.raises(FuelExhausted) as exc:
+            normalize(trs, t("a", trs), 50)
+        assert str(exc.value) == "fuel exhausted after 49 steps"
+        with pytest.raises(RuntimeError, match="predicted a stop after 49 steps"):
+            exc.value.term
 
 
 # a right side that doubles its argument: outgrows MAX_TERM_NODES within
@@ -599,7 +707,7 @@ class TestNormalFormsCache:
                     with pytest.raises(FuelExhausted) as exc:
                         cached(u)
                     e = exc.value
-                    assert ("fuel", e.term, len(e.trace), e.trace) == expected, where
+                    assert raised(e) == expected, where
                     with pytest.raises(FuelExhausted) as ref:
                         normalize(trs, u, fuel)
                     assert str(e) == str(ref.value), where
@@ -620,7 +728,7 @@ class TestNormalFormsCache:
         with pytest.raises(FuelExhausted) as ref:
             normalize(trs, u, fuel)
         e = exc.value
-        assert ("fuel", e.term, len(e.trace), e.trace) == expected
+        assert raised(e) == expected
         assert str(e) == str(ref.value)
         return e
 
