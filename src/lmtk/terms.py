@@ -3,10 +3,12 @@
 Terms are either variables or applications of a fixed-arity symbol to
 argument terms. Everything downstream (rewriting, overlap computation,
 forward closure, the LM checker) manipulates these values, so they are
-immutable and hashable. Positions are 1-based integer tuples, the empty
-tuple being the root. `subterms` walks the positions of a term in
-pre-order, left to right, which is the order of the sorted position
-tuples; searches that report their first hit report it in that order.
+immutable and hashable. `App.__init__` is the one constructor of an
+application: every rewrite step, trace and search builds through it.
+Positions are 1-based integer tuples, the empty tuple being the root.
+`subterms` walks the positions of a term in pre-order, left to right,
+which is the order of the sorted position tuples; searches that report
+their first hit report it in that order.
 Substitutions are plain dicts from variable names to terms. `substitute`
 is the one rebuild of a term, a loop like every walk here (terms outgrow
 the recursion limit); it shares `_rebuilt` with `rewriting`'s normalizers.
@@ -57,8 +59,11 @@ class App:
     _size: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, sym: Symbol, args: tuple["Term", ...] = ()) -> None:
-        # written by hand: every rewrite step and search builds terms, and
-        # the generated __init__ plus __post_init__ cost twice as much
+        # the one constructor of a term: every rewrite step, trace and
+        # search builds through it, and tests count built terms by
+        # patching it. The class is frozen, so it writes its slots through
+        # their member descriptors, whose setters are bound once below;
+        # four object.__setattr__ calls cost about a quarter of a build
         if len(args) != sym.arity:
             raise ValueError(
                 f"symbol {sym.name}/{sym.arity} applied to "
@@ -68,11 +73,10 @@ class App:
         for a in args:
             size += a._size if a.__class__ is App else 1
         # terms are compared, hashed and measured constantly; cache both
-        setattr_ = object.__setattr__
-        setattr_(self, "sym", sym)
-        setattr_(self, "args", args)
-        setattr_(self, "_hash", hash((sym, args)))
-        setattr_(self, "_size", size)
+        _set_sym(self, sym)
+        _set_args(self, args)
+        _set_hash(self, hash((sym, args)))
+        _set_size(self, size)
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -101,6 +105,10 @@ class App:
     def __str__(self) -> str:
         return render_term(self)
 
+
+# the slot setters of App, read only by App.__init__
+_set_sym, _set_args, _set_hash, _set_size = (
+    App.__dict__[name].__set__ for name in ("sym", "args", "_hash", "_size"))
 
 Term = Union[Var, App]
 
@@ -204,19 +212,25 @@ def subterm_at(t: Term, p: Position) -> Term:
 
 def replace_at(t: Term, p: Position, s: Term) -> Term:
     # iterative along the position: rewriting can reach depths well past
-    # the interpreter recursion limit
+    # the interpreter recursion limit. It builds one node per index of `p`,
+    # and every step of a trace pays that
     spine: list[App] = []
     cur = t
     for i in p:
-        if isinstance(cur, Var) or not 1 <= i <= len(cur.args):
+        if cur.__class__ is Var or not 1 <= i <= len(cur.args):
             raise InvalidPositionError(
                 f"position {render_position(p)} not in term")
         spine.append(cur)
         cur = cur.args[i - 1]
     out = s
-    for parent, i in zip(reversed(spine), reversed(p)):
-        out = App(parent.sym,
-                  parent.args[:i - 1] + (out,) + parent.args[i:])
+    for k in range(len(p) - 1, -1, -1):
+        parent = spine[k]
+        args = parent.args
+        if len(args) == 1:
+            out = App(parent.sym, (out,))
+        else:
+            i = p[k]
+            out = App(parent.sym, args[:i - 1] + (out,) + args[i:])
     return out
 
 

@@ -1,6 +1,7 @@
 """The package's public surface: every exported name, and every public
 top-level name of a module, has a caller, and every class field, method
-and property is read. No function calls itself."""
+and property is read. No function calls itself, and every App is built
+by `App.__init__`."""
 
 import ast
 from pathlib import Path
@@ -186,3 +187,48 @@ def test_no_private_name_crosses_modules():
     found = set().union(*(private_imports(p)
                           for p in sorted(PACKAGE.glob("*.py"))))
     assert found == SHARED_PRIVATE
+
+
+def app_setter_names() -> set[str]:
+    """The names `terms` binds at top level to a slot setter (`__set__`)."""
+    tree = ast.parse((PACKAGE / "terms.py").read_text(encoding="utf-8"))
+    return {name.id for stmt in tree.body if isinstance(stmt, ast.Assign)
+            if any(isinstance(node, ast.Attribute) and node.attr == "__set__"
+                   for node in ast.walk(stmt.value))
+            for target in stmt.targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)}
+
+
+def app_builds_around_init(path: Path, setters: set[str]) -> list[str]:
+    """`module:line` for each place in `path` that could make an App
+    without running `App.__init__`: a read of a slot setter outside it, or
+    a `__new__` call on App."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    inside = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "App"
+              for stmt in cls.body
+              if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+              for node in ast.walk(stmt)}
+    out = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id in setters
+                and isinstance(node.ctx, ast.Load) and id(node) not in inside):
+            out.append(f"{path.stem}:{node.lineno}")
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "__new__"
+              and any(isinstance(n, ast.Name) and n.id == "App"
+                      for n in [node.func.value, *node.args])):
+            out.append(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_every_app_is_built_by_its_init():
+    # App.__init__ is the one constructor of a term: tests count built
+    # terms by patching it, and a build that went around it would count
+    # nothing and still pass
+    setters = app_setter_names()
+    assert setters == {"_set_sym", "_set_args", "_set_hash", "_set_size"}
+    found = [where for p in sorted(PACKAGE.glob("*.py"))
+             for where in app_builds_around_init(p, setters)]
+    assert found == []

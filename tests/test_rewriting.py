@@ -374,6 +374,31 @@ class TestNormalize:
         assert render_term(result) == "g(" * n + "a" + ")" * n
         assert len(tries) <= 3 * n
 
+    def test_the_trace_builds_one_node_per_position_index(self,
+                                                         monkeypatch):
+        # f^n(a) under f(x) -> g(x) steps at depths n - 1, ..., 0. The walk
+        # builds each step's g node and, above the bottom, rebuilds the f
+        # over the rewritten argument: 2n - 1 nodes. The trace rebuilds
+        # the path to each step's position, one node per index of it
+        trs = parse_trs("sig: a/0 f/1 g/1\nvars: x\nrules:\n  f(x) -> g(x)\n")
+        a, f = trs.symbol("a"), trs.symbol("f")
+        n = 400
+        start = App(a)
+        for _ in range(n):
+            start = App(f, (start,))
+        init, built = App.__init__, []
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+        monkeypatch.setattr(App, "__init__", counting)
+        result, trace = normalize(trs, start)
+        monkeypatch.undo()
+        assert len(trace) == n
+        walk = n + (n - 1)
+        assert len(built) == walk + sum(len(s.position) for s in trace)
+        assert result == trace[-1].target
+
 
     def test_running_out_of_fuel_rebuilds_no_term_per_step(self, monkeypatch):
         # g^d(h(a)) under h(x) -> h(s(x)) rewrites at depth d at every step:

@@ -19,11 +19,13 @@ from lmtk.terms import (
     match_term,
     mgu,
     rename_pair_apart,
+    render_position,
     render_term,
     replace_at,
     substitute,
     subterm_at,
     subterms,
+    term_size,
     variables_in_order,
     variables_of,
 )
@@ -181,6 +183,67 @@ class TestPositions:
     def test_replace_subterm_roundtrip(self, t):
         for p, _ in subterms(t):
             assert replace_at(t, p, subterm_at(t, p)) == t
+
+
+def reference_replace_at(t, p, s):
+    """The body `replace_at` had before its rebuild became one indexed
+    loop."""
+    spine = []
+    cur = t
+    for i in p:
+        if isinstance(cur, Var) or not 1 <= i <= len(cur.args):
+            raise InvalidPositionError(
+                f"position {render_position(p)} not in term")
+        spine.append(cur)
+        cur = cur.args[i - 1]
+    out = s
+    for parent, i in zip(reversed(spine), reversed(p)):
+        out = App(parent.sym,
+                  parent.args[:i - 1] + (out,) + parent.args[i:])
+    return out
+
+
+def same_term(u, v):
+    return (u == v and hash(u) == hash(v)
+            and term_size(u) == term_size(v))
+
+
+class TestReplaceAt:
+    @given(terms, terms)
+    def test_loop_agrees_with_the_reference(self, t, s):
+        for p, _ in subterms(t):
+            assert same_term(replace_at(t, p, s),
+                             reference_replace_at(t, p, s))
+
+    @given(terms, terms)
+    def test_both_reject_the_same_positions(self, t, s):
+        # below each subterm: a variable on the path, index 0, and an
+        # index past the arity
+        for p, u in subterms(t):
+            arity = len(u.args) if isinstance(u, App) else 0
+            for i in {0, 1, arity + 1} - set(range(1, arity + 1)):
+                messages = []
+                for replace in (replace_at, reference_replace_at):
+                    with pytest.raises(InvalidPositionError) as e:
+                        replace(t, p + (i,), s)
+                    messages.append(str(e.value))
+                assert messages[0] == messages[1]
+
+    def test_depth_safe_on_a_chain_past_the_recursion_limit(self):
+        # unary and binary parents in turn, replaced at the bottom
+        n = 3 * sys.getrecursionlimit()
+        t, want, path = a, f(b, x), []
+        for k in range(n):
+            if k % 2:
+                t, want = f(x, t), f(x, want)
+                path.append(2)
+            else:
+                t, want = g(t), g(want)
+                path.append(1)
+        p = tuple(reversed(path))
+        out = replace_at(t, p, f(b, x))
+        assert same_term(out, want)
+        assert same_term(out, reference_replace_at(t, p, f(b, x)))
 
 
 class TestMatch:
