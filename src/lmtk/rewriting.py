@@ -442,14 +442,14 @@ def _loop_stop(sizes: list[int], mark: int, fuel: int) -> tuple[int, bool]:
 def _unchecked(trs: Trs, t: Term, fuel: int, steps: int,
                outgrew: bool) -> FuelExhausted:
     """The FuelExhausted of the walk from `t` without the loop check,
-    which a cut raise predicted to stop after `steps` steps on the bound
-    `outgrew` names."""
+    which a cut raise, or a `NormalForms` query from its hand-over,
+    predicted to stop after `steps` steps on the bound `outgrew` names."""
     try:
         _walk(trs, t, fuel, False)
     except FuelExhausted as e:
         if (len(e.trace), e.outgrew) == (steps, outgrew):
             return e
-    raise RuntimeError(f"a loop cut at fuel {fuel} predicted a stop after "
+    raise RuntimeError(f"a raise at fuel {fuel} predicted a stop after "
                        f"{steps} steps that the walk does not make")
 
 
@@ -462,15 +462,20 @@ class NormalForms:
     forms of their subterms (Efficient Annotated Terms, van den Brand et
     al., SP&E 2000).
 
-    The memo maps each query that took steps, each term a query handed
-    over to `normalize`, each normal form, and each normal proper subterm
-    a query walked to its normal form. For a term that took steps it also
-    keeps the step count and the peak term size, both as `normalize`
-    counts them on that term alone. A normal query is not kept: searches
-    reject most of them at once, and one that turns up again inside a
-    later query is recorded then.
+    The memo maps each query, each term a query handed over to
+    `normalize`, each normal form, and each normal proper subterm a query
+    walked to its normal form. For a term that took steps it also keeps
+    the step count and the peak term size, both as `normalize` counts
+    them on that term alone.
 
-    A query walks its term in post-order, which is the leftmost-innermost
+    A query whose arguments the memo has all answered is decided in one
+    level. Its arguments' step counts and peaks are added up in order,
+    with the check below, and the term is rebuilt from their normal
+    forms. The rebuilt term is then looked up, its root tried, or the
+    whole term handed over, as at the root of a walk. Only a query with
+    an argument the memo never answered is walked.
+
+    A walk takes its term in post-order, which is the leftmost-innermost
     order, keeping the step count and the size of the whole term as
     `normalize` does. Each node is looked up in the memo when the walk
     enters it, and again once it is rebuilt from its normalized
@@ -488,18 +493,18 @@ class NormalForms:
     normal form, the size checks and the stuck term are the same. A
     FuelExhausted from there is raised again from the query, with the
     bound it names, its lazy stuck term, and a trace that counts the
-    steps before the hand-over; that trace is built only if read, by
-    running `normalize` on the query. A term that runs out of fuel is not
-    memoized. A query that enters a loop stops soon after its hand-over:
-    `normalize` stops at the loop's first repeated redex, with the raise
-    the whole budget would give.
+    steps before the hand-over; that trace is built only if read, by one
+    run of the walk from the query without the loop check. A term that
+    runs out of fuel is not memoized. A query that enters a loop stops
+    soon after its hand-over: `normalize` stops at the loop's first
+    repeated redex, with the raise the whole budget would give.
 
     The root phase stays in the public `normalize`: perfbench counts its
     calls and steps there, and its traced `cap` run requires every cap
-    search normalization to be such a call. A normal form that took steps
-    is returned as the memo's own object, so a later query that contains
-    it finds it by identity. Build one per call that normalizes many
-    terms; nothing outlives it.
+    search normalization to be such a call. A normal form is returned as
+    the memo's own object, so a later query that contains it finds it by
+    identity. Build one per call that normalizes many terms; nothing
+    outlives it.
     """
 
     def __init__(self, trs: Trs, fuel: int = DEFAULT_FUEL):
@@ -518,14 +523,73 @@ class NormalForms:
             return t  # a variable is normal
         for a in t.args:
             if memo.get(a) is not a:
-                return self._walk(t)
+                return self._one_level(t)
         # the common query: its arguments are known normal
         if _root_step(self.trs, t.sym, t.args) is None:
+            memo[t] = t
             return t
         return self._hand_over(t, t, 0, 0)
 
+    def _one_level(self, t: App) -> Term:
+        """`t` decided from its arguments' answers, or walked if the memo
+        never answered one of them."""
+        memo = self.memo
+        steps = peak = 0
+        size = t._size
+        args: list[Term] = []
+        # `normalize` takes the arguments' steps left to right, so a bound
+        # crossed in one is crossed before any argument right of it
+        for a in t.args:
+            v = memo.get(a)
+            if v is None:
+                if a.__class__ is App:
+                    return self._walk(t)
+                v = memo[a] = a  # a variable is normal
+            elif v is not a:
+                counted = self._spend(a, v, steps, peak, size)
+                if counted is None:
+                    return self._hand_over(t, t, 0, 0)
+                steps, peak, size = counted
+            args.append(v)
+        u = _rebuilt(t, args)
+        v = memo.get(u) if u is not t else None
+        if v is not None:
+            counted = self._spend(u, v, steps, peak, size)
+            if counted is None:
+                return self._hand_over(t, t, 0, 0)
+            steps, peak, _ = counted
+        elif _root_step(self.trs, u.sym, u.args) is None:
+            v = u
+        else:
+            return self._hand_over(t, u, steps, peak)
+        return self._keep(t, v, steps, peak)
+
+    def _spend(self, u: Term, v: Term, steps: int, peak: int,
+               size: int) -> Optional[tuple[int, int, int]]:
+        """The steps, peak and size of the whole term once its memoized
+        subterm `u` is replaced by its normal form `v`, from those before;
+        None when `normalize` stops inside `u`."""
+        known = self.cost.get(u)
+        if known is None:
+            return steps, peak, size
+        taken, top = known
+        rest = size - term_size(u)
+        if steps + taken > self.fuel or rest + top > MAX_TERM_NODES:
+            return None
+        return steps + taken, max(peak, rest + top), rest + term_size(v)
+
+    def _keep(self, t: Term, u: Term, steps: int, peak: int) -> Term:
+        """Memoize `u` as the normal form of `t`, reached in `steps`
+        steps with sizes up to `peak`; the memo's own object for it."""
+        memo = self.memo
+        u = memo.setdefault(u, u)
+        memo[t] = u
+        if steps:
+            self.cost[t] = steps, peak
+        return u
+
     def _walk(self, t: Term) -> Term:
-        memo, cost, trs = self.memo, self.cost, self.trs
+        memo, trs = self.memo, self.trs
         # spine frames and `path` as in `normalize`; left of the walk the
         # arguments are normal, right of it raw
         spine: list[tuple[App, list[Term]]] = []
@@ -549,26 +613,15 @@ class NormalForms:
                 if spine:
                     u = memo.setdefault(u, u)
             elif v is not u:
-                known = cost.get(u)
-                if known is not None:
-                    taken, top = known
-                    rest = size - term_size(u)
-                    if (steps + taken > self.fuel
-                            or rest + top > MAX_TERM_NODES):
-                        # `normalize` stops inside u
-                        return self._hand_over(t, t, 0, 0)
-                    steps += taken
-                    peak = max(peak, rest + top)
-                    size = rest + term_size(v)
+                counted = self._spend(u, v, steps, peak, size)
+                if counted is None:
+                    return self._hand_over(t, t, 0, 0)
+                steps, peak, size = counted
                 # the memo's own object: a rebuilt parent then compares
                 # equal to a memoized one without walking its arguments
                 u = v
             if not spine:
-                if steps:
-                    u = memo.setdefault(u, u)
-                    memo[t] = u
-                    cost[t] = steps, peak
-                return u
+                return self._keep(t, u, steps, peak)
             node, args = spine[-1]
             i = path[-1]
             args[i - 1] = u
@@ -585,35 +638,22 @@ class NormalForms:
     def _hand_over(self, t: Term, whole: Term, steps: int, peak: int) -> Term:
         """Normalize `t` from `whole`, the term its normalization reaches
         after `steps` steps with sizes up to `peak`, and memoize it."""
-        trs, fuel, memo = self.trs, self.fuel, self.memo
+        trs, fuel = self.trs, self.fuel
         try:
             out, trace = normalize(trs, whole, fuel - steps)
         except FuelExhausted as e:
             if not steps:
                 raise  # from `whole`, which equals `t`
             # `whole` gets stuck where `t` does
-            raise FuelExhausted(_LazyTrace(
-                steps + len(e.trace), lambda: _trace_of_stuck(trs, t, fuel)),
-                e.outgrew, e._stuck) from None
+            stop, outgrew = steps + len(e.trace), e.outgrew
+            raise FuelExhausted(_LazyTrace(stop, lambda: list(_unchecked(
+                trs, t, fuel, stop, outgrew).trace)), outgrew, e._stuck) from None
         # a root redex was found, so the trace is not empty
-        out = memo.setdefault(out, out)
         taken = len(trace)
         top = max(term_size(s.target) for s in trace)
         if whole is not t:
-            memo[whole] = out
-            self.cost[whole] = taken, top
-        memo[t] = out
-        self.cost[t] = steps + taken, max(peak, top)
-        return out
-
-
-def _trace_of_stuck(trs: Trs, t: Term, fuel: int) -> list[RewriteStep]:
-    """The trace `normalize` gives when `t` runs out of fuel."""
-    try:
-        normalize(trs, t, fuel)
-    except FuelExhausted as e:
-        return list(e.trace)
-    raise RuntimeError(f"{render_term(t)} normalizes within fuel {fuel}")
+            self._keep(whole, out, taken, top)
+        return self._keep(t, out, steps + taken, max(peak, top))
 
 
 def replay(trs: Trs, t: Term, trace: Sequence[RewriteStep]) -> Term:
@@ -667,27 +707,39 @@ def subterm_collapse_search(trs: Trs, max_depth: int = 5,
 
     A term collapses iff its normal form is among those of its proper
     subterms, that is, in the set of some argument: the normal forms of
-    the argument and of all its subterms. Each argument's set is built
-    once, from its own normal form and its arguments' sets. Only a term
-    that collapses has its subterms walked, in pre-order, for the first
-    witness position.
+    the argument and of all its subterms. A term that is its own normal
+    form is larger than every normal form below it, so it skips that
+    test. The sets are built when a test first reads them, each once,
+    from the term's own normal form and its arguments' sets, by a loop
+    that first builds the sets its arguments lack. Every term below an
+    enumerated one was enumerated and queried before it, so their normal
+    forms are read from the memo. Only a term that collapses has its
+    subterms walked, in pre-order, for the first witness position.
     """
     vars_ = enumeration_variables(trs)
     nf = NormalForms(trs, fuel)
-    # the sets of the terms that turned up as arguments; terms of the
-    # last depth never do
+    # the sets of the arguments of tested terms and of their subterms;
+    # terms of the last depth are never arguments
     reach: dict[Term, set[Term]] = {}
 
     def reach_of(a: Term) -> set[Term]:
         out = reach.get(a)
-        if out is None:
-            # `a` was enumerated and checked before any term it is an
-            # argument of, and, as no witness ended the search there,
-            # with the sets of all its own arguments built
-            out = reach[a] = {nf(a)}
-            for b in (a.args if a.__class__ is App else ()):
-                out |= reach[b]
-        return out
+        if out is not None:
+            return out
+        todo = [a]
+        while todo:
+            b = todo[-1]
+            args = b.args if b.__class__ is App else ()
+            lacking = [c for c in args if c not in reach]
+            if lacking:
+                todo += lacking
+                continue
+            todo.pop()
+            out = {nf(b)}
+            for c in args:
+                out |= reach[c]
+            reach[b] = out
+        return reach[a]
 
     checked = 0
     exhausted = True
@@ -699,6 +751,8 @@ def subterm_collapse_search(trs: Trs, max_depth: int = 5,
         if isinstance(u, Var):
             continue
         u_nf = nf(u)
+        if u_nf is u:
+            continue
         if any(u_nf in reach_of(a) for a in u.args):
             for p, sub in subterms(u):
                 if p and nf(sub) == u_nf:

@@ -2,7 +2,6 @@
 
 import collections
 import itertools
-import math
 import random
 import sys
 
@@ -532,18 +531,34 @@ def first_redex(trs, t, order):
     return None
 
 
+def post_order(t):
+    """Every position of `t` with its subterm, each after its arguments,
+    left to right."""
+    stack = [((), t, False)]
+    while stack:
+        p, u, done = stack.pop()
+        if done or u.__class__ is Var:
+            yield p, u
+            continue
+        stack.append((p, u, True))
+        for i in range(len(u.args), 0, -1):
+            stack.append((p + (i,), u.args[i - 1], False))
+
+
 def innermost_oracle(trs, t, fuel):
     """Leftmost-innermost normalization from the definition: rewrite at the
-    first position in post-order where a rule applies."""
+    first position in post-order where a rule applies, by the first rule
+    in file order that matches there."""
     trace = []
     while True:
-        order = sorted((p for p, _ in subterms(t)), key=lambda p: p + (math.inf,))
-        hit = first_redex(trs, t, order)
+        hit = next(((rule, p) for p, u in post_order(t) for rule in trs.rules
+                    if match_term(rule.lhs, u) is not None), None)
         if hit is None:
             return t, trace
         if len(trace) >= fuel:
             raise FuelExhausted(trace, False, lambda: t)
-        rule, p, target, _ = hit
+        rule, p = hit
+        target, _ = apply_rule(rule, t, p)
         trace.append(RewriteStep(rule.label, p, t, target))
         t = target
         if term_size(t) > MAX_TERM_NODES:
@@ -709,9 +724,31 @@ class TestLoopCut:
 DOUBLING = "sig: a/0 f/2 g/1\nvars: x\nrules:\n  g(x) -> g(f(x,x))\n"
 
 
+def walked(monkeypatch):
+    """The query of each `NormalForms._walk` call from now on."""
+    calls, walk = [], NormalForms._walk
+
+    def counting(self, u):
+        calls.append(u)
+        return walk(self, u)
+    monkeypatch.setattr(NormalForms, "_walk", counting)
+    return calls
+
+
 class TestNormalFormsCache:
-    def test_cache_agrees_with_normalize(self):
+    def test_cache_agrees_with_normalize(self, monkeypatch):
         cases = outgrown = 0
+        # the forward sweeps' queries answered in one level, with no walk:
+        # by how they end and whether the shared check crossed a bound
+        one_level = collections.Counter()
+        outgrown_in_one_level = set()
+        walks, crossed, spend = walked(monkeypatch), [], NormalForms._spend
+
+        def spending(self, *args):
+            out = spend(self, *args)
+            crossed.append(out is None)
+            return out
+        monkeypatch.setattr(NormalForms, "_spend", spending)
         systems = {**LM_SOURCES, **FC_SOURCES, **ORACLE_EXTRA,
                    "doubling": DOUBLING}
         for name, src in systems.items():
@@ -722,23 +759,38 @@ class TestNormalFormsCache:
                 # one cache per system and fuel; the reverse sweep meets
                 # hits before misses and before failures
                 cached = NormalForms(trs, fuel)
-                for u in terms + terms[::-1]:
+                for i, u in enumerate(terms + terms[::-1]):
                     cases += 1
                     expected = outcome(normalize, trs, u, fuel)
                     where = (name, render_term(u), fuel)
+                    fresh = (i < len(terms) and u.__class__ is App
+                             and u not in cached.memo)
+                    walks.clear()
+                    crossed.clear()
                     if expected[0] != "fuel":
                         assert cached(u) == expected[0], where
-                        continue
-                    with pytest.raises(FuelExhausted) as exc:
-                        cached(u)
-                    e = exc.value
-                    assert raised(e) == expected, where
-                    with pytest.raises(FuelExhausted) as ref:
-                        normalize(trs, u, fuel)
-                    assert str(e) == str(ref.value), where
-                    outgrown += term_size(e.term) > MAX_TERM_NODES
+                        end = "normal"
+                    else:
+                        with pytest.raises(FuelExhausted) as exc:
+                            cached(u)
+                        e = exc.value
+                        assert raised(e) == expected, where
+                        with pytest.raises(FuelExhausted) as ref:
+                            normalize(trs, u, fuel)
+                        assert str(e) == str(ref.value), where
+                        outgrown += term_size(e.term) > MAX_TERM_NODES
+                        end = "outgrew" if e.outgrew else "fuel"
+                    if fresh and not walks:
+                        one_level[end, any(crossed)] += 1
+                        if end == "outgrew":
+                            outgrown_in_one_level.add(name)
         assert cases > 12000
         assert outgrown > 0
+        # fuel 0 or 3 runs out after a one-level hand-over, and fuel 3
+        # inside an argument the shared check adds
+        assert one_level["normal", False] > 5000
+        assert one_level["fuel", False] > 0 and one_level["fuel", True] > 0
+        assert outgrown_in_one_level >= {"large_rhs_pump", "doubling"}
 
     @staticmethod
     def same_outcome(cached, trs, u, fuel):
@@ -768,9 +820,11 @@ class TestNormalFormsCache:
             e = self.same_outcome(cached, trs, t("h(a,a)", trs), fuel)
             assert (e is None) == (fuel >= 6)
 
-    def test_the_size_bound_crossed_only_in_context(self):
+    def test_the_size_bound_crossed_only_in_context(self, monkeypatch):
         # dup(s^1999(0)) peaks at 4001 nodes alone, then shrinks back; with
-        # 1500 more nodes beside it, the whole term goes over at that peak
+        # 1500 more nodes beside it, the whole term goes over at that peak.
+        # The walk of dup(s^1999(0)) answered s^1499(0), so the whole term
+        # is decided in one level
         trs = parse_trs("sig: 0/0 s/1 dup/1 p/2 h/2\nvars: x y\nrules:\n"
                         "  dup(x) -> p(x,x)\n  p(x,y) -> x\n")
         s, zero = trs.symbol("s"), App(trs.symbol("0"))
@@ -783,11 +837,13 @@ class TestNormalFormsCache:
         cached = NormalForms(trs)
         assert cached(arg) == long
         assert cached.cost[arg] == (2, 4001)
+        walks = walked(monkeypatch)
         for args in ((arg, beside), (beside, arg)):
             whole = App(trs.symbol("h"), args)
             assert 4001 + term_size(beside) + 1 > MAX_TERM_NODES
             e = self.same_outcome(cached, trs, whole, DEFAULT_FUEL)
             assert str(e) == f"term outgrew {MAX_TERM_NODES} nodes after 1 steps"
+        assert walks == []
 
     @pytest.mark.parametrize("fuel, message", [
         (0, "fuel exhausted after 0 steps"),
@@ -852,10 +908,27 @@ class TestNormalFormsCache:
             assert len(calls) == 1, query
             assert sum(steps) <= fuel, query
             assert len(exc.value.trace) == fuel
-            assert len(calls) == 1
-            # reading the trace runs the whole query once more
+            # reading the trace and the term runs no more `normalize`
             assert exc.value.trace[-1].target == exc.value.term
-            assert len(calls) == 2
+            assert len(calls) == 1
+
+    def test_reading_the_trace_runs_one_unchecked_walk(self, monkeypatch):
+        # a -> f(a) is cut after the hand-over of g(b,a): the trace of the
+        # query comes from one walk of it without the loop check
+        trs = parse_trs("sig: a/0 b/0 c/0 f/1 g/2\n"
+                        "rules:\n  a -> f(a)\n  c -> b\n")
+        query = t("g(c,a)", trs)
+        cached = NormalForms(trs, 200)
+        cached(t("c", trs))
+        cuts = TestLoopCut.counted(monkeypatch, "_loop_stop")
+        with pytest.raises(FuelExhausted) as exc:
+            cached(query)
+        assert len(cuts) == 1
+        walks = TestLoopCut.counted(monkeypatch, "_walk")
+        handed = self.hand_overs(monkeypatch)
+        trace = exc.value.trace
+        assert len(trace) == 200 and trace[0].source == query
+        assert walks == [(trs, query, 200, False)] and handed == []
 
     @staticmethod
     def hand_overs(monkeypatch):
@@ -1032,6 +1105,16 @@ class TestCollapseSearch:
     def test_empty_system(self):
         trs = parse_trs("sig: a/0\nrules:\n")
         assert not subterm_collapse_search(trs, 4).collapsing
+
+    def test_a_capped_search_walks_no_term(self, monkeypatch):
+        # every term the search queries is built from terms it queried
+        # before, so each is decided in one level
+        trs = parse_trs(LM_SOURCES["swap_args"])
+        walks = walked(monkeypatch)
+        res = subterm_collapse_search(trs)
+        assert (res.collapsing, res.terms_checked, res.exhausted) == (
+            False, 4000, False)
+        assert walks == []
 
     def test_duplicating_rule_collapses(self):
         trs = parse_trs("sig: f/2 0/0\nvars: x\nrules:\n  f(x,x) -> 0\n")
