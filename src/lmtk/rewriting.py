@@ -729,6 +729,9 @@ def subterm_collapse_search(trs: Trs, max_depth: int = 5,
         todo = [a]
         while todo:
             b = todo[-1]
+            if b in reach:
+                todo.pop()  # lacked twice, as in f(x, x)
+                continue
             args = b.args if b.__class__ is App else ()
             lacking = [c for c in args if c not in reach]
             if lacking:

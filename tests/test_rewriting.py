@@ -1116,6 +1116,23 @@ class TestCollapseSearch:
             False, 4000, False)
         assert walks == []
 
+    def test_each_set_is_built_once(self, monkeypatch):
+        # f(k(a,a)) is the first term the search tests, so the set of
+        # its argument k(a,a) lacks the set of a twice
+        trs = parse_trs("sig: a/0 g/1 k/2 f/1\nvars: x y\nrules:\n"
+                        "  f(k(x,y)) -> g(y)\n")
+        queries, query = collections.Counter(), NormalForms.__call__
+
+        def counting(self, u):
+            queries[u] += 1
+            return query(self, u)
+        monkeypatch.setattr(NormalForms, "__call__", counting)
+        res = subterm_collapse_search(trs, 3)
+        assert (res.collapsing, res.exhausted) == (False, True)
+        # once as enumerated, once for its set
+        assert queries[t("a", trs)] == 2
+        assert max(queries.values()) == 2
+
     def test_duplicating_rule_collapses(self):
         trs = parse_trs("sig: f/2 0/0\nvars: x\nrules:\n  f(x,x) -> 0\n")
         res = subterm_collapse_search(trs, 3)
