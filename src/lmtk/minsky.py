@@ -7,8 +7,8 @@ condition allows two transitions to share a source or a target state only
 as a Z/P test pair on the same counter. That keeps the encoding below free
 of critical pairs only if, besides, no transition leaves the final state:
 the rule of such a transition and the finalize rule share their root
-symbol and overlap at the root. `validate_machine` checks the
-reversibility condition alone.
+symbol and overlap at the root. `MinskyMachine` rejects such a
+transition; `validate_machine` checks the reversibility condition alone.
 
 The encoding turns a machine into a rewrite system over configuration
 terms c(state, counter1, counter2, step): one rule per transition, plus a
@@ -73,6 +73,9 @@ class MinskyMachine:
                 raise ValueError(f"transition {t} uses undeclared states")
             if t.counter not in (1, 2) or t.op not in COUNTER_OPS:
                 raise ValueError(f"bad transition {t}")
+            if t.source == self.final:
+                raise ValueError(
+                    f"transition {t} leaves the final state {self.final}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import abc
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from .terms import (
@@ -179,31 +179,20 @@ class FuelExhausted(Exception):
     """Rewriting did not finish within the step budget, or the term outgrew
     MAX_TERM_NODES (`outgrew`), which the message names. `trace` is the
     sequence of steps rewriting took; `normalize` passes a read-only
-    sequence whose steps are built on first read (its length costs
-    nothing), and which compares equal to the list of the same steps.
-    `term` is the term rewriting stopped at, built by `stuck` on first
-    read (`normalize` folds its frozen walk back into it, without the
-    trace).
+    sequence whose steps are built on first read, by one run of the walk
+    without the loop check (its length costs nothing), and which
+    compares equal to the list of the same steps.
 
     `normalize` also raises it as soon as its walk has entered a loop,
     which would never end: with the step count and bound at which the
-    walk would stop. Then both the trace and the term come from one run
-    of the walk without the loop check, made on the first read of
-    either."""
+    walk would stop."""
 
-    def __init__(self, trace: Sequence[RewriteStep], outgrew: bool,
-                 stuck: Callable[[], Term]):
-        # the stuck term can be enormous; keep it off the message
+    def __init__(self, trace: Sequence[RewriteStep], outgrew: bool):
         bound = (f"term outgrew {MAX_TERM_NODES} nodes" if outgrew
                  else "fuel exhausted")
         super().__init__(f"{bound} after {len(trace)} steps")
         self.trace = trace
         self.outgrew = outgrew
-        self._stuck = stuck
-
-    @cached_property
-    def term(self) -> Term:
-        return self._stuck()
 
 
 # one step as `normalize` records it: rule label, position and the
@@ -224,7 +213,8 @@ def _steps(t: Term, records: list[_Record]) -> list[RewriteStep]:
 class _LazyTrace(abc.Sequence):
     """The trace of a normalization that ran out of fuel, built on first
     read by `build`. Callers that catch FuelExhausted mostly drop it
-    unread, and building it costs a whole-term rebuild per step.
+    unread, and building it costs a run of the walk and a whole-term
+    rebuild per step.
     Unhashable, like the list it stands for, since it defines `__eq__`."""
 
     __slots__ = ("_length", "_build", "_built")
@@ -328,9 +318,9 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
     the term. On success the trace's source and target terms are built
     from the records in one pass. Raises FuelExhausted, naming the bound,
     if a redex remains after `fuel` steps, or right after the step that
-    takes the term over MAX_TERM_NODES. The raise builds no term: the
-    trace is built only if read, and so is the stuck term, by one fold of
-    the walk's frozen spine.
+    takes the term over MAX_TERM_NODES. The raise builds no term and
+    keeps no record: the trace is built only if read, by one run of the
+    walk without the loop check.
 
     The walk also stops as soon as it has entered a loop, and raises the
     FuelExhausted it would reach. It keeps a mark: the redex of the step
@@ -343,17 +333,22 @@ def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[R
     the next P steps take the u inside to C[u] again, and so on forever,
     each period adding the nodes of C (a loop u ->+ C[u]; Payet, TCS
     2008). `_loop_stop` computes where the walk would stop from the sizes
-    of one period. A cut raise builds no term either: its trace and stuck
-    term come, on first read, from one run of the walk without the check,
-    which both reads share.
+    of one period. A cut raise is built as any other: its trace, too,
+    comes on first read from one run of the walk without the check.
     """
-    trace = _steps(t, _walk(trs, t, fuel, True))
+    records, stop = _walk(trs, t, fuel, True)
+    if stop is not None:
+        raise _stopped(trs, t, fuel, *stop)
+    trace = _steps(t, records)
     return (trace[-1].target if trace else t), trace
 
 
-def _walk(trs: Trs, t: Term, fuel: int, cut: bool) -> list[_Record]:
-    """The records of `normalize`'s walk from `t`, or its FuelExhausted;
-    with `cut`, the loop check that `normalize` describes."""
+def _walk(trs: Trs, t: Term, fuel: int,
+          cut: bool) -> tuple[list[_Record], Optional[tuple[int, bool]]]:
+    """The records of `normalize`'s walk from `t`, and where it stops:
+    None when it reaches the normal form, else the step count and
+    `outgrew` of its FuelExhausted. With `cut`, the loop check that
+    `normalize` describes."""
     records: list[_Record] = []
     # sizes[n]: the whole term's size after n steps
     sizes = [term_size(t)]
@@ -382,16 +377,10 @@ def _walk(trs: Trs, t: Term, fuel: int, cut: bool) -> list[_Record]:
         if hit is not None:
             n = len(records)
             if n >= fuel:
-                outgrew = False
-                break
+                return records, (n, False)
             if cut:
                 if u == mark:
-                    steps, outgrew = _loop_stop(sizes, mark_at, fuel)
-                    run = cache(partial(_unchecked, trs, t, fuel, steps,
-                                        outgrew))
-                    raise FuelExhausted(
-                        _LazyTrace(steps, lambda: list(run().trace)),
-                        outgrew, lambda: run().term)
+                    return records, _loop_stop(sizes, mark_at, fuel)
                 if n == move_at:
                     mark, mark_at, mark_depth = u, n, len(path)
                     move_at = 2 * n + 1
@@ -403,10 +392,9 @@ def _walk(trs: Trs, t: Term, fuel: int, cut: bool) -> list[_Record]:
             sizes.append(size)
             u, entering = r, True
             if size > MAX_TERM_NODES:
-                outgrew = True
-                break
+                return records, (len(records), True)
         elif not spine:
-            return records
+            return records, None
         else:
             if len(path) <= mark_depth:
                 # u is finished, and the walk leaves the mark's subterm
@@ -421,8 +409,6 @@ def _walk(trs: Trs, t: Term, fuel: int, cut: bool) -> list[_Record]:
                 spine.pop()
                 path.pop()
                 u, entering = _rebuilt(node, args), False
-    raise FuelExhausted(_LazyTrace(len(records), partial(_steps, t, records)),
-                        outgrew, partial(_folded, u, spine, path))
 
 
 def _loop_stop(sizes: list[int], mark: int, fuel: int) -> tuple[int, bool]:
@@ -439,18 +425,23 @@ def _loop_stop(sizes: list[int], mark: int, fuel: int) -> tuple[int, bool]:
     return (cross, True) if cross <= fuel else (fuel, False)
 
 
-def _unchecked(trs: Trs, t: Term, fuel: int, steps: int,
-               outgrew: bool) -> FuelExhausted:
-    """The FuelExhausted of the walk from `t` without the loop check,
-    which a cut raise, or a `NormalForms` query from its hand-over,
-    predicted to stop after `steps` steps on the bound `outgrew` names."""
-    try:
-        _walk(trs, t, fuel, False)
-    except FuelExhausted as e:
-        if (len(e.trace), e.outgrew) == (steps, outgrew):
-            return e
-    raise RuntimeError(f"a raise at fuel {fuel} predicted a stop after "
-                       f"{steps} steps that the walk does not make")
+def _stopped(trs: Trs, t: Term, fuel: int, steps: int,
+             outgrew: bool) -> FuelExhausted:
+    """The FuelExhausted of the walk from `t` at `fuel`, predicted to stop
+    after `steps` steps on the bound `outgrew` names: by the walk itself,
+    by a loop cut, or by a `NormalForms` query from its hand-over. The one
+    place that builds it. Its trace is built on first read, by one run of
+    the walk without the loop check, which raises RuntimeError if that
+    run does not stop as predicted."""
+
+    def build() -> list[RewriteStep]:
+        records, stop = _walk(trs, t, fuel, False)
+        if stop != (steps, outgrew):
+            raise RuntimeError(f"a raise at fuel {fuel} predicted a stop "
+                               f"after {steps} steps that the walk does "
+                               f"not make")
+        return _steps(t, records)
+    return FuelExhausted(_LazyTrace(steps, build), outgrew)
 
 
 def nf(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> Term:
@@ -490,14 +481,14 @@ class NormalForms:
     `normalize` with the fuel that is left. The parts left of the redex
     are normalized and the parts right of it still raw: that is exactly
     the term `normalize` reaches from the query after those steps, so the
-    normal form, the size checks and the stuck term are the same. A
+    normal form, the size checks and the place it stops are the same. A
     FuelExhausted from there is raised again from the query, with the
-    bound it names, its lazy stuck term, and a trace that counts the
-    steps before the hand-over; that trace is built only if read, by one
-    run of the walk from the query without the loop check. A term that
-    runs out of fuel is not memoized. A query that enters a loop stops
-    soon after its hand-over: `normalize` stops at the loop's first
-    repeated redex, with the raise the whole budget would give.
+    bound it names and a trace that counts the steps before the
+    hand-over; that trace is built only if read, by one run of the walk
+    from the query without the loop check. A term that runs out of fuel
+    is not memoized. A query that enters a loop stops soon after its
+    hand-over: `normalize` stops at the loop's first repeated redex,
+    with the raise the whole budget would give.
 
     The root phase stays in the public `normalize`: perfbench counts its
     calls and steps there, and its traced `cap` run requires every cap
@@ -642,12 +633,9 @@ class NormalForms:
         try:
             out, trace = normalize(trs, whole, fuel - steps)
         except FuelExhausted as e:
-            if not steps:
-                raise  # from `whole`, which equals `t`
             # `whole` gets stuck where `t` does
-            stop, outgrew = steps + len(e.trace), e.outgrew
-            raise FuelExhausted(_LazyTrace(stop, lambda: list(_unchecked(
-                trs, t, fuel, stop, outgrew).trace)), outgrew, e._stuck) from None
+            raise _stopped(trs, t, fuel, steps + len(e.trace),
+                           e.outgrew) from None
         # a root redex was found, so the trace is not empty
         taken = len(trace)
         top = max(term_size(s.target) for s in trace)

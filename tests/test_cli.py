@@ -336,6 +336,16 @@ class TestMinskyCommands:
         assert (code, out) == (3, "")
         assert err == "error: state q0 declared twice\n"
 
+    @pytest.mark.parametrize("action", ["validate", "simulate", "encode",
+                                        "cap"])
+    def test_a_transition_out_of_the_final_state_exits_3(self, write, capsys,
+                                                         action):
+        path = write("m.mm", "states: q0 qL\ninitial: q0\nfinal: qL\n"
+                             "q0 1 + qL\nqL 1 + q0\n")
+        code, out, err = run(capsys, "minsky", action, path)
+        assert (code, out) == (3, "")
+        assert err == "error: transition qL 1 + q0 leaves the final state qL\n"
+
     def test_simulate(self, write, capsys):
         path = write("m.mm", render_machine(BRANCHING_MACHINE))
         code, out, _ = run(capsys, "minsky", "simulate", path, "--k", "1")

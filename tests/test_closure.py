@@ -708,7 +708,7 @@ class TestInnermostOneStep:
             try:
                 return innermost_one_step_check(trs, depth=3, fuel=200)
             except FuelExhausted as e:
-                return e.term
+                return str(e), len(e.trace), e.outgrew
 
         answers = []
         for trs in differential_systems():

@@ -1,7 +1,7 @@
 """The package's public surface: every exported name, and every public
 top-level name of a module, has a caller, and every class field, method
-and property is read. No function calls itself, and every App is built
-by `App.__init__`."""
+and property is read. No function calls itself, every App is built by
+`App.__init__`, and every FuelExhausted by `rewriting._stopped`."""
 
 import ast
 from pathlib import Path
@@ -232,3 +232,22 @@ def test_every_app_is_built_by_its_init():
     found = [where for p in sorted(PACKAGE.glob("*.py"))
              for where in app_builds_around_init(p, setters)]
     assert found == []
+
+
+def fuel_exhausted_builds(path: Path) -> list[str]:
+    """`module.name` for each call of `FuelExhausted` in `path`, by the
+    top-level function or class it stands in."""
+    return [f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call)
+            and "FuelExhausted" in (getattr(node.func, "id", None),
+                                    getattr(node.func, "attr", None))]
+
+
+def test_every_fuel_exhausted_is_built_by_stopped():
+    # one builder gives every raise its lazy trace and checks the stop it
+    # predicts when that trace is read
+    found = [where for p in sorted(PACKAGE.glob("*.py"))
+             for where in fuel_exhausted_builds(p)]
+    assert found == ["rewriting._stopped"]

@@ -429,17 +429,16 @@ class TestNormalize:
             assert len(built) == count
             raised.append(exc.value)
         monkeypatch.undo()
-        assert [e.term for e in raised] == [stuck, stuck]
         e = raised[0]
         steps = list(e.trace)
         assert all(x is y for x, y in zip(steps, e.trace, strict=True))
-        assert replay(trs, start, e.trace) == e.term
+        assert replay(trs, start, e.trace) == stuck
 
     def test_running_out_of_fuel_builds_no_term_at_the_raise(self,
                                                              monkeypatch):
         # a -> b and b -> a have ground right sides, so the ten steps at
         # the bottom of g^2000(a) build no App: any App built is built
-        # at the raise. The stuck term is built only when read
+        # at the raise
         trs = parse_trs("sig: a/0 b/0 g/1\nrules:\n  a -> b\n  b -> a\n")
         g, start = trs.symbol("g"), App(trs.symbol("a"))
         for _ in range(2000):
@@ -458,48 +457,10 @@ class TestNormalize:
         assert built == []
         monkeypatch.undo()
         for e in raised:
-            # ten steps take a back to a
-            assert e.term == start
             assert len(e.trace) == 10
             assert str(e) == "fuel exhausted after 10 steps"
             with pytest.raises(TypeError):
                 hash(e.trace)
-
-    def test_reading_the_stuck_term_folds_one_spine(self, monkeypatch):
-        # g^d(p(b, h(a))) takes b -> c, then runs out of fuel on
-        # h(x) -> h(s(x)) at depth d + 1. The stuck term is one fold of
-        # the d + 1 frames above the redex; the trace rebuilds them at
-        # every step. The query of NormalForms finds b memoized and hands
-        # over g^d(p(c, h(a))), so its stuck term comes from that hand-over
-        trs = parse_trs("sig: a/0 b/0 c/0 g/1 h/1 p/2 s/1\nvars: x\n"
-                        "rules:\n  b -> c\n  h(x) -> h(s(x))\n")
-        fuel, d = 50, 400
-        start = t("p(b, h(a))", trs)
-        for _ in range(d):
-            start = App(trs.symbol("g"), (start,))
-        cached = NormalForms(trs, fuel)
-        assert cached(t("b", trs)) == t("c", trs)
-        init, built = App.__init__, []
-
-        def counting(self, *args):
-            built.append(self)
-            init(self, *args)
-        for normalizer in (lambda u: nf(trs, u, fuel), cached):
-            with pytest.raises(FuelExhausted) as exc:
-                normalizer(start)
-            e = exc.value
-            monkeypatch.setattr(App, "__init__", counting)
-            built.clear()
-            term = e.term
-            assert len(built) <= d + 2
-            assert e.term is term
-            built.clear()
-            target = e.trace[-1].target
-            # the trace was not built with the stuck term
-            assert len(built) > fuel * d
-            monkeypatch.undo()
-            assert term == target
-            assert term_size(term) == d + fuel + 3
 
     def test_lazy_trace_equals_the_list_of_its_steps(self):
         loop = parse_trs("sig: a/0 b/0\nrules:\n  a -> b\n  b -> a\n")
@@ -556,13 +517,13 @@ def innermost_oracle(trs, t, fuel):
         if hit is None:
             return t, trace
         if len(trace) >= fuel:
-            raise FuelExhausted(trace, False, lambda: t)
+            raise FuelExhausted(trace, False)
         rule, p = hit
         target, _ = apply_rule(rule, t, p)
         trace.append(RewriteStep(rule.label, p, t, target))
         t = target
         if term_size(t) > MAX_TERM_NODES:
-            raise FuelExhausted(trace, True, lambda: t)
+            raise FuelExhausted(trace, True)
 
 
 def normalize_outermost(trs, t, fuel=DEFAULT_FUEL):
@@ -574,15 +535,15 @@ def normalize_outermost(trs, t, fuel=DEFAULT_FUEL):
         if hit is None:
             return t
         if steps >= fuel:
-            raise FuelExhausted([], False, lambda: t)
+            raise FuelExhausted([], False)
         t = hit[2]
         if term_size(t) > MAX_TERM_NODES:
-            raise FuelExhausted([], True, lambda: t)
+            raise FuelExhausted([], True)
 
 
 def raised(e):
     """All a FuelExhausted tells."""
-    return "fuel", e.term, len(e.trace), e.trace, str(e), e.outgrew
+    return "fuel", len(e.trace), e.trace, str(e), e.outgrew
 
 
 def outcome(normalizer, trs, u, fuel):
@@ -657,10 +618,6 @@ class TestLoopCut:
         assert len(tries) <= 5
         assert str(e) == f"term outgrew {MAX_TERM_NODES} nodes after 5000 steps"
         assert e.outgrew and len(e.trace) == 5000
-        expected = t("a", trs)
-        for _ in range(5000):
-            expected = App(trs.symbol("f"), (expected,))
-        assert e.term == expected
 
     def test_random_systems_agree_with_the_definition(self, monkeypatch):
         cuts = self.counted(monkeypatch, "_loop_stop")
@@ -697,17 +654,7 @@ class TestLoopCut:
         assert len(cuts) == 1 and len(tries) < 20
         got = outcome(normalize, trs, t("a", trs), 200)
         assert got == outcome(innermost_oracle, trs, t("a", trs), 200)
-        assert got[4] == "fuel exhausted after 200 steps"
-
-    def test_both_reads_share_one_run_of_the_walk(self, monkeypatch):
-        trs = parse_trs(ORACLE_EXTRA["pump"])
-        walks = self.counted(monkeypatch, "_walk")
-        with pytest.raises(FuelExhausted) as exc:
-            normalize(trs, t("a", trs), 50)
-        e = exc.value
-        assert len(e.trace) == 50 and len(walks) == 1
-        assert e.trace[-1].target == e.term
-        assert [cut for *_, cut in walks] == [True, False]
+        assert got[3] == "fuel exhausted after 200 steps"
 
     def test_a_wrong_prediction_is_an_internal_error(self, monkeypatch):
         trs = parse_trs(ORACLE_EXTRA["pump"])
@@ -716,7 +663,7 @@ class TestLoopCut:
             normalize(trs, t("a", trs), 50)
         assert str(exc.value) == "fuel exhausted after 49 steps"
         with pytest.raises(RuntimeError, match="predicted a stop after 49 steps"):
-            exc.value.term
+            list(exc.value.trace)
 
 
 # a right side that doubles its argument: outgrows MAX_TERM_NODES within
@@ -778,7 +725,7 @@ class TestNormalFormsCache:
                         with pytest.raises(FuelExhausted) as ref:
                             normalize(trs, u, fuel)
                         assert str(e) == str(ref.value), where
-                        outgrown += term_size(e.term) > MAX_TERM_NODES
+                        outgrown += e.outgrew
                         end = "outgrew" if e.outgrew else "fuel"
                     if fresh and not walks:
                         one_level[end, any(crossed)] += 1
@@ -859,7 +806,7 @@ class TestNormalFormsCache:
         assert term_size(start) > MAX_TERM_NODES
         e = self.same_outcome(NormalForms(trs, fuel), trs, start, fuel)
         assert str(e) == message
-        assert e.term == (stuck if fuel else start)
+        assert replay(trs, start, e.trace) == (stuck if fuel else start)
 
     def test_the_first_redex_below_the_root(self, monkeypatch):
         trs = parse_trs("sig: a/0 b/0 c/0 d/0 g/1 h/2\n"
@@ -908,8 +855,8 @@ class TestNormalFormsCache:
             assert len(calls) == 1, query
             assert sum(steps) <= fuel, query
             assert len(exc.value.trace) == fuel
-            # reading the trace and the term runs no more `normalize`
-            assert exc.value.trace[-1].target == exc.value.term
+            # reading the trace runs no more `normalize`
+            assert exc.value.trace[0].source == t(query, trs)
             assert len(calls) == 1
 
     def test_reading_the_trace_runs_one_unchecked_walk(self, monkeypatch):
@@ -929,6 +876,32 @@ class TestNormalFormsCache:
         trace = exc.value.trace
         assert len(trace) == 200 and trace[0].source == query
         assert walks == [(trs, query, 200, False)] and handed == []
+
+    # g(a) runs out of fuel 3 and outgrows MAX_TERM_NODES within fuel 50,
+    # uncut; the pump is cut. A query hands each start over before any step
+    @pytest.mark.parametrize("src, start, fuel, cut", [
+        (DOUBLING, "g(a)", 3, False),
+        (DOUBLING, "g(a)", 50, False),
+        (ORACLE_EXTRA["pump"], "a", 50, True)], ids=["fuel", "outgrew", "cut"])
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["normalize", "NormalForms"])
+    def test_every_raise_reads_its_trace_from_one_unchecked_walk(
+            self, monkeypatch, src, start, fuel, cut, cached):
+        trs = parse_trs(src)
+        query = t(start, trs)
+        normalizer = (NormalForms(trs, fuel) if cached
+                      else lambda u: rewriting.normalize(trs, u, fuel))
+        cuts = TestLoopCut.counted(monkeypatch, "_loop_stop")
+        handed = self.hand_overs(monkeypatch)
+        with pytest.raises(FuelExhausted) as exc:
+            normalizer(query)
+        assert len(cuts) == cut and handed == [(query, fuel)]
+        walks = TestLoopCut.counted(monkeypatch, "_walk")
+        handed.clear()
+        with pytest.raises(FuelExhausted) as ref:
+            innermost_oracle(trs, query, fuel)
+        assert exc.value.trace == ref.value.trace
+        assert walks == [(trs, query, fuel, False)] and handed == []
 
     @staticmethod
     def hand_overs(monkeypatch):
@@ -1206,7 +1179,7 @@ def outcome_of(search, trs, depth, fuel):
     try:
         r = search(trs, depth, fuel=fuel)
     except FuelExhausted as e:
-        return "fuel", e.term, len(e.trace), str(e)
+        return "fuel", len(e.trace), str(e)
     return r.witness, r.max_depth, r.terms_checked, r.exhausted
 
 
