@@ -33,6 +33,7 @@ from .terms import (
     Symbol,
     Term,
     Var,
+    fresh_name,
     is_ground,
     render_term,
     substitute,
@@ -270,12 +271,22 @@ def encode(m: MinskyMachine, k: int, p: int,
     f_syms = {q: Symbol(f_name(q), 1) for q in m.states}
     fp_syms = {q: Symbol(fp_name(q), 1) for q in m.states}
 
+    # each symbol name by what needs it, so that a clash names its state
+    fixed = (c, s, zero, g, gp, e)
+    owners = {sym.name: "the encoding" for sym in fixed}
     symbols: list[Symbol] = []
     for q in m.states:
-        symbols.extend([f_syms[q], fp_syms[q], state_syms[q]])
-    symbols.extend([c, s, zero, g, gp, e])
+        for sym in (f_syms[q], fp_syms[q], state_syms[q]):
+            if sym.name in owners:
+                raise ValueError(f"state {q} clashes with {owners[sym.name]}"
+                                 f": both need the symbol {sym.name}")
+            owners[sym.name] = f"state {q}"
+            symbols.append(sym)
+    symbols.extend(fixed)
 
-    x, y, z = Var("x"), Var("y"), Var("z")
+    # x, y and z unless a state takes one of them
+    x, y, z = (Var(fresh_name(v, set(owners)) if v in owners else v)
+               for v in "xyz")
     Z: Term = App(zero)
     E: Term = App(e)
 
@@ -314,7 +325,7 @@ def encode(m: MinskyMachine, k: int, p: int,
         rhs = cfg(t.target, rargs[0], rargs[1], App(s, (z,)))
         rules.append(Rule(lhs, rhs, f"t{i}"))
 
-    theory = Trs(tuple(symbols), ("x", "y", "z"), tuple(rules))
+    theory = Trs(tuple(symbols), (x.name, y.name, z.name), tuple(rules))
     knowledge = App(c, (App(state_syms[m.initial]),
                         _nat(s, zero, k), _nat(s, zero, p), Z))
     goal = App(c, (E, Z, Z, Z))

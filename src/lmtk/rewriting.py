@@ -290,16 +290,6 @@ def is_root_redex(trs: Trs, sym: Symbol, args: tuple[Term, ...]) -> bool:
     return _root_step(trs, sym, args) is not None
 
 
-def _folded(u: Term, spine: list[tuple[App, list[Term]]],
-            path: list[int]) -> Term:
-    """The whole term: `u` put back into a walk's spine frames, `path` the
-    argument index it stands at in each. Empties neither list."""
-    for (node, args), i in zip(reversed(spine), reversed(path)):
-        args[i - 1] = u
-        u = _rebuilt(node, args)
-    return u
-
-
 def normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL) -> tuple[Term, list[RewriteStep]]:
     """Leftmost-innermost normal form with its trace.
 
@@ -453,42 +443,36 @@ class NormalForms:
     forms of their subterms (Efficient Annotated Terms, van den Brand et
     al., SP&E 2000).
 
-    The memo maps each query, each term a query handed over to
-    `normalize`, each normal form, and each normal proper subterm a query
-    walked to its normal form. For a term that took steps it also keeps
-    the step count and the peak term size, both as `normalize` counts
-    them on that term alone.
+    The memo maps each query, each subterm answered on its way, each term
+    handed over to `normalize`, and each normal form. For a term that
+    took steps it also keeps the step count and the peak term size, both
+    as `normalize` counts them on that term alone.
 
-    A query whose arguments the memo has all answered is decided in one
-    level. Its arguments' step counts and peaks are added up in order,
-    with the check below, and the term is rebuilt from their normal
-    forms. The rebuilt term is then looked up, its root tried, or the
-    whole term handed over, as at the root of a walk. Only a query with
-    an argument the memo never answered is walked.
-
-    A walk takes its term in post-order, which is the leftmost-innermost
-    order, keeping the step count and the size of the whole term as
-    `normalize` does. Each node is looked up in the memo when the walk
-    enters it, and again once it is rebuilt from its normalized
-    arguments, where a term handed over before turns up. A memoized
-    node, raw or rebuilt, is replaced by its normal form and adds its
-    steps: the parts left of it are normal, so those are the next steps
-    `normalize` takes. If that crosses the fuel, or its peak plus the
-    size of the rest of the term crosses MAX_TERM_NODES, `normalize`
-    runs on the query and raises the identical FuelExhausted. A node
-    whose arguments are normal and whose root is no redex is recorded as
-    normal. At the first root redex the walk hands the whole term over to
-    `normalize` with the fuel that is left. The parts left of the redex
-    are normalized and the parts right of it still raw: that is exactly
-    the term `normalize` reaches from the query after those steps, so the
-    normal form, the size checks and the place it stops are the same. A
+    Every query is decided bottom-up, one level at a time. A term whose
+    arguments the memo has all answered adds up their step counts and
+    peaks in order, as `normalize` takes their steps left to right. If
+    that crosses the fuel, or an argument's peak plus the size of the
+    rest of the term crosses MAX_TERM_NODES, `normalize` runs on the
+    query and raises the identical FuelExhausted. Otherwise the term is
+    rebuilt from its arguments' normal forms, or kept as it is if none
+    took a step. A memoized rebuilt term adds its own steps in the same
+    way; one whose root is no redex is normal; any other is handed over
+    to `normalize` with the fuel that is left. That is exactly the term
+    `normalize` reaches from the query after those steps, so the normal
+    form, the size checks and the place it stops are the same. A
     FuelExhausted from there is raised again from the query, with the
     bound it names and a trace that counts the steps before the
     hand-over; that trace is built only if read, by one run of the walk
-    from the query without the loop check. A term that runs out of fuel
-    is not memoized. A query that enters a loop stops soon after its
-    hand-over: `normalize` stops at the loop's first repeated redex,
-    with the raise the whole budget would give.
+    from the query without the loop check.
+
+    A query with an argument the memo never answered first has every
+    subterm the memo lacks answered, innermost first. Leftmost-innermost
+    rewriting normalizes each of them before it takes any step above
+    it, so if one gets stuck on its own, the query is stuck as well: it
+    is handed over whole, and `normalize` raises its own FuelExhausted.
+    A term that runs out of fuel is not memoized. A query that enters a
+    loop stops soon after its hand-over: `normalize` stops at the loop's
+    first repeated redex, with the raise the whole budget would give.
 
     The root phase stays in the public `normalize`: perfbench counts its
     calls and steps there, and its traced `cap` run requires every cap
@@ -522,8 +506,10 @@ class NormalForms:
         return self._hand_over(t, t, 0, 0)
 
     def _one_level(self, t: App) -> Term:
-        """`t` decided from its arguments' answers, or walked if the memo
-        never answered one of them."""
+        """`t` decided from its arguments' answers: their steps and peaks
+        added up in order, then the rebuilt term looked up, its root
+        tried, or handed over. If the memo never answered an argument,
+        its subterms are answered first, by `_bottom_up`."""
         memo = self.memo
         steps = peak = 0
         size = t._size
@@ -534,7 +520,7 @@ class NormalForms:
             v = memo.get(a)
             if v is None:
                 if a.__class__ is App:
-                    return self._walk(t)
+                    return self._bottom_up(t)
                 v = memo[a] = a  # a variable is normal
             elif v is not a:
                 counted = self._spend(a, v, steps, peak, size)
@@ -542,7 +528,10 @@ class NormalForms:
                     return self._hand_over(t, t, 0, 0)
                 steps, peak, size = counted
             args.append(v)
-        u = _rebuilt(t, args)
+        # with no step taken, every argument equals its answer, so `t`
+        # stands for the rebuilt term: a copy would make each later
+        # lookup of `t` compare the two node by node
+        u = _rebuilt(t, args) if steps else t
         v = memo.get(u) if u is not t else None
         if v is not None:
             counted = self._spend(u, v, steps, peak, size)
@@ -554,6 +543,32 @@ class NormalForms:
         else:
             return self._hand_over(t, u, steps, peak)
         return self._keep(t, v, steps, peak)
+
+    def _bottom_up(self, t: App) -> Term:
+        """`t` decided in one level once every subterm of it the memo
+        lacks is answered, innermost first, each in one level too: a loop
+        over an explicit stack, since terms outgrow the recursion limit.
+        Each `_one_level` call here meets only answered arguments."""
+        memo = self.memo
+        todo = [a for a in t.args if a.__class__ is App and a not in memo]
+        try:
+            while todo:
+                b = todo[-1]
+                if b in memo:
+                    todo.pop()  # lacked twice, as in h(g(c), g(c))
+                    continue
+                lacking = [c for c in b.args
+                           if c.__class__ is App and c not in memo]
+                if lacking:
+                    todo += lacking
+                    continue
+                todo.pop()
+                self._one_level(b)
+        except FuelExhausted:
+            # leftmost-innermost rewriting normalizes each subterm of `t`
+            # before it takes any step above it, so `t` is stuck as well
+            return self._hand_over(t, t, 0, 0)
+        return self._one_level(t)
 
     def _spend(self, u: Term, v: Term, steps: int, peak: int,
                size: int) -> Optional[tuple[int, int, int]]:
@@ -578,53 +593,6 @@ class NormalForms:
         if steps:
             self.cost[t] = steps, peak
         return u
-
-    def _walk(self, t: Term) -> Term:
-        memo, trs = self.memo, self.trs
-        # spine frames and `path` as in `normalize`; left of the walk the
-        # arguments are normal, right of it raw
-        spine: list[tuple[App, list[Term]]] = []
-        path: list[int] = []
-        steps = peak = 0
-        size = term_size(t)
-        u, entering = t, True
-        while True:
-            # the root was looked up raw by the caller
-            v = memo.get(u) if spine or not entering else None
-            if v is None:
-                if entering and u.__class__ is App and u.args:
-                    spine.append((u, list(u.args)))
-                    path.append(1)
-                    u = u.args[0]
-                    continue
-                # every argument of u is normal: try the root
-                if (u.__class__ is App
-                        and _root_step(trs, u.sym, u.args) is not None):
-                    break
-                if spine:
-                    u = memo.setdefault(u, u)
-            elif v is not u:
-                counted = self._spend(u, v, steps, peak, size)
-                if counted is None:
-                    return self._hand_over(t, t, 0, 0)
-                steps, peak, size = counted
-                # the memo's own object: a rebuilt parent then compares
-                # equal to a memoized one without walking its arguments
-                u = v
-            if not spine:
-                return self._keep(t, u, steps, peak)
-            node, args = spine[-1]
-            i = path[-1]
-            args[i - 1] = u
-            if i < len(args):
-                path[-1] = i + 1
-                u, entering = args[i], True
-            else:
-                spine.pop()
-                path.pop()
-                u, entering = _rebuilt(node, args), False
-        # the whole term at its first root redex
-        return self._hand_over(t, _folded(u, spine, path), steps, peak)
 
     def _hand_over(self, t: Term, whole: Term, steps: int, peak: int) -> Term:
         """Normalize `t` from `whole`, the term its normalization reaches

@@ -10,10 +10,12 @@ caught at parse time:
       [r1] f(x, i(x)) -> g(x)
       g(b) -> c
 
-Rule labels are optional; unlabeled rules get r1, r2, ... in order. A
-legacy parenthesized style `(VAR x y) (RULES l -> r ...)` is accepted as
-an import convenience; its signature is read off the rules as they are
-parsed.
+Rule labels are optional. The n-th rule, if unlabeled, gets rn, primed
+(rn', rn'', ...) until it differs from every label the file gives and
+from the labels of the unlabeled rules before it; a label the file
+gives twice is an error. A legacy parenthesized style `(VAR x y)
+(RULES l -> r ...)` is accepted as an import convenience; its signature
+is read off the rules as they are parsed.
 """
 
 from __future__ import annotations
@@ -163,7 +165,9 @@ def parse_trs(text: str) -> Trs:
     sym_order: list[Symbol] = []
     variables: list[str] = []
     rules: list[Rule] = []
-    pending_labels: set[str] = set()
+    explicit: set[str] = set()
+    # the index of each rule without a label
+    unlabeled: list[int] = []
     section: Optional[str] = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -216,12 +220,12 @@ def parse_trs(text: str) -> Trs:
                               col - 1 + len(lhs_s) + 2
                               ).whole("trailing input after rhs")
             if not label:
+                unlabeled.append(len(rules))
                 label = f"r{len(rules) + 1}"
-                while label in pending_labels:
-                    label = label + "'"
-            if label in pending_labels:
+            elif label in explicit:
                 raise ParseError(f"duplicate rule label {label}", lineno, 1)
-            pending_labels.add(label)
+            else:
+                explicit.add(label)
             try:
                 rules.append(Rule(lhs, rhs, label))
             except ValueError as e:
@@ -230,6 +234,16 @@ def parse_trs(text: str) -> Trs:
             raise ParseError("expected a 'sig:', 'vars:' or 'rules:' section",
                              lineno, 1)
 
+    # an automatic label avoids every explicit one, later ones included
+    taken = set(explicit)
+    for i in unlabeled:
+        rule = rules[i]
+        label = rule.label
+        while label in taken:
+            label += "'"
+        taken.add(label)
+        if label != rule.label:
+            rules[i] = Rule.unchecked(rule.lhs, rule.rhs, label)
     return Trs(tuple(sym_order), tuple(variables), tuple(rules))
 
 

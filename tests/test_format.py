@@ -30,6 +30,22 @@ class TestParse:
         trs = parse_trs("sig: a/0 b/0\nrules:\n  [base] a -> b\n")
         assert trs.rules[0].label == "base"
 
+    @pytest.mark.parametrize("rules, labels", [
+        # an automatic label avoids an explicit one later in the file
+        ("a -> b\n  [r1] c -> d", ["r1'", "r1"]),
+        ("[r2] a -> b\n  c -> d", ["r2", "r2'"]),
+        ("a -> b\n  [r1] c -> d\n  [r1'] b -> c", ["r1''", "r1", "r1'"]),
+        ("[r2] a -> b\n  c -> d\n  [r2'] b -> c\n  d -> a",
+         ["r2", "r2''", "r2'", "r4"])],
+        ids=["later", "earlier", "later_primed", "both"])
+    def test_automatic_labels_avoid_every_explicit_one(self, rules, labels):
+        trs = parse_trs(f"sig: a/0 b/0 c/0 d/0\nrules:\n  {rules}\n")
+        assert [r.label for r in trs.rules] == labels
+
+    def test_an_explicit_label_given_twice_is_rejected(self):
+        with pytest.raises(ParseError, match="duplicate rule label r1"):
+            parse_trs("sig: a/0 b/0\nrules:\n  [r1] a -> b\n  [r1] b -> a\n")
+
     def test_comments_and_blank_lines(self):
         trs = parse_trs("# system\nsig: a/0 b/0\n\nrules:\n  a -> b  # step\n")
         assert len(trs.rules) == 1

@@ -188,6 +188,33 @@ class TestEncode:
         inst = encode(BRANCHING_MACHINE, 1, 0)
         assert parse_trs(render_trs(inst.theory)) == inst.theory
 
+    def test_states_named_like_the_variables_parse_back(self):
+        # the tiny machine with states x y z: its variables move away
+        m = MinskyMachine(("x", "y", "z"), "x", "z",
+                          (Transition("x", 1, "+", "y"),
+                           Transition("y", 1, "+", "z")))
+        inst = encode(m, 0, 0)
+        assert inst.theory.variables == ("x1", "y1", "z1")
+        assert parse_trs(render_trs(inst.theory)) == inst.theory
+        res = cap_search(inst, 30, 12)
+        run = simulate(m, Config("x", 0, 0))
+        assert str(res.cap) == str(canonical_cap(m, run, inst))
+        assert str(res.cap) == "gp(g(gp(f_z(f_y(f_x(hole1))))))"
+
+    @pytest.mark.parametrize("states, clash", [
+        (("c", "qL"), "state c clashes with the encoding: both need the "
+                      "symbol c"),
+        (("q0", "gp"), "state gp clashes with the encoding"),
+        (("q0", "f_q0"), "state f_q0 clashes with state q0: both need the "
+                         "symbol f_q0"),
+        (("fp_qL", "qL"), "state qL clashes with state fp_qL")])
+    def test_a_state_named_like_an_encoding_symbol_is_rejected(
+            self, states, clash):
+        m = MinskyMachine(states, states[0], states[1],
+                          (Transition(states[0], 1, "+", states[1]),))
+        with pytest.raises(ValueError, match=clash):
+            encode(m, 0, 0)
+
     def test_valid_machines_encode_distinct_left_sides(self):
         # two transitions share a source only as a Z/P pair on one counter,
         # which encodes under fp_q and f_q: no rule is encoded twice. No

@@ -1,7 +1,8 @@
 """The package's public surface: every exported name, and every public
 top-level name of a module, has a caller, and every class field, method
 and property is read. No function calls itself, every App is built by
-`App.__init__`, and every FuelExhausted by `rewriting._stopped`."""
+`App.__init__`, every FuelExhausted by `rewriting._stopped`, and
+`NormalForms` calls `normalize` from its hand-over alone."""
 
 import ast
 from pathlib import Path
@@ -234,20 +235,40 @@ def test_every_app_is_built_by_its_init():
     assert found == []
 
 
-def fuel_exhausted_builds(path: Path) -> list[str]:
-    """`module.name` for each call of `FuelExhausted` in `path`, by the
-    top-level function or class it stands in."""
-    return [f"{path.stem}.{getattr(stmt, 'name', '<module>')}"
-            for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+def scopes(path: Path):
+    """(name, node) for each top-level function, class and statement of
+    `path`, with each member of a class as `Class.member`."""
+    for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(stmt, ast.ClassDef):
+            for node in stmt.decorator_list + stmt.bases + stmt.keywords:
+                yield stmt.name, node
+            for member in stmt.body:
+                yield f"{stmt.name}.{getattr(member, 'name', '<body>')}", member
+        else:
+            yield getattr(stmt, "name", "<module>"), stmt
+
+
+def calls_of(path: Path, callee: str) -> list[str]:
+    """`module.scope` for each call of `callee` in `path`, bare or as an
+    attribute, by the function, method or class it stands in."""
+    return [f"{path.stem}.{name}" for name, stmt in scopes(path)
             for node in ast.walk(stmt)
             if isinstance(node, ast.Call)
-            and "FuelExhausted" in (getattr(node.func, "id", None),
-                                    getattr(node.func, "attr", None))]
+            and callee in (getattr(node.func, "id", None),
+                           getattr(node.func, "attr", None))]
 
 
 def test_every_fuel_exhausted_is_built_by_stopped():
     # one builder gives every raise its lazy trace and checks the stop it
     # predicts when that trace is read
     found = [where for p in sorted(PACKAGE.glob("*.py"))
-             for where in fuel_exhausted_builds(p)]
+             for where in calls_of(p, "FuelExhausted")]
     assert found == ["rewriting._stopped"]
+
+
+def test_normal_forms_hands_over_in_one_place():
+    # perfbench counts the `normalize` calls of `NormalForms` as its
+    # hand-overs, and ROADMAP item 4 replaces that one call
+    found = [where for where in calls_of(PACKAGE / "rewriting.py", "normalize")
+             if where.startswith("rewriting.NormalForms.")]
+    assert found == ["rewriting.NormalForms._hand_over"]

@@ -672,20 +672,21 @@ DOUBLING = "sig: a/0 f/2 g/1\nvars: x\nrules:\n  g(x) -> g(f(x,x))\n"
 
 
 def walked(monkeypatch):
-    """The query of each `NormalForms._walk` call from now on."""
-    calls, walk = [], NormalForms._walk
+    """Each query from now on that had an argument the memo never
+    answered, so had its subterms answered first (`_bottom_up`)."""
+    calls, bottom_up = [], NormalForms._bottom_up
 
     def counting(self, u):
         calls.append(u)
-        return walk(self, u)
-    monkeypatch.setattr(NormalForms, "_walk", counting)
+        return bottom_up(self, u)
+    monkeypatch.setattr(NormalForms, "_bottom_up", counting)
     return calls
 
 
 class TestNormalFormsCache:
     def test_cache_agrees_with_normalize(self, monkeypatch):
         cases = outgrown = 0
-        # the forward sweeps' queries answered in one level, with no walk:
+        # the forward sweeps' queries answered in one level, no subterm first:
         # by how they end and whether the shared check crossed a bound
         one_level = collections.Counter()
         outgrown_in_one_level = set()
@@ -770,7 +771,7 @@ class TestNormalFormsCache:
     def test_the_size_bound_crossed_only_in_context(self, monkeypatch):
         # dup(s^1999(0)) peaks at 4001 nodes alone, then shrinks back; with
         # 1500 more nodes beside it, the whole term goes over at that peak.
-        # The walk of dup(s^1999(0)) answered s^1499(0), so the whole term
+        # Answering dup(s^1999(0)) answered s^1499(0), so the whole term
         # is decided in one level
         trs = parse_trs("sig: 0/0 s/1 dup/1 p/2 h/2\nvars: x y\nrules:\n"
                         "  dup(x) -> p(x,x)\n  p(x,y) -> x\n")
@@ -823,12 +824,17 @@ class TestNormalFormsCache:
             if fuel:
                 assert cached(t("a", trs)) == t("b", trs)
             handed.clear()
-            # a is known, g(c) is not: the walk hands h(b,g(c)) over at c
+            # a is known, g(c) is not: c is answered alone, at the full
+            # fuel, and h(b,g(c)) is never handed over
             self.same_outcome(cached, trs, t("h(a,g(c))", trs), fuel)
             if fuel:
-                assert handed[0] == ("h(b,g(c))", fuel - 1)
+                assert handed[0] == ("c", fuel)
+            assert "h(b,g(c))" not in {u for u, _ in handed}
 
-    def test_an_exhausted_query_runs_normalize_once(self, monkeypatch):
+    def test_an_exhausted_query_runs_normalize_on_a_then_on_itself(
+            self, monkeypatch):
+        # a, below the root of each query, is answered alone first and
+        # gets stuck, so the query is handed over whole
         trs = parse_trs("sig: a/0 b/0 c/0 f/1 g/2\n"
                         "rules:\n  a -> f(a)\n  c -> b\n")
         fuel, calls, steps = 200, [], []
@@ -852,16 +858,17 @@ class TestNormalFormsCache:
             steps.clear()
             with pytest.raises(FuelExhausted) as exc:
                 cached(t(query, trs))
-            assert len(calls) == 1, query
-            assert sum(steps) <= fuel, query
+            assert calls == [t("a", trs), t(query, trs)], query
+            assert sum(steps) <= 2 * fuel, query
             assert len(exc.value.trace) == fuel
             # reading the trace runs no more `normalize`
             assert exc.value.trace[0].source == t(query, trs)
-            assert len(calls) == 1
+            assert len(calls) == 2
 
     def test_reading_the_trace_runs_one_unchecked_walk(self, monkeypatch):
-        # a -> f(a) is cut after the hand-over of g(b,a): the trace of the
-        # query comes from one walk of it without the loop check
+        # a -> f(a) is cut once when a is answered alone, and once more
+        # when the query is handed over whole: the trace of the query
+        # comes from one walk of it without the loop check
         trs = parse_trs("sig: a/0 b/0 c/0 f/1 g/2\n"
                         "rules:\n  a -> f(a)\n  c -> b\n")
         query = t("g(c,a)", trs)
@@ -870,12 +877,77 @@ class TestNormalFormsCache:
         cuts = TestLoopCut.counted(monkeypatch, "_loop_stop")
         with pytest.raises(FuelExhausted) as exc:
             cached(query)
-        assert len(cuts) == 1
+        assert len(cuts) == 2
         walks = TestLoopCut.counted(monkeypatch, "_walk")
         handed = self.hand_overs(monkeypatch)
         trace = exc.value.trace
         assert len(trace) == 200 and trace[0].source == query
         assert walks == [(trs, query, 200, False)] and handed == []
+
+    @staticmethod
+    def deep_query(trs, shape, n):
+        """h(g^n(a), a) for the chain, h(a, h(a, ... h(a, a))) with n
+        h's for the comb."""
+        a, g, h = App(trs.symbol("a")), trs.symbol("g"), trs.symbol("h")
+        u = a
+        for _ in range(n):
+            u = App(g, (u,)) if shape == "chain" else App(h, (a, u))
+        return App(h, (u, a)) if shape == "chain" else u
+
+    @pytest.mark.parametrize("shape", ["chain", "comb"])
+    def test_a_fresh_query_past_the_recursion_limit(self, monkeypatch,
+                                                     shape):
+        # its subterms are answered by one loop, each in one level; the
+        # comb has more than MAX_TERM_NODES nodes, so its first step
+        # crosses the size bound
+        trs = parse_trs("sig: a/0 b/0 g/1 h/2\nrules:\n  a -> b\n")
+        query = self.deep_query(trs, shape, 3 * sys.getrecursionlimit())
+        walks = walked(monkeypatch)
+        e = self.same_outcome(NormalForms(trs), trs, query, DEFAULT_FUEL)
+        assert (e is None) == (shape == "chain")
+        assert walks == [query]
+
+    def test_a_fresh_query_stuck_past_the_recursion_limit(self,
+                                                          monkeypatch):
+        # a gets stuck alone, so the query is handed over whole and
+        # raises its own FuelExhausted
+        trs = parse_trs("sig: a/0 f/1 g/1 h/2\nrules:\n  a -> f(a)\n")
+        query = self.deep_query(trs, "chain", 3 * sys.getrecursionlimit())
+        handed = self.hand_overs(monkeypatch)
+        e = self.same_outcome(NormalForms(trs, 50), trs, query, 50)
+        assert str(e) == "fuel exhausted after 50 steps"
+        assert handed == [(t("a", trs), 50), (query, 50)]
+
+    def test_a_fresh_chain_over_a_known_one_is_kept_as_it_is(self,
+                                                             monkeypatch):
+        # s^10(0) is known from terms built apart from the query's: the
+        # levels above it took no step, so each is kept as its own normal
+        # form and is never compared node by node with an equal copy
+        trs = parse_trs("sig: 0/0 s/1 g/1\n")
+
+        def chain(n):
+            u = App(trs.symbol("0"))
+            for _ in range(n):
+                u = App(trs.symbol("s"), (u,))
+            return u
+        cached = NormalForms(trs)
+        cached(chain(10))
+        query = App(trs.symbol("g"), (chain(3 * sys.getrecursionlimit()),))
+        compared, eq = [], App.__eq__
+
+        def counting(self, other):
+            compared.append(self)
+            return eq(self, other)
+        monkeypatch.setattr(App, "__eq__", counting)
+        assert cached(query) is query
+        assert len(compared) <= 2
+
+    def test_a_repeated_fresh_subterm_is_handed_over_once(self, monkeypatch):
+        trs = parse_trs("sig: c/0 d/0 g/1 h/2\nrules:\n  c -> d\n")
+        handed = self.hand_overs(monkeypatch)
+        self.same_outcome(NormalForms(trs), trs, t("h(g(c),g(c))", trs),
+                          DEFAULT_FUEL)
+        assert handed == [(t("c", trs), DEFAULT_FUEL)]
 
     # g(a) runs out of fuel 3 and outgrows MAX_TERM_NODES within fuel 50,
     # uncut; the pump is cut. A query hands each start over before any step
