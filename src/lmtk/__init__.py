@@ -34,7 +34,6 @@ from .rewriting import (
     Rule,
     Trs,
     apply_rule,
-    is_eps_irreducible,
     nf,
     normalize,
     subterm_collapse_search,

@@ -43,7 +43,7 @@ from .rewriting import (
     Rule,
     Trs,
     enumeration_variables,
-    is_eps_irreducible,
+    is_root_redex,
     subterm_collapse_search,
 )
 from .terms import (
@@ -509,6 +509,25 @@ INTERNAL_INCONSISTENCY = "INTERNAL-INCONSISTENCY"
 FREENESS_POOL = 600  # terms the freeness check draws from the enumeration
 
 
+def freeness_pool(trs: Trs, depth: int) -> list[App]:
+    """The first FREENESS_POOL terms up to `depth`, in enumeration order,
+    whose arguments are all irreducible. Each argument was enumerated at
+    an earlier depth, so the set of irreducible terms met so far decides
+    it: the variables, and the pool terms whose root is no redex."""
+    irreducible: set[Term] = set()
+    pool: list[App] = []
+    for t in enumerate_terms(trs.symbols, enumeration_variables(trs), depth):
+        if t.__class__ is Var:
+            irreducible.add(t)
+        elif all(map(irreducible.__contains__, t.args)):
+            pool.append(t)
+            if len(pool) >= FREENESS_POOL:
+                break
+            if not is_root_redex(trs, t.sym, t.args):
+                irreducible.add(t)
+    return pool
+
+
 def consequence_checks(trs: Trs, depth: int = 3,
                        fuel: int = DEFAULT_FUEL) -> list[Condition]:
     """Structural facts every certified system satisfies. Run only after
@@ -571,17 +590,10 @@ def consequence_checks(trs: Trs, depth: int = 3,
     # never join (they join when their normal forms are equal, so one
     # normalize per term)
     def joined() -> str:
-        vars_ = enumeration_variables(trs)
-        pool: list[Term] = []
-        for t in enumerate_terms(trs.symbols, vars_, depth):
-            if isinstance(t, App) and is_eps_irreducible(trs, t):
-                pool.append(t)
-                if len(pool) >= FREENESS_POOL:
-                    break
         bad = []
         seen_nf: dict[tuple[str, Term], Term] = {}
         nf = NormalForms(trs, fuel)
-        for t in pool:
+        for t in freeness_pool(trs, depth):
             key = (t.sym.name, nf(t))
             if key in seen_nf:
                 bad.append(f"{render_term(seen_nf[key])} ~ {render_term(t)}")

@@ -455,9 +455,13 @@ class NormalForms:
     rest of the term crosses MAX_TERM_NODES, `normalize` runs on the
     query and raises the identical FuelExhausted. Otherwise the term is
     rebuilt from its arguments' normal forms, or kept as it is if none
-    took a step. A memoized rebuilt term adds its own steps in the same
-    way; one whose root is no redex is normal; any other is handed over
-    to `normalize` with the fuel that is left. That is exactly the term
+    took a step. Each rebuilt term is one object for the life of the
+    instance, kept in a table by its root symbol and the ids of the
+    normal forms it is built from; it holds them, so their ids stay
+    valid, and its memo and cost lookups hit by identity. A memoized
+    rebuilt term adds its own steps in the same way; one whose root is
+    no redex is normal; any other is handed over to `normalize` with the
+    fuel that is left. That is exactly the term
     `normalize` reaches from the query after those steps, so the normal
     form, the size checks and the place it stops are the same. A
     FuelExhausted from there is raised again from the query, with the
@@ -478,7 +482,11 @@ class NormalForms:
     calls and steps there, and its traced `cap` run requires every cap
     search normalization to be such a call. A normal form is returned as
     the memo's own object, so a later query that contains it finds it by
-    identity. Build one per call that normalizes many terms; nothing
+    identity. A query the memo answers through an equal key of another
+    object takes that key over, in the memo and in the step counts, so
+    the caller's object is found by identity from then on, as when the
+    collapse search reuses an enumerated term as an argument of later
+    ones. Build one per call that normalizes many terms; nothing
     outlives it.
     """
 
@@ -488,11 +496,18 @@ class NormalForms:
         self.memo: dict[Term, Term] = {}
         # (steps, peak size) of the memoized terms that took steps
         self.cost: dict[Term, tuple[int, int]] = {}
+        # the rebuilt terms, by root symbol and the ids of their arguments
+        self.built: dict[tuple, App] = {}
 
     def __call__(self, t: Term) -> Term:
         memo = self.memo
         known = memo.get(t)
         if known is not None:
+            if known is not t:
+                # a query that is the memo's own normal form is mostly
+                # its key already, so it skips the re-insert: `cap`
+                # re-queries many such terms
+                self._take_over(t, known)
             return known
         if t.__class__ is not App:
             return t  # a variable is normal
@@ -531,8 +546,14 @@ class NormalForms:
         # with no step taken, every argument equals its answer, so `t`
         # stands for the rebuilt term: a copy would make each later
         # lookup of `t` compare the two node by node
-        u = _rebuilt(t, args) if steps else t
-        v = memo.get(u) if u is not t else None
+        if steps:
+            key = (t.sym, *map(id, args))
+            u = self.built.get(key)
+            if u is None:
+                u = self.built[key] = App(t.sym, tuple(args))
+            v = memo.get(u)
+        else:
+            u, v = t, None
         if v is not None:
             counted = self._spend(u, v, steps, peak, size)
             if counted is None:
@@ -543,6 +564,16 @@ class NormalForms:
         else:
             return self._hand_over(t, u, steps, peak)
         return self._keep(t, v, steps, peak)
+
+    def _take_over(self, t: Term, known: Term) -> None:
+        """Make `t` the key of its entries in the memo, answered `known`,
+        and in the step counts if it took steps."""
+        memo, cost = self.memo, self.cost
+        del memo[t]
+        memo[t] = known
+        counted = cost.pop(t, None)
+        if counted is not None:
+            cost[t] = counted
 
     def _bottom_up(self, t: App) -> Term:
         """`t` decided in one level once every subterm of it the memo
@@ -622,13 +653,6 @@ def replay(trs: Trs, t: Term, trace: Sequence[RewriteStep]) -> Term:
         if t != step.target:
             raise ValueError(f"step {step} replayed to {render_term(t)}")
     return t
-
-
-def is_eps_irreducible(trs: Trs, t: Term) -> bool:
-    """Every proper subterm irreducible (the root may still be a redex);
-    a variable is never a redex."""
-    return not any(u.__class__ is App and is_root_redex(trs, u.sym, u.args)
-                   for p, u in subterms(t) if p)
 
 
 def enumeration_variables(trs: Trs) -> list[str]:

@@ -19,7 +19,6 @@ from lmtk.rewriting import (
     DEFAULT_FUEL,
     Trs,
     apply_rule,
-    is_eps_irreducible,
     is_root_redex,
     nf,
 )
@@ -36,6 +35,12 @@ def is_redex(trs: Trs, t: Term) -> bool:
 
 def is_reducible(trs: Trs, t: Term) -> bool:
     return any(is_redex(trs, u) for _, u in subterms(t))
+
+
+def is_eps_irreducible(trs: Trs, t: Term) -> bool:
+    """Every proper subterm irreducible (the root may still be a redex);
+    a variable is never a redex."""
+    return not any(is_redex(trs, u) for p, u in subterms(t) if p)
 
 
 def is_innermost_redex(trs: Trs, t: Term) -> bool:

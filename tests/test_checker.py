@@ -23,7 +23,7 @@ from lmtk.checker import (
 from lmtk import checker
 from lmtk.minsky import encode, encoding_precedence
 from lmtk.overlaps import Equation, overlap_sites, rhs_closure
-from lmtk.rewriting import nf
+from lmtk.rewriting import enumeration_variables, nf
 from lmtk.terms import (
     ROOT,
     App,
@@ -36,7 +36,7 @@ from lmtk.terms import (
     subterms,
     variables_of,
 )
-from lmtk.trs_format import parse_term, parse_trs
+from lmtk.trs_format import parse_term, parse_trs, render_trs
 
 from conftest import (
     BRANCHING_MACHINE,
@@ -52,6 +52,7 @@ from conftest import (
     overlap_systems,
     sweep_sources,
 )
+from one_step import is_eps_irreducible
 from random_systems import random_system
 
 
@@ -529,6 +530,31 @@ rules:
         inst = encode(TINY_MACHINE, 0, 0)
         checks = consequence_checks(inst.theory)
         assert all(c.verdict == "pass" for c in checks)
+
+    def test_the_freeness_pool_is_that_of_the_subterm_filter(self, corpus):
+        # the pool reads each argument off the irreducible terms met so
+        # far; the filter tries the root of every proper subterm
+        systems = [trs for _, trs, _ in corpus]
+        systems += filter(None, (random_system(random.Random(seed))
+                                 for seed in range(120)))
+        full = filtered = 0
+        for trs in systems:
+            for depth in (1, 2, 3):
+                expected, dropped = [], 0
+                for u in enumerate_terms(trs.symbols,
+                                         enumeration_variables(trs), depth):
+                    if len(expected) == checker.FREENESS_POOL:
+                        break
+                    if isinstance(u, App):
+                        if is_eps_irreducible(trs, u):
+                            expected.append(u)
+                        else:
+                            dropped += 1
+                pool = checker.freeness_pool(trs, depth)
+                assert pool == expected, (render_trs(trs), depth)
+                full += len(pool) == checker.FREENESS_POOL
+                filtered += dropped > 0
+        assert len(systems) > 100 and full > 0 and filtered > 100
 
 
 FREE_UNARY = "sig: f/1 g/1\nvars: x\nrules:\n  f(x) -> g(x)\n"

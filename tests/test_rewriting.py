@@ -2,6 +2,7 @@
 
 import collections
 import itertools
+import operator
 import random
 import sys
 
@@ -18,7 +19,6 @@ from lmtk.rewriting import (
     RewriteStep,
     apply_rule,
     enumeration_variables,
-    is_eps_irreducible,
     is_root_redex,
     nf,
     normalize,
@@ -30,6 +30,7 @@ from lmtk.terms import (
     Symbol,
     Var,
     enumerate_terms,
+    fresh_name,
     match_term,
     render_term,
     substitute,
@@ -48,7 +49,7 @@ from conftest import (
     corpus_systems,
     odp,
 )
-from one_step import is_innermost_redex, is_reducible
+from one_step import is_eps_irreducible, is_innermost_redex, is_reducible
 from random_systems import random_system, random_term
 
 
@@ -671,6 +672,30 @@ class TestLoopCut:
 DOUBLING = "sig: a/0 f/2 g/1\nvars: x\nrules:\n  g(x) -> g(f(x,x))\n"
 
 
+def copied(u):
+    """A structural copy of `u`: equal, and no node of it shared."""
+    if u.__class__ is not App:
+        return Var(u.name)
+    done = {}
+    for _, v in sorted(subterms(u), key=lambda pv: -len(pv[0])):
+        if v.__class__ is App and id(v) not in done:
+            done[id(v)] = App(v.sym, tuple(
+                done[id(a)] if a.__class__ is App else Var(a.name)
+                for a in v.args))
+    return done[id(u)]
+
+
+def eq_calls(monkeypatch):
+    """The terms each `App.__eq__` call from now on is made on."""
+    calls, eq = [], App.__eq__
+
+    def counting(self, other):
+        calls.append(self)
+        return eq(self, other)
+    monkeypatch.setattr(App, "__eq__", counting)
+    return calls
+
+
 def walked(monkeypatch):
     """Each query from now on that had an argument the memo never
     answered, so had its subterms answered first (`_bottom_up`)."""
@@ -703,6 +728,7 @@ class TestNormalFormsCache:
             trs = parse_trs(src)
             terms = list(enumerate_terms(trs.symbols,
                                          enumeration_variables(trs), 3))
+            wrap = Symbol(fresh_name("w", trs.symbol_names), 1)
             for fuel in (0, 3, 50):
                 # one cache per system and fuel; the reverse sweep meets
                 # hits before misses and before failures
@@ -732,6 +758,13 @@ class TestNormalFormsCache:
                         one_level[end, any(crossed)] += 1
                         if end == "outgrew":
                             outgrown_in_one_level.add(name)
+                    if i < len(terms):
+                        # asked again as a fresh copy, which takes over the
+                        # memo's key, then as the argument of a new wrapper
+                        copy = copied(u)
+                        for q in (copy, App(wrap, (copy,))):
+                            self.same_outcome(cached, trs, q, fuel,
+                                              steps=False)
         assert cases > 12000
         assert outgrown > 0
         # fuel 0 or 3 runs out after a one-level hand-over, and fuel 3
@@ -741,20 +774,21 @@ class TestNormalFormsCache:
         assert outgrown_in_one_level >= {"large_rhs_pump", "doubling"}
 
     @staticmethod
-    def same_outcome(cached, trs, u, fuel):
+    def same_outcome(cached, trs, u, fuel, steps=True):
         """`cached(u)` ends as `normalize(trs, u, fuel)` does, message
-        included; returns the FuelExhausted, if any."""
+        included, with the same trace, or without `steps` one as long;
+        returns the FuelExhausted, if any."""
         expected = outcome(normalize, trs, u, fuel)
         if expected[0] != "fuel":
             assert cached(u) == expected[0]
             return None
         with pytest.raises(FuelExhausted) as exc:
             cached(u)
-        with pytest.raises(FuelExhausted) as ref:
-            normalize(trs, u, fuel)
         e = exc.value
-        assert raised(e) == expected
-        assert str(e) == str(ref.value)
+        got = raised(e)
+        if not steps:
+            got, expected = got[:2] + got[3:], expected[:2] + expected[3:]
+        assert got == expected  # the message too
         return e
 
     def test_fuel_runs_out_inside_a_memoized_argument(self):
@@ -933,14 +967,51 @@ class TestNormalFormsCache:
         cached = NormalForms(trs)
         cached(chain(10))
         query = App(trs.symbol("g"), (chain(3 * sys.getrecursionlimit()),))
-        compared, eq = [], App.__eq__
-
-        def counting(self, other):
-            compared.append(self)
-            return eq(self, other)
-        monkeypatch.setattr(App, "__eq__", counting)
+        compared = eq_calls(monkeypatch)
         assert cached(query) is query
         assert len(compared) <= 2
+
+    def test_a_second_sweep_compares_no_term(self, monkeypatch):
+        # a query answered through an equal key of another object takes
+        # that key over, so each object asked again hits by identity
+        trs = parse_trs(LM_SOURCES["swap_args"])
+        terms = list(itertools.islice(
+            enumerate_terms(trs.symbols, enumeration_variables(trs), 5),
+            4000))
+        cached = NormalForms(trs)
+        compared = eq_calls(monkeypatch)
+        answers = [cached(u) for u in terms]
+        assert compared
+        compared.clear()
+        again = [cached(u) for u in terms]
+        assert compared == []
+        assert all(map(operator.is_, again, answers))
+
+    def test_the_swap_args_search_compares_few_terms(self, monkeypatch):
+        # at the command line's defaults; 12,838 calls before rebuilt
+        # terms were interned and queries took over equal keys, 1,262 since
+        trs = parse_trs(LM_SOURCES["swap_args"])
+        compared = eq_calls(monkeypatch)
+        result = subterm_collapse_search(trs)
+        assert result.terms_checked == 4000 and not result.collapsing
+        assert len(compared) <= 12_838 // 10
+
+    def test_equal_answers_share_one_rebuilt_term(self, monkeypatch):
+        # h(a,c) and h(c,a) both rebuild to h(b,b) from the same object b
+        trs = parse_trs("sig: a/0 b/0 c/0 h/2\nrules:\n  a -> b\n  c -> b\n")
+        queries = t("h(a,c)", trs), t("h(c,a)", trs)
+        expected = t("h(b,b)", trs)
+        built, init = [], App.__init__
+
+        def building(self, sym, args=()):
+            built.append(sym.name)
+            init(self, sym, args)
+        monkeypatch.setattr(App, "__init__", building)
+        cached = NormalForms(trs)
+        first, second = map(cached, queries)
+        assert first is second
+        assert built == ["h"]
+        assert first == expected
 
     def test_a_repeated_fresh_subterm_is_handed_over_once(self, monkeypatch):
         trs = parse_trs("sig: c/0 d/0 g/1 h/2\nrules:\n  c -> d\n")
